@@ -96,21 +96,23 @@ def exact_min_range_single_antenna(
 
     cand_ranges = np.unique(dist[np.triu_indices(n, 1)])
     best = np.inf
+    top = len(cand_ranges) - 1  # the largest candidate below the incumbent
     for profile in product(*(others[u] for u in range(n))):
         mask = np.stack([cover[u][profile[u]] for u in range(n)])
         np.fill_diagonal(mask, False)
-        # Binary search the smallest candidate range keeping strong connectivity.
-        lo, hi = 0, len(cand_ranges) - 1
-        # Quick reject: even at max range must be strongly connected.
+        # Branch and bound: only a range below the incumbent can improve it,
+        # and a profile disconnected at the largest such candidate cannot.
+        lo, hi = 0, top
         if not _connected_at(mask, dist, float(cand_ranges[hi])):
             continue
+        # Binary search the smallest candidate range keeping strong connectivity.
         while lo < hi:
             mid = (lo + hi) // 2
             if _connected_at(mask, dist, float(cand_ranges[mid])):
                 hi = mid
             else:
                 lo = mid + 1
-        best = min(best, float(cand_ranges[hi]))
+        best, top = float(cand_ranges[hi]), hi - 1
         if best <= cand_ranges[0] + 1e-12:
             break
     return float(best)

@@ -11,6 +11,14 @@ The lower bound combines two necessities for any Hamiltonian cycle:
   least every vertex's second-nearest-neighbour distance;
 * the threshold graph at the bottleneck must be spanning-biconnected
   (a Hamiltonian cycle is 2-connected), found by binary search.
+
+Both searches are array programs.  The 2-opt scan tests a block of rows
+against every column per numpy call.  The biconnectivity search is
+bracketed above by a 2-opt tour's bottleneck: it collects the pairs below
+that once, as one CSR, and bisects their sorted distances with a mask of
+the CSR and one scipy DFS per probe.  The replaced Python loops are kept
+in :mod:`repro.btsp.reference`; the tests assert that both produce the
+same tours and bounds.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import depth_first_order
 
 from repro.btsp.exact import held_karp_bottleneck
 from repro.geometry.points import PointSet, pairwise_distances
@@ -29,6 +39,11 @@ __all__ = [
     "bottleneck_lower_bound",
     "best_tour",
 ]
+
+#: Rows in the first block of a 2-opt scan, and the most elements of one
+#: ``(rows, n)`` block.
+_SCAN_FIRST_ROWS = 8
+_SCAN_BLOCK_ELEMS = 1 << 15
 
 
 @dataclass
@@ -77,51 +92,56 @@ def nearest_neighbor_tour(dist: np.ndarray, start: int = 0) -> list[int]:
     return order
 
 
+def _first_improving_move(dist: np.ndarray, tour: np.ndarray) -> tuple[int, int] | None:
+    """The first improving 2-opt move ``(i, j)`` in row-major order, if any.
+
+    The move replaces the edges at positions ``i`` and ``j`` of the tour,
+    ``(a, b)`` and ``(c, d)``, by ``(a, c)`` and ``(b, d)``.  It improves
+    when the longer new edge is shorter than the longer old one.
+    """
+    n = tour.shape[0]
+    succ = np.concatenate((tour[1:], tour[:1]))  # succ[j] follows tour[j]
+    edge = dist[tour, succ]
+    cols = np.arange(n)
+    # Improving moves usually sit in the first rows, so the blocks start
+    # small and double.
+    i0, rows = 0, _SCAN_FIRST_ROWS
+    while i0 < n - 1:
+        i1 = min(i0 + rows, n - 1)
+        new_m = np.maximum(dist[tour[i0:i1, None], tour], dist[succ[i0:i1, None], succ])
+        old_m = np.maximum(edge[i0:i1, None], edge)
+        hit = (new_m < old_m - 1e-12) & (cols >= np.arange(i0 + 2, i1 + 2)[:, None])
+        if i0 == 0:
+            hit[0, n - 1] = False  # the first and last edges share tour[0]
+        first = int(np.argmax(hit))
+        if hit.flat[first]:
+            return i0 + first // n, first % n
+        i0, rows = i1, min(2 * rows, max(1, _SCAN_BLOCK_ELEMS // n))
+    return None
+
+
 def two_opt_bottleneck(
     dist: np.ndarray, order: list[int], *, max_rounds: int = 60
 ) -> list[int]:
-    """2-opt local search minimizing (bottleneck, total length) lexicographically.
+    """2-opt local search that lowers the tour's long edges.
 
-    A 2-opt move replaces edges (a,b),(c,d) with (a,c),(b,d) and reverses the
-    middle segment; it is accepted if it strictly improves the objective.
+    Each round applies the first improving move ``(i, j)`` in row-major
+    order: it replaces edges ``(a,b),(c,d)`` with ``(a,c),(b,d)`` and
+    reverses the middle segment.  A move is improving when it strictly
+    lowers the larger of the two touched edges.  Both touched edges are
+    tour edges, so a move never raises the bottleneck.
     """
     n = len(order)
     if n < 4:
         return list(order)
-    tour = list(order)
-
-    def edge(i: int) -> float:
-        return float(dist[tour[i], tour[(i + 1) % n]])
-
+    tour = np.array(order, dtype=np.int64)
     for _ in range(max_rounds):
-        improved = False
-        current_bn = tour_bottleneck(dist, tour)
-        for i in range(n - 1):
-            a, b = tour[i], tour[i + 1]
-            d_ab = float(dist[a, b])
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue
-                c, d = tour[j], tour[(j + 1) % n]
-                d_cd = float(dist[c, d])
-                d_ac = float(dist[a, c])
-                d_bd = float(dist[b, d])
-                old_m = max(d_ab, d_cd)
-                new_m = max(d_ac, d_bd)
-                # Accept if it lowers the larger of the two touched edges and
-                # does not create a new global bottleneck.
-                if new_m < old_m - 1e-12 and (
-                    old_m >= current_bn - 1e-12 or new_m < current_bn
-                ):
-                    tour[i + 1 : j + 1] = reversed(tour[i + 1 : j + 1])
-                    improved = True
-                    current_bn = tour_bottleneck(dist, tour)
-                    break
-            if improved:
-                break
-        if not improved:
+        move = _first_improving_move(dist, tour)
+        if move is None:
             break
-    return tour
+        i, j = move
+        tour[i + 1 : j + 1] = tour[j:i:-1]
+    return tour.tolist()
 
 
 def _second_nearest_bound(dist: np.ndarray) -> float:
@@ -135,49 +155,82 @@ def _second_nearest_bound(dist: np.ndarray) -> float:
     return float(two_smallest[:, 1].max())
 
 
-def _is_biconnected_at(dist: np.ndarray, t: float) -> bool:
-    """Is the threshold graph (edges ≤ t) spanning and 2-connected?"""
+def _threshold_csr(
+    dist: np.ndarray, upper: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs at distance ≤ ``upper``, both directions, as a CSR.
+
+    Returns ``(indptr, indices, weights)``; the threshold graph at any
+    ``t ≤ upper`` is the mask ``weights <= t`` of it.
+    """
     n = dist.shape[0]
-    if n < 3:
-        return bool(np.all(dist[np.triu_indices(n, 1)] <= t)) if n == 2 else True
-    adj = [np.flatnonzero((dist[v] <= t) & (np.arange(n) != v)) for v in range(n)]
-    if any(len(a) < 2 for a in adj):
+    within = dist <= upper
+    np.fill_diagonal(within, False)
+    src, dst = np.nonzero(within)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(within.sum(axis=1), out=indptr[1:])
+    return indptr, dst, dist[src, dst]
+
+
+def _is_biconnected_at(
+    indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, t: float
+) -> bool:
+    """Is the threshold graph (edges ≤ t) of a CSR spanning and 2-connected?"""
+    n = indptr.shape[0] - 1
+    keep = weights <= t
+    degree = np.add.reduceat(keep, indptr[:-1], dtype=np.int64)  # rows are non-empty
+    if degree.min() < 2:
         return False
-    # Iterative Hopcroft–Tarjan articulation check.
-    disc = np.full(n, -1)
-    low = np.zeros(n, dtype=np.int64)
-    parent = np.full(n, -1)
-    timer = 0
-    stack = [(0, 0)]
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-    order_stack = []
-    it = [0] * n
-    while stack:
-        u, _ = stack[-1]
-        if it[u] < len(adj[u]):
-            v = int(adj[u][it[u]])
-            it[u] += 1
-            if disc[v] == -1:
-                parent[v] = u
-                disc[v] = low[v] = timer
-                timer += 1
-                if u == 0:
-                    root_children += 1
-                stack.append((v, 0))
-            elif v != parent[u]:
-                low[u] = min(low[u], disc[v])
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[u])
-                if p != 0 and low[u] >= disc[p]:
-                    return False  # articulation point
-    if np.any(disc == -1):
+    sub_ptr = np.concatenate(([0], np.cumsum(degree)))
+    sub_idx = indices[keep]
+    graph = csr_matrix((np.ones(sub_idx.size), sub_idx, sub_ptr), shape=(n, n))
+    root = 0
+    order, parent = depth_first_order(graph, root, directed=True, return_predecessors=True)
+    if order.size < n:
         return False  # disconnected
-    return root_children < 2
+    pre = np.empty(n, dtype=np.int64)
+    pre[order] = np.arange(n)
+    # low[v]: the smallest preorder number adjacent to v's DFS subtree.  A
+    # DFS leaves no cross edges, so a non-root parent p of v is a cut vertex
+    # iff low[v] >= pre[p].  Counting the tree edge to p itself adds only
+    # pre[p], which leaves that test unchanged.
+    low = np.minimum.reduceat(pre[sub_idx], sub_ptr[:-1]).tolist()
+    pre_of, parent_of = pre.tolist(), parent.tolist()
+    for v in order[:0:-1].tolist():  # reverse preorder: v's subtree is done
+        p = parent_of[v]
+        if p != root and low[v] >= pre_of[p]:
+            return False  # p is a cut vertex
+        low[p] = min(low[p], low[v])
+    return np.count_nonzero(parent == root) < 2  # else the root is a cut vertex
+
+
+def _lower_bound(dist: np.ndarray, upper: float) -> float:
+    """The certified lower bound, given ``upper``, some Hamiltonian cycle's bottleneck.
+
+    That cycle lies in the threshold graph at ``upper``, which is therefore
+    biconnected, so only the pairs up to ``upper`` are candidates.
+    Biconnectivity is monotone in the threshold, so the smallest biconnected
+    candidate, and with it the bound, does not depend on the bracket.
+    Needs ``n ≥ 3``.
+    """
+    lb = _second_nearest_bound(dist)
+    indptr, indices, weights = _threshold_csr(dist, upper)
+    cand = np.unique(weights)
+    cand = cand[cand >= lb - 1e-12]
+    lo, hi = 0, len(cand) - 1  # cand[hi] == upper is biconnected
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _is_biconnected_at(indptr, indices, weights, float(cand[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(lb, float(cand[hi]))
+
+
+def _bracket_tour(dist: np.ndarray) -> tuple[list[int], float]:
+    """The 2-opt tour from vertex 0 and its bottleneck, an upper bracket."""
+    order = two_opt_bottleneck(dist, nearest_neighbor_tour(dist, 0))
+    return order, tour_bottleneck(dist, order)
 
 
 def bottleneck_lower_bound(points) -> float:
@@ -187,20 +240,9 @@ def bottleneck_lower_bound(points) -> float:
     if n <= 1:
         return 0.0
     dist = pairwise_distances(coords)
-    lb = _second_nearest_bound(dist)
-    # Binary search the biconnectivity threshold over candidate distances.
-    cand = np.unique(dist[np.triu_indices(n, 1)])
-    cand = cand[cand >= lb - 1e-12]
-    lo, hi = 0, len(cand) - 1
-    if hi < 0 or _is_biconnected_at(dist, float(cand[0]) if len(cand) else 0.0):
-        return max(lb, float(cand[0]) if len(cand) else lb)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _is_biconnected_at(dist, float(cand[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(lb, float(cand[hi]))
+    if n == 2:
+        return float(dist.max())
+    return _lower_bound(dist, _bracket_tour(dist)[1])
 
 
 def best_tour(points, *, exact_threshold: int = 12, seeds: int = 4) -> TourResult:
@@ -211,10 +253,12 @@ def best_tour(points, *, exact_threshold: int = 12, seeds: int = 4) -> TourResul
     """
     coords = _coords(points)
     n = coords.shape[0]
-    lb = bottleneck_lower_bound(points)
     if n <= 2:
+        lb = bottleneck_lower_bound(points)
         return TourResult(list(range(n)), lb, lb, "trivial")
     dist = pairwise_distances(coords)
+    first = _bracket_tour(dist)  # also the first start's tour below
+    lb = _lower_bound(dist, first[1])
     if n <= exact_threshold:
         order, bn = held_karp_bottleneck(coords)
         return TourResult(order, bn, lb, "held-karp")
@@ -222,9 +266,11 @@ def best_tour(points, *, exact_threshold: int = 12, seeds: int = 4) -> TourResul
     best_bn = np.inf
     starts = np.linspace(0, n - 1, num=min(seeds, n), dtype=int)
     for s in starts:
-        order = nearest_neighbor_tour(dist, int(s))
-        order = two_opt_bottleneck(dist, order)
-        bn = tour_bottleneck(dist, order)
+        if s == 0:
+            order, bn = first
+        else:
+            order = two_opt_bottleneck(dist, nearest_neighbor_tour(dist, int(s)))
+            bn = tour_bottleneck(dist, order)
         if bn < best_bn:
             best_bn, best_order = bn, order
         if best_bn <= lb * (1.0 + 1e-9):

@@ -23,9 +23,37 @@ from repro.geometry.angles import clamp_angular_budget
 from repro.geometry.points import PointSet
 from repro.spanning.emst import SpanningTree
 
-__all__ = ["choose_algorithm", "choose_dispatch", "orient_antennae"]
+__all__ = [
+    "PHI_FREE_ALGORITHMS",
+    "SYMMETRIC_ALGORITHM",
+    "choose_algorithm",
+    "choose_dispatch",
+    "orient_antennae",
+    "phi_free_regime",
+    "recorded_budget",
+]
 
 _TWO_THIRDS_PI = 2.0 * np.pi / 3.0
+
+#: Algorithm tag on symmetric-mode results (the bounded-angle MST
+#: construction of :mod:`repro.core.symmetric`).
+SYMMETRIC_ALGORITHM = "bounded-angle-mst"
+
+#: Algorithms whose construction, and therefore every measured metric except
+#: the recorded k budget and φ, is independent of φ within their dispatch
+#: regime.  Theorem 2 / 5 / 6 and ``k2-zero-spread`` aim antennae purely
+#: from the spanning tree; ``k1-tour`` aims its zero-spread beams along the
+#: bottleneck tour; Theorem 3 part 1 clamps its working budget to π.  The
+#: φ-dependent regimes (``k1-pairs``, ``theorem3.part2``) widen their
+#: sectors with φ and must be evaluated again.
+#:
+#: Audited for symmetric mode: the bounded-angle construction
+#: (:data:`SYMMETRIC_ALGORITHM`) is deliberately NOT a member.  Its wedge
+#: *layout* ignores φ, but the feasible/infeasible decision (and with it
+#: every measured metric) flips at ``max_v s*(v)``.
+PHI_FREE_ALGORITHMS = frozenset(
+    {"theorem2", "theorem3.part1", "k1-tour", "k2-zero-spread", "theorem5", "theorem6"}
+)
 
 
 def _algorithm_for_exact_k(k: int, phi: float) -> str:
@@ -54,11 +82,10 @@ def choose_dispatch(k: int, phi: float) -> tuple[str, int]:
     rather than the table's √3 row.
 
     This is the single source of truth for dispatch, shared by
-    :func:`choose_algorithm`, :func:`orient_antennae` and the frontier
-    solver's warm-start regime memo
-    (:func:`repro.frontier.solver.dispatch_regime`) — the memo is sound
-    only because it classifies probes with exactly the dispatch the
-    planner runs.
+    :func:`choose_algorithm`, :func:`orient_antennae` and the regime memos
+    of the sweep, frontier and ensemble executors (:func:`phi_free_regime`)
+    — a memo is sound only because it classifies evaluations with exactly
+    the dispatch the planner runs.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
@@ -70,6 +97,34 @@ def choose_dispatch(k: int, phi: float) -> tuple[str, int]:
 def choose_algorithm(k: int, phi: float) -> str:
     """Name of the algorithm :func:`orient_antennae` will dispatch to."""
     return choose_dispatch(k, phi)[0]
+
+
+def phi_free_regime(
+    k: int, phi: float, mode: str = "strong"
+) -> tuple[str, tuple[str, int] | None]:
+    """The algorithm a ``(k, φ)`` evaluation runs under ``mode``, and its φ-free regime.
+
+    The regime is ``(algorithm, k_used)`` when the algorithm is one of
+    :data:`PHI_FREE_ALGORITHMS`: two evaluations of one instance in the same
+    regime build the same orientation, so their metrics differ only in the
+    recorded k budget and φ (see :func:`recorded_budget`).  ``k_used``
+    matters: with a k = 2 budget Theorem 2 runs with 2 antennae for
+    φ ≥ 6π/5, a different construction than Theorem 2 with 1 antenna.  The
+    regime is ``None`` for φ-dependent algorithms and for every
+    symmetric-mode evaluation, which no memo may answer.
+    """
+    if mode != "strong":
+        return SYMMETRIC_ALGORITHM, None
+    algo, k_used = choose_dispatch(k, phi)
+    return algo, ((algo, k_used) if algo in PHI_FREE_ALGORITHMS else None)
+
+
+def recorded_budget(k: int, phi: float) -> tuple[int, float]:
+    """The ``(k, φ)`` an :func:`orient_antennae` result records.
+
+    k above 5 behaves like 5, and φ is clamped to ``[0, 2π]``.
+    """
+    return min(int(k), 5), clamp_angular_budget(phi)
 
 
 def orient_antennae(
@@ -98,9 +153,8 @@ def orient_antennae(
         Optional precomputed max-degree-5 spanning tree (reused across
         calls by sweeps and benchmarks).
     """
-    keff = min(int(k), 5)
-    algo, k_used = choose_dispatch(keff, phi)
-    phi = clamp_angular_budget(phi)  # same rule the dispatch validated with
+    algo, k_used = choose_dispatch(min(int(k), 5), phi)
+    keff, phi = recorded_budget(k, phi)  # the clamps the dispatch validated
     if algo == "theorem2":
         result = orient_theorem2(points, k_used, phi=phi, tree=tree)
     elif algo == "theorem3.part1":

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.antenna.model import AntennaAssignment
-from repro.core.planner import orient_antennae
+from repro.core.planner import SYMMETRIC_ALGORITHM, orient_antennae
 from repro.core.result import OrientationResult
 from repro.errors import InvalidParameterError
 from repro.geometry.angles import BUDGET_SLOP, angle_of, clamp_angular_budget
@@ -41,12 +41,6 @@ from repro.spanning.bounded_angle import wedge_layout, tree_spread_requirements
 from repro.spanning.emst import SpanningTree, euclidean_mst
 
 __all__ = ["SYMMETRIC_ALGORITHM", "orient_bounded_angle_mst", "orient_for_mode"]
-
-#: Algorithm tag on symmetric-mode results.  Deliberately *not* a member of
-#: ``repro.frontier.solver.PHI_FREE_ALGORITHMS``: the construction depends
-#: on φ through the feasibility test, so frontier probes in symmetric mode
-#: must never be answered from a strong-mode regime memo.
-SYMMETRIC_ALGORITHM = "bounded-angle-mst"
 
 
 def orient_bounded_angle_mst(

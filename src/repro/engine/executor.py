@@ -2,8 +2,9 @@
 
 Work is chunked by *instance* (each unit of work plans one instance at every
 grid cell, reusing the instance's spanning tree through the
-:class:`~repro.engine.cache.ArtifactCache`), dispatched to a
-``ProcessPoolExecutor`` when ``jobs > 1`` and run inline otherwise.  Results
+:class:`~repro.engine.cache.ArtifactCache`, and measuring each φ-free
+dispatch regime once), dispatched to a ``ProcessPoolExecutor`` when
+``jobs > 1`` and run inline otherwise.  Results
 are reassembled in plan order, so serial and parallel execution return
 bit-identical :class:`~repro.analysis.metrics.OrientationMetrics`.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.analysis.metrics import (
     batched_orientation_metrics,
     orientation_metrics,
 )
+from repro.core.planner import phi_free_regime, recorded_budget
 from repro.core.symmetric import orient_for_mode
 from repro.engine.cache import ArtifactCache, CacheStats
 from repro.engine._spec import GridCell, PlanRequest, Scenario, Shard
@@ -122,20 +124,34 @@ def run_instance_grid(
     ``mode`` selects the connectivity objective: the Table-1 dispatcher for
     ``"strong"``, the bounded-angle MST construction for ``"symmetric"``
     (see :func:`repro.core.symmetric.orient_for_mode`) — measured under the
-    same mode.
+    same mode.  A cell in the φ-free regime of an earlier cell reuses that
+    cell's metrics (see :func:`_relabel`).
     """
     cache = cache if cache is not None else ArtifactCache()
     ps, tree, tables, facts = instance_artifacts(cache, coords)
-    metrics = []
+    metrics: list[OrientationMetrics] = []
+    measured: dict[tuple[str, int], OrientationMetrics] = {}
     for cell in grid:
+        _, regime = phi_free_regime(cell.k, cell.phi, mode)
+        if regime in measured:
+            metrics.append(_relabel(measured[regime], cell))
+            continue
         result = orient_for_mode(ps, cell.k, cell.phi, mode=mode, tree=tree)
-        metrics.append(
-            orientation_metrics(
-                result, compute_critical=compute_critical, tables=tables,
-                mode=mode,
-            )
+        m = orientation_metrics(
+            result, compute_critical=compute_critical, tables=tables, mode=mode,
         )
+        if regime is not None:
+            measured[regime] = m
+        metrics.append(m)
     return metrics, facts
+
+
+def _relabel(m: OrientationMetrics, cell: GridCell) -> OrientationMetrics:
+    """``m``, measured in ``cell``'s φ-free regime, as a fresh evaluation of
+    ``cell`` reports it: the orientation is the same, so only the recorded
+    k budget and φ change."""
+    k, phi = recorded_budget(cell.k, cell.phi)
+    return replace(m, k=k, phi=phi)
 
 
 # -- parallel plumbing ------------------------------------------------------------
@@ -264,7 +280,15 @@ def _run_chunk_batched(
         batch = pack_instances([ps.coords for _, ps, _, _ in sub])
         tables = cache.packed_polar(batch)
         cell_metrics: list[list[OrientationMetrics]] = [[] for _ in sub]
-        for cell in grid:
+        measured: dict[tuple[str, int], int] = {}  # φ-free regime -> cell index
+        for ci, cell in enumerate(grid):
+            _, regime = phi_free_regime(cell.k, cell.phi, mode)
+            if regime in measured:
+                for ms in cell_metrics:
+                    ms.append(_relabel(ms[measured[regime]], cell))
+                continue
+            if regime is not None:
+                measured[regime] = ci
             results = [
                 orient_for_mode(ps, cell.k, cell.phi, mode=mode, tree=tree)
                 for _, ps, tree, _ in sub

@@ -25,9 +25,9 @@ above higher φ's hi) is reported as a violation — a bisection-soundness
 alarm, not a silent assumption.
 
 Like the deterministic solver, exact-φ re-probes and φ-free dispatch
-regimes (:data:`repro.frontier._solver.PHI_FREE_ALGORITHMS`) are
-memoised: a φ-free regime yields the identical orientation, hence the
-identical trial outcomes, at zero kernel and zero trial cost.
+regimes (:func:`repro.core.planner.phi_free_regime`) are memoised: a
+φ-free regime yields the identical orientation, hence the identical trial
+outcomes, at zero kernel and zero trial cost.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.symmetric import SYMMETRIC_ALGORITHM, orient_for_mode
+from repro.core.planner import phi_free_regime
+from repro.core.symmetric import orient_for_mode
 from repro.engine.cache import ArtifactCache
 from repro.engine.executor import instance_artifacts
-from repro.frontier._solver import PHI_FREE_ALGORITHMS, dispatch_regime
 from repro.kernels.instrument import COUNTERS
 from repro.ensemble.trials import measure_trials
 
@@ -298,17 +298,8 @@ class EnsembleProbeEngine:
                 hit.algorithm, True,
             )
         else:
-            if self.request.mode == "strong":
-                algo, k_used = dispatch_regime(self.k, phi)
-                regime = (algo, k_used)
-                phi_free = algo in PHI_FREE_ALGORITHMS
-            else:
-                # Symmetric mode: feasibility of the bounded-angle MST flips
-                # at max_v s*(v), so its trial outcomes are NOT φ-free and
-                # the regime memo must never fire (the exact-φ memo above
-                # still applies).
-                algo, regime, phi_free = SYMMETRIC_ALGORITHM, None, False
-            memo = self._by_regime.get(regime) if phi_free else None
+            algo, regime = phi_free_regime(self.k, phi, self.request.mode)
+            memo = self._by_regime.get(regime)
             if memo is not None:
                 probe = EnsembleProbe(
                     phi, memo.successes, memo.trials_used, memo.budget,
@@ -327,7 +318,7 @@ class EnsembleProbeEngine:
                 probe = EnsembleProbe(
                     phi, successes, used, self.request.trials, met, algo, False
                 )
-                if phi_free:
+                if regime is not None:
                     self._by_regime[regime] = probe
             self._by_phi[phi] = probe
         self.probes.append(probe)

@@ -9,9 +9,10 @@ lives, so the solver avoids it three ways:
 * exact φ re-probes (bisection endpoints, staircase refinement) are memoised
   per instance;
 * probes landing in a dispatch regime whose construction ignores φ
-  (:data:`PHI_FREE_ALGORITHMS` — e.g. Theorem 2 aims zero-spread antennae
-  along MST edges regardless of the budget) reuse the regime's one measured
-  value instead of re-running the planner and kernels.
+  (:data:`~repro.core.planner.PHI_FREE_ALGORITHMS` — e.g. Theorem 2 aims
+  zero-spread antennae along MST edges regardless of the budget) reuse the
+  regime's one measured value instead of re-running the planner and
+  kernels.
 
 The bisection assumes the metric is weakly non-increasing in φ (more
 angular budget never hurts), which holds for every field admitted by
@@ -26,8 +27,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.analysis.metrics import orientation_metrics
-from repro.core.planner import choose_dispatch
-from repro.core.symmetric import SYMMETRIC_ALGORITHM, orient_for_mode
+from repro.core.planner import PHI_FREE_ALGORITHMS, choose_dispatch, phi_free_regime
+from repro.core.symmetric import orient_for_mode
 from repro.engine.cache import ArtifactCache
 from repro.engine.executor import instance_artifacts
 from repro.engine._spec import FrontierRequest
@@ -41,35 +42,17 @@ __all__ = [
     "solve_instance_frontier",
 ]
 
-#: Algorithms whose construction (and therefore every measured metric except
-#: the recorded φ itself) is independent of φ within their dispatch regime.
-#: Theorem 2 / 5 / 6 and the zero-spread constructions aim antennae purely
-#: from the spanning tree; Theorem 3 part 1 clamps its working budget to π.
-#: The φ-dependent regimes (``k1-tour``, ``k1-pairs``, ``theorem3.part2``)
-#: widen their sectors with φ and must be re-probed.
-#:
-#: Audited for symmetric mode: the bounded-angle construction
-#: (``"bounded-angle-mst"``) is deliberately NOT a member — its wedge
-#: *layout* ignores φ, but the feasible/infeasible decision (and with it
-#: every measured metric) flips at ``max_v s*(v)``, so a symmetric probe
-#: may never be answered from a regime memo.  The exact-φ memo still
-#: applies in both modes.
-PHI_FREE_ALGORITHMS = frozenset(
-    {"theorem2", "theorem3.part1", "k2-zero-spread", "theorem5", "theorem6"}
-)
-
 
 def dispatch_regime(k: int, phi: float) -> tuple[str, int]:
     """The planner's dispatch regime at ``(k, φ)``: ``(algorithm, k_used)``.
 
     Two probes share a regime iff the planner runs the same algorithm with
-    the same number of antennae; for :data:`PHI_FREE_ALGORITHMS` that makes
-    their orientations identical.  ``k_used`` matters: e.g. with a k = 2
-    budget, Theorem 2 runs with 2 antennae for φ ≥ 6π/5 — the same name but
-    a different construction than Theorem 2 with 1 antenna at φ ≥ 8π/5.
-    Delegates to :func:`repro.core.planner.choose_dispatch`, the exact
-    dispatch :func:`orient_antennae` runs — the memo's soundness depends on
-    the two never diverging.
+    the same number of antennae; for
+    :data:`~repro.core.planner.PHI_FREE_ALGORITHMS` that makes their
+    orientations identical (:func:`~repro.core.planner.phi_free_regime`
+    is the memo key built from it).  Delegates to
+    :func:`repro.core.planner.choose_dispatch`, the exact dispatch
+    :func:`orient_antennae` runs.
     """
     return choose_dispatch(k, phi)
 
@@ -162,10 +145,12 @@ class ProbeEngine:
     """Warm-started metric evaluator for one ``(instance, k)``.
 
     Layers two memos over the shared per-instance artifacts: an exact-φ memo
-    (bit-pattern keyed) and a regime memo for :data:`PHI_FREE_ALGORITHMS`.
-    Both return the value a fresh evaluation would — for φ-free regimes the
-    orientation is literally the same assignment, so every metric field
-    except the recorded φ is unchanged (asserted in ``tests/test_frontier``).
+    (bit-pattern keyed) and a regime memo keyed by
+    :func:`~repro.core.planner.phi_free_regime`.  Both return the value a
+    fresh evaluation would — for φ-free regimes the orientation is literally
+    the same assignment, so every metric field except the recorded k budget
+    and φ is unchanged (asserted in ``tests/test_frontier``).  The exact-φ
+    memo applies in both modes; symmetric probes have no φ-free regime.
     """
 
     def __init__(self, pointset, tree, tables, k: int, metric: str,
@@ -195,16 +180,8 @@ class ProbeEngine:
         if hit is not None:
             probe = FrontierProbe(phi, hit.value, hit.algorithm, True)
         else:
-            if self.mode == "strong":
-                algo, k_used = dispatch_regime(self.k, phi)
-                regime = (algo, k_used)
-                phi_free = algo in PHI_FREE_ALGORITHMS
-            else:
-                # Symmetric construction depends on φ through the
-                # feasibility flip, so no regime is φ-free (see the
-                # PHI_FREE_ALGORITHMS audit note).
-                algo, regime, phi_free = SYMMETRIC_ALGORITHM, None, False
-            if phi_free and regime in self._by_regime:
+            algo, regime = phi_free_regime(self.k, phi, self.mode)
+            if regime in self._by_regime:
                 probe = FrontierProbe(phi, self._by_regime[regime], algo, True)
             else:
                 result = orient_for_mode(
@@ -218,7 +195,7 @@ class ProbeEngine:
                 )
                 value = float(getattr(m, self.metric))
                 probe = FrontierProbe(phi, value, algo, False)
-                if phi_free:
+                if regime is not None:
                     self._by_regime[regime] = value
             self._by_phi[phi] = probe
         self.probes.append(probe)

@@ -1,5 +1,9 @@
 """Unit tests for repro.btsp.heuristic."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,8 +15,22 @@ from repro.btsp.heuristic import (
     tour_bottleneck,
     two_opt_bottleneck,
 )
-from repro.experiments.workloads import spider_points, uniform_points
+from repro.experiments.workloads import make_workload, spider_points, uniform_points
 from repro.geometry.points import PointSet, pairwise_distances
+
+TOUR_FIXTURE = Path(__file__).parent / "fixtures" / "btsp_tours.json"
+
+#: ``(workload, n, seed)`` instances whose ``best_tour`` output is pinned.
+PINNED_TOURS = (
+    ("uniform", 2, 1),
+    ("uniform", 9, 2),
+    ("clustered", 12, 3),
+    ("uniform", 64, 4),
+    ("grid", 81, 5),
+    ("annulus", 96, 6),
+    ("clustered", 128, 7),
+    ("uniform", 200, 8),
+)
 
 
 class TestNearestNeighbor:
@@ -86,3 +104,43 @@ class TestBestTour:
         # lmax = 1 for the spider's unit legs.
         assert res.bottleneck > 2.0
         assert res.lower_bound > 2.0
+
+
+def tour_digest(res) -> str:
+    """SHA-256 prefix over a tour's order, exact floats and method."""
+    blob = json.dumps(
+        {
+            "order": [int(v) for v in res.order],
+            "bottleneck": float(res.bottleneck).hex(),
+            "lower_bound": float(res.lower_bound).hex(),
+            "method": res.method,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode("utf8")).hexdigest()[:16]
+
+
+def pinned_tours() -> list[dict]:
+    rows = []
+    for workload, n, seed in PINNED_TOURS:
+        res = best_tour(make_workload(workload, n, seed))
+        rows.append({
+            "workload": workload, "n": n, "seed": seed, "method": res.method,
+            "bottleneck": res.bottleneck, "lower_bound": res.lower_bound,
+            "digest": tour_digest(res),
+        })
+    return rows
+
+
+def write_tour_fixture() -> None:
+    """Rewrite the pinned fixture; run only for a deliberate change to the tour:
+    ``PYTHONPATH=src python -c "from tests.test_btsp_heuristic import
+    write_tour_fixture; write_tour_fixture()"``."""
+    TOUR_FIXTURE.write_text(json.dumps(pinned_tours(), indent=2) + "\n")
+
+
+class TestPinnedTours:
+    def test_best_tour_matches_fixture(self):
+        """Every tour, bottleneck, lower bound and method is pinned; a change to
+        any of them must update ``fixtures/btsp_tours.json`` on purpose."""
+        assert pinned_tours() == json.loads(TOUR_FIXTURE.read_text())

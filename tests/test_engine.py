@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import OrientationMetrics
+from repro.analysis.metrics import OrientationMetrics, orientation_metrics
+from repro.core.planner import orient_antennae
 from repro.engine import (
     ArtifactCache,
     GridCell,
@@ -191,6 +192,67 @@ class TestRunInstanceGrid:
         # One miss per instance (first touch), then tree + polar hit.
         assert cache.stats.misses == 3
         assert cache.stats.hits == 2 * 3
+
+
+class TestPhiFreeRegimeReuse:
+    """A sweep measures each φ-free dispatch regime once per instance."""
+
+    GRID = (
+        GridCell(1, 0.0), GridCell(1, 2 * np.pi / 3), GridCell(1, 1.0),
+        GridCell(2, np.pi),
+    )
+
+    @staticmethod
+    def request(grid, mode="strong") -> PlanRequest:
+        return PlanRequest(
+            scenarios=(
+                Scenario("uniform", 24, seeds=2, tag="test-reuse"),
+                Scenario("clustered", 18, seeds=1, tag="test-reuse"),
+            ),
+            grid=grid,
+            mode=mode,
+        )
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name) -> list:
+        calls: list = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_reused_cells_identical_to_fresh_evaluation(self, batched, monkeypatch):
+        import repro.core.kone
+
+        tours = self.count_calls(monkeypatch, repro.core.kone, "best_tour")
+        request = self.request(self.GRID)
+        batch = execute_plan(request, batch_instances=batched)
+        # (1, 0), (1, 2pi/3) and (1, 1.0) share the k1-tour regime.
+        assert len(tours) == request.total_instances
+        assert [rec.metrics.algorithm for rec in batch.records[:4]] == [
+            "k1-tour", "k1-tour", "k1-tour", "theorem3.part1",
+        ]
+        for rec in batch.records:
+            coords = rec.scenario.instance(rec.instance_index)
+            fresh = orientation_metrics(orient_antennae(coords, rec.cell.k, rec.cell.phi))
+            assert rec.metrics.identical(fresh), rec.cell
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_symmetric_sweeps_never_reuse_a_cell(self, batched, monkeypatch):
+        import repro.engine.executor
+
+        built = self.count_calls(monkeypatch, repro.engine.executor, "orient_for_mode")
+        request = self.request(
+            (GridCell(2, 4.0), GridCell(2, 6.0), GridCell(3, 0.5), GridCell(3, 1.0)),
+            mode="symmetric",
+        )
+        execute_plan(request, batch_instances=batched)
+        assert len(built) == request.total_instances * len(request.grid)
 
 
 class TestExecutePlan:

@@ -168,6 +168,33 @@ class TestTrialDeterminism:
         )
 
 
+class TestRegimeMemo:
+    def test_k1_tour_probes_change_only_the_reused_flag(self):
+        """k1-tour is φ-free: a memoised probe carries exactly the trial
+        outcomes a fresh engine draws at its φ, flagged as reused."""
+        from repro.engine.cache import ArtifactCache
+        from repro.engine.executor import instance_artifacts
+        from repro.ensemble.solver import EnsembleProbeEngine
+
+        request = threshold_request()
+        cache = ArtifactCache()
+        ps, tree, tables, _ = instance_artifacts(cache, request.scenarios[0].instance(0))
+
+        def engine():
+            return EnsembleProbeEngine(ps, tree, tables, 1, request, "k", 0, cache)
+
+        warm = engine()
+        probes = [warm(phi) for phi in (0.0, 0.5, 2.0, 3.5, 4.0, 2.0)]
+        assert [p.algorithm for p in probes] == (
+            ["k1-tour"] * 3 + ["k1-pairs"] * 2 + ["k1-tour"]
+        )
+        assert [p.reused for p in probes] == [False, True, True, False, False, True]
+        for probe in probes:
+            fresh = engine()(probe.phi)
+            assert not fresh.reused
+            assert probe.as_list()[:-1] == fresh.as_list()[:-1]
+
+
 class TestExecutor:
     def test_parallel_matches_serial(self):
         request = curve_request()

@@ -116,6 +116,7 @@ class TestWarmStart:
             (2, 0.1, 1.9): "k2-zero-spread",
             (3, 0.3, 2.0): "theorem5",
             (4, 0.2, 1.0): "theorem6",
+            (1, 0.1, 2.0): "k1-tour",
         }
         for (k, a, b), algo in probes.items():
             assert choose_algorithm(k, a) == choose_algorithm(k, b) == algo
@@ -151,6 +152,31 @@ class TestWarmStart:
         with recording() as rec3:
             other = engine(2.45)  # theorem3.part2 via k'=2
         assert not other.reused and rec3.coverage_calls > 0
+
+    def test_k1_tour_probes_change_only_the_reused_flag(self, uniform50):
+        """k1-tour is φ-free: a memoised probe reports exactly what a fresh
+        engine evaluates at its φ, flagged as reused."""
+        from repro.kernels.geometry import polar_tables
+        from repro.spanning.emst import euclidean_mst
+
+        tree = euclidean_mst(uniform50)
+        tables = polar_tables(uniform50.coords)
+
+        def engine():
+            return ProbeEngine(uniform50, tree, tables, 1, "critical_range", True)
+
+        warm = engine()
+        probes = [warm(phi) for phi in (0.0, 0.5, 2.0, 3.5, 4.0, 2.0)]
+        assert [p.algorithm for p in probes] == (
+            ["k1-tour"] * 3 + ["k1-pairs"] * 2 + ["k1-tour"]
+        )
+        assert [p.reused for p in probes] == [False, True, True, False, False, True]
+        for probe in probes:
+            fresh = engine()(probe.phi)
+            assert not fresh.reused
+            assert (probe.phi, probe.value, probe.algorithm) == (
+                fresh.phi, fresh.value, fresh.algorithm
+            )
 
     def test_regime_memo_is_shared_across_ks(self):
         """k budgets clamping to the same dispatch (k > 5 behaves like 5)
