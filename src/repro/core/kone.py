@@ -32,7 +32,7 @@ from repro.core.theorem2 import orient_theorem2
 from repro.errors import AlgorithmInvariantError, InvalidParameterError
 from repro.geometry.angles import angle_of
 from repro.geometry.points import PointSet
-from repro.geometry.sectors import Sector, sector_toward
+from repro.geometry.sectors import sectors_cover
 from repro.spanning.emst import SpanningTree, euclidean_mst
 from repro.spanning.rooted import RootedTree
 
@@ -124,47 +124,46 @@ def orient_k1_pairs(
     lmax = tree.lmax if n > 1 else 0.0
     bound = kone_pair_bound(phi_eff)
     radius = bound * lmax
-    assignment = AntennaAssignment(n)
     if n == 1:
         return OrientationResult(
-            ps, assignment, np.empty((0, 2), dtype=np.int64), 1, float(phi),
+            ps, AntennaAssignment(n), np.empty((0, 2), dtype=np.int64), 1, float(phi),
             bound, lmax, "k1-pairs",
         )
 
     coords = ps.coords
     partner = saturating_matching(tree)
+    mate = np.full(n, -1, dtype=np.int64)
+    mate[np.fromiter(partner, np.int64, len(partner))] = np.fromiter(
+        partner.values(), np.int64, len(partner)
+    )
     # Matched sensors: sector starts on the ray towards the partner and
     # sweeps φ ccw; the uncovered wedge trails clockwise behind that ray.
-    for u, v in partner.items():
-        direction = float(angle_of(coords[v] - coords[u]))
-        assignment.add(u, Sector(direction, phi_eff, radius))
     # Unmatched sensors are leaves; aim the sector boundary at the neighbour.
-    adj = tree.adjacency()
-    for u in range(n):
-        if u in partner:
-            continue
-        if len(adj[u]) != 1:  # pragma: no cover - saturation guarantees this
-            raise AlgorithmInvariantError(f"unmatched vertex {u} is internal")
-        x = adj[u][0]
-        direction = float(angle_of(coords[x] - coords[u]))
-        assignment.add(u, Sector(direction, phi_eff, radius))
+    arcs = tree.arcs()
+    unmatched = np.flatnonzero(mate < 0)
+    internal = unmatched[np.diff(arcs.indptr)[unmatched] != 1]
+    if internal.size:  # pragma: no cover - saturation guarantees this
+        raise AlgorithmInvariantError(f"unmatched vertex {internal[0]} is internal")
+    aim = mate.copy()
+    aim[unmatched] = arcs.dst[arcs.indptr[unmatched]]
+    assignment = AntennaAssignment.from_columns(
+        n, np.arange(n), angle_of(coords[aim] - coords), phi_eff, radius
+    )
 
     # Intended edges: both directions of every tree edge, each realized by
     # the endpoint itself or its partner (the pair lemma guarantees one).
-    intended: list[tuple[int, int]] = []
-    for a, b in tree.edges:
-        a, b = int(a), int(b)
-        for src, dst in ((a, b), (b, a)):
-            owner = _covering_endpoint(ps, assignment, partner, src, dst)
-            intended.append((owner, dst))
+    src, dst = tree.edges.reshape(-1), tree.edges[:, ::-1].reshape(-1)
+    owner = _covering_endpoint(coords, assignment, mate, src, dst)
     # Pair edges (may duplicate tree edges; DiGraph dedups).
-    for u, v in partner.items():
-        intended.append((u, v))
+    pairs = np.fromiter(
+        (x for pair in partner.items() for x in pair), np.int64, 2 * len(partner)
+    ).reshape(-1, 2)
+    intended = np.concatenate([np.stack([owner, dst], axis=1), pairs])
 
     return OrientationResult(
         ps,
         assignment,
-        np.asarray(intended, dtype=np.int64),
+        intended,
         1,
         float(phi),
         bound,
@@ -179,21 +178,34 @@ def orient_k1_pairs(
 
 
 def _covering_endpoint(
-    ps: PointSet,
+    coords: np.ndarray,
     assignment: AntennaAssignment,
-    partner: dict[int, int],
-    src: int,
-    dst: int,
-) -> int:
-    """Which of ``src`` / ``partner[src]`` covers ``dst``?  (Pair lemma.)"""
-    coords = ps.coords
-    candidates = [src] + ([partner[src]] if src in partner else [])
-    for cand in candidates:
-        if any(s.covers_point(coords[cand], coords[dst]) for s in assignment[cand]):
-            return cand
-    raise AlgorithmInvariantError(
-        f"pair lemma violated: neither {src} nor its partner covers {dst}"
-    )
+    mate: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> np.ndarray:
+    """Which of ``src`` / its partner ``mate[src]`` covers ``dst``?  (Pair lemma.)
+
+    One coverage test per arc for ``src`` and one for its partner, over
+    every sensor's single sector; ``src`` wins when both cover.
+    """
+    _, start, spread, radius = assignment.flattened()  # one sector per sensor
+
+    def covers(cand: np.ndarray) -> np.ndarray:
+        return sectors_cover(
+            start[cand], spread[cand], radius[cand], coords[dst] - coords[cand]
+        )
+
+    own = covers(src)
+    alt = mate[src]
+    by_mate = (alt >= 0) & covers(np.where(alt >= 0, alt, src))
+    missed = np.flatnonzero(~own & ~by_mate)
+    if missed.size:
+        i = missed[0]
+        raise AlgorithmInvariantError(
+            f"pair lemma violated: neither {src[i]} nor its partner covers {dst[i]}"
+        )
+    return np.where(own, src, alt)
 
 
 def orient_k1_tour(
@@ -213,19 +225,19 @@ def orient_k1_tour(
     if tree is None:
         tree = euclidean_mst(ps)
     lmax = tree.lmax if n > 1 else 0.0
-    assignment = AntennaAssignment(n)
     if n == 1:
         return OrientationResult(
-            ps, assignment, np.empty((0, 2), dtype=np.int64), 1, float(phi),
+            ps, AntennaAssignment(n), np.empty((0, 2), dtype=np.int64), 1, float(phi),
             2.0, lmax, "k1-tour",
         )
     tour = best_tour(ps)
     coords = ps.coords
-    intended = []
-    for i, u in enumerate(tour.order):
-        v = tour.order[(i + 1) % n]
-        assignment.add(u, sector_toward(coords[u], coords[v], radius=tour.bottleneck))
-        intended.append((u, v))
+    order = np.asarray(tour.order, dtype=np.int64)
+    succ = np.roll(order, -1)
+    assignment = AntennaAssignment.from_columns(
+        n, order, angle_of(coords[succ] - coords[order]), 0.0, tour.bottleneck
+    )
+    intended = np.stack([order, succ], axis=1)
     bound_norm = tour.bottleneck / lmax if lmax else 0.0
     return OrientationResult(
         ps,

@@ -24,8 +24,8 @@ import numpy as np
 from repro.antenna.model import AntennaAssignment
 from repro.core.bounds import BTSP_RANGE
 from repro.core.result import OrientationResult
+from repro.geometry.angles import angle_of
 from repro.geometry.points import PointSet
-from repro.geometry.sectors import sector_toward
 from repro.spanning.emst import SpanningTree, euclidean_mst
 from repro.spanning.rooted import RootedTree
 
@@ -45,36 +45,39 @@ def orient_k2_zero_spread(
     if tree is None:
         tree = euclidean_mst(ps)
     lmax = tree.lmax if n > 1 else 0.0
-    assignment = AntennaAssignment(n)
     if n == 1:
         return OrientationResult(
-            ps, assignment, np.empty((0, 2), dtype=np.int64), 2, phi,
+            ps, AntennaAssignment(n), np.empty((0, 2), dtype=np.int64), 2, phi,
             BTSP_RANGE, lmax, "k2-zero-spread",
         )
 
     rooted = RootedTree(tree, int(root) if root is not None else 0)
     radius = BTSP_RANGE * lmax
     coords = ps.coords
-    intended: list[tuple[int, int]] = []
-    max_sibling_edge = 0.0
-
-    def aim(u: int, v: int) -> None:
-        assignment.add(u, sector_toward(coords[u], coords[v], radius=radius))
-        intended.append((u, v))
-
-    for u in rooted.preorder():
-        kids = rooted.children[u]
-        if kids:
-            aim(int(u), kids[0])  # antenna B: leftmost child
-            for a, b in zip(kids[:-1], kids[1:]):  # antenna A of each non-last child
-                aim(a, b)
-                max_sibling_edge = max(max_sibling_edge, ps.distance(a, b))
-            aim(kids[-1], int(u))  # antenna A of the last child: parent
+    blocks = rooted.child_blocks()
+    kids = blocks.kids
+    # Antenna B: each vertex -> its leftmost child, just before that child's
+    # own edge.  Antenna A: each child -> its next sibling, or the parent
+    # after the last one.  Sorting by key lays the edges out in preorder.
+    last = blocks.local == blocks.size[blocks.block] - 1
+    succ = np.where(last, rooted.parent[kids], np.roll(kids, -1))
+    src = np.concatenate([blocks.owner, kids])
+    dst = np.concatenate([kids[blocks.first], succ])
+    order = np.argsort(
+        np.concatenate([2 * blocks.first, 2 * np.arange(kids.size) + 1]), kind="stable"
+    )
+    src, dst = src[order], dst[order]
+    assignment = AntennaAssignment.from_columns(
+        n, src, angle_of(coords[dst] - coords[src]), 0.0, radius
+    )
+    intended = np.stack([src, dst], axis=1)
+    sibling = coords[kids[~last]] - coords[succ[~last]]
+    max_sibling_edge = float(np.hypot(sibling[:, 0], sibling[:, 1]).max(initial=0.0))
 
     return OrientationResult(
         ps,
         assignment,
-        np.asarray(intended, dtype=np.int64),
+        intended,
         2,
         phi,
         BTSP_RANGE,

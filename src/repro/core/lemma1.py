@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import InvalidParameterError
 from repro.geometry.angles import TWO_PI, ccw_angle, ccw_gaps, circular_windows_sum
 from repro.geometry.sectors import Sector
+from repro.spanning.bounded_angle import segment_wedges
 
 __all__ = [
     "lemma1_required_spread",
@@ -108,33 +109,12 @@ def optimal_star_cover(
     """Minimal-total-spread cover of the neighbours by ≤ ``k`` sectors.
 
     Excludes the ``k`` largest gaps; each run of consecutive neighbours
-    between two excluded gaps is covered by one snug sector.
+    between two excluded gaps is covered by one snug sector.  This is the
+    one-star case of :func:`repro.spanning.bounded_angle.segment_wedges`
+    (``raw_angles=True``), the kernel Theorem 2 runs over the whole tree.
     """
     ang = _neighbor_angles(apex, neighbor_points)
-    d = ang.size
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    if d == 0:
-        return []
-    if k >= d:
-        return [Sector(a, 0.0, radius) for a in ang]
-    order, gaps = ccw_gaps(ang)
-    sorted_ang = ang[order]
-    # Deterministic selection of the k largest gaps (ties by index).
-    chosen = set(np.lexsort((np.arange(d), -gaps))[:k].tolist())
-    sectors: list[Sector] = []
-    # Each chosen gap starts an arc at the neighbour just after it; the arc
-    # runs ccw until the neighbour whose following gap is also chosen.
-    for g in sorted(chosen):
-        s_idx = (g + 1) % d
-        j = s_idx
-        while j not in chosen:
-            j = (j + 1) % d
-        end_idx = j  # gap j is chosen; the arc's last neighbour is index j
-        start_dir = float(sorted_ang[s_idx])
-        if end_idx == s_idx:
-            sectors.append(Sector(start_dir, 0.0, radius))
-        else:
-            end_dir = float(sorted_ang[end_idx])
-            sectors.append(Sector(start_dir, float(ccw_angle(start_dir, end_dir)), radius))
-    return sectors
+    _, start, spread = segment_wedges([0, ang.size], ang, k, raw_angles=True)
+    return [Sector(a, b, radius) for a, b in zip(start.tolist(), spread.tolist())]

@@ -21,8 +21,8 @@ from repro.antenna.model import AntennaAssignment
 from repro.core.chains import best_chain_partition
 from repro.core.result import OrientationResult
 from repro.errors import AlgorithmInvariantError, InvalidParameterError
+from repro.geometry.angles import angle_of
 from repro.geometry.points import PointSet
-from repro.geometry.sectors import sector_toward
 from repro.spanning.emst import SpanningTree, euclidean_mst
 from repro.spanning.rooted import RootedTree
 
@@ -57,52 +57,66 @@ def orient_star_chain_tree(
     if tree.max_degree() > 5:
         raise InvalidParameterError("chain construction requires max tree degree 5")
     lmax = tree.lmax if n > 1 else 0.0
-    assignment = AntennaAssignment(n)
     if n == 1:
         return OrientationResult(
-            ps, assignment, np.empty((0, 2), dtype=np.int64), k, phi,
+            ps, AntennaAssignment(n), np.empty((0, 2), dtype=np.int64), k, phi,
             range_bound, lmax, algorithm,
         )
 
     rooted = RootedTree(tree, int(root) if root is not None else 0)
     radius = range_bound * lmax
     coords = ps.coords
-    intended: list[tuple[int, int]] = []
+    blocks = rooted.child_blocks()
+    # A vertex with at most k-1 children makes every child its own chain:
+    # u -> child, child -> u, child by child.  Edge j of block b sorts at
+    # key b * stride + j, which lays the edges out in the loop's order.
+    stride = 2 * int(blocks.size.max()) + 1
+    alone = blocks.size[blocks.block] <= k - 1
+    kid = blocks.kids[alone]
+    up = rooted.parent[kid]
+    key = blocks.block[alone] * stride + 2 * blocks.local[alone]
+    src = [np.stack([up, kid], axis=1).reshape(-1)]
+    dst = [np.stack([kid, up], axis=1).reshape(-1)]
+    keys = [np.stack([key, key + 1], axis=1).reshape(-1)]
+    n_chains = blocks.size.copy()
     max_chain_edge = 0.0
-    chain_count_hist: dict[int, int] = {}
-
-    for u in rooted.preorder():
+    for b in np.flatnonzero(blocks.size > k - 1).tolist():
+        u = int(blocks.owner[b])
         kids = rooted.children[u]
-        d = len(kids)
-        if d == 0:
-            continue
         kid_coords = coords[np.asarray(kids, dtype=np.int64)]
         diff = kid_coords[:, None, :] - kid_coords[None, :, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])
         part = best_chain_partition(dist, max_chains=k - 1)
-        chain_count_hist[part.n_chains] = chain_count_hist.get(part.n_chains, 0) + 1
+        n_chains[b] = part.n_chains
         if part.max_edge > radius * (1.0 + 1e-7) + 1e-12:
             raise AlgorithmInvariantError(
                 f"vertex {u}: best chain partition needs edge {part.max_edge:.6f} "
                 f"> bound {radius:.6f} — MST degree invariant violated?"
             )
         max_chain_edge = max(max_chain_edge, part.max_edge)
-        for chain in part.chains:
-            head = kids[chain[0]]
-            assignment.add(u, sector_toward(coords[u], coords[head], radius=radius))
-            intended.append((u, head))
-            for a_i, b_i in zip(chain[:-1], chain[1:]):
-                a, b = kids[a_i], kids[b_i]
-                assignment.add(a, sector_toward(coords[a], coords[b], radius=radius))
-                intended.append((a, b))
-            tail = kids[chain[-1]]
-            assignment.add(tail, sector_toward(coords[tail], coords[u], radius=radius))
-            intended.append((tail, u))
+        # u -> head, member -> successor, tail -> u, chain by chain.
+        path = [(u, *(kids[i] for i in chain), u) for chain in part.chains]
+        edges = np.asarray(
+            [e for p in path for e in zip(p[:-1], p[1:])], dtype=np.int64
+        )
+        src.append(edges[:, 0])
+        dst.append(edges[:, 1])
+        keys.append(b * stride + np.arange(len(edges)))
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    src_all, dst_all = np.concatenate(src)[order], np.concatenate(dst)[order]
+    assignment = AntennaAssignment.from_columns(
+        n, src_all, angle_of(coords[dst_all] - coords[src_all]), 0.0, radius
+    )
+    intended = np.stack([src_all, dst_all], axis=1)
+    # Vertices with children per chain count, keys in order of appearance.
+    chain_count_hist: dict[int, int] = {}
+    for c in n_chains.tolist():
+        chain_count_hist[c] = chain_count_hist.get(c, 0) + 1
 
     return OrientationResult(
         ps,
         assignment,
-        np.asarray(intended, dtype=np.int64),
+        intended,
         k,
         phi,
         range_bound,

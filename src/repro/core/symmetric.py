@@ -35,9 +35,8 @@ from repro.core.result import OrientationResult
 from repro.errors import InvalidParameterError
 from repro.geometry.angles import BUDGET_SLOP, angle_of, clamp_angular_budget
 from repro.geometry.points import PointSet
-from repro.geometry.sectors import Sector, sector_toward
 from repro.kernels.connectivity import validate_mode
-from repro.spanning.bounded_angle import wedge_layout, tree_spread_requirements
+from repro.spanning.bounded_angle import segment_wedges, tree_spread_requirements
 from repro.spanning.emst import SpanningTree, euclidean_mst
 
 __all__ = ["SYMMETRIC_ALGORITHM", "orient_bounded_angle_mst", "orient_for_mode"]
@@ -67,32 +66,27 @@ def orient_bounded_angle_mst(
     if tree is None:
         tree = euclidean_mst(ps)
     lmax = tree.lmax if n > 1 else 0.0
-    assignment = AntennaAssignment(n)
     if n <= 1:
         return OrientationResult(
-            ps, assignment, np.empty((0, 2), dtype=np.int64), k, phi,
+            ps, AntennaAssignment(n), np.empty((0, 2), dtype=np.int64), k, phi,
             1.0, lmax, SYMMETRIC_ALGORITHM,
             stats={"feasible": True, "spread_required": 0.0},
         )
 
-    coords = ps.coords
     requirements = tree_spread_requirements(ps, tree, k)
     required = float(requirements.max())
     feasible = phi >= required - BUDGET_SLOP
-    adjacency = tree.adjacency()
-
+    arcs = tree.arcs()
+    off = ps.coords[arcs.dst] - ps.coords[arcs.src]
     if feasible:
-        for v, nbrs in enumerate(adjacency):
-            if not nbrs:
-                continue
-            off = coords[np.asarray(nbrs, dtype=np.int64)] - coords[v]
-            for start, spread in wedge_layout(angle_of(off), k):
-                assignment.add(v, Sector(start, spread, lmax))
+        sensor, start, spread = segment_wedges(arcs.indptr, angle_of(off), k)
     else:
-        for v, nbrs in enumerate(adjacency):
-            ranked = sorted(nbrs, key=lambda u: (ps.distance(v, u), u))
-            for u in ranked[:k]:
-                assignment.add(v, sector_toward(coords[v], coords[u], radius=lmax))
+        # The k nearest neighbours of each vertex, ties to the lower index.
+        dist = np.hypot(off[:, 0], off[:, 1])
+        ranked = np.lexsort((arcs.dst, dist, arcs.src))  # still grouped by src
+        nearest = ranked[np.arange(ranked.size) - arcs.indptr[arcs.src] < k]
+        sensor, start, spread = arcs.src[nearest], angle_of(off[nearest]), 0.0
+    assignment = AntennaAssignment.from_columns(n, sensor, start, spread, lmax)
 
     tree_edges = tree.edges.astype(np.int64)
     intended = np.concatenate([tree_edges, tree_edges[:, ::-1]], axis=0)

@@ -15,11 +15,12 @@ import numpy as np
 
 from repro.antenna.model import AntennaAssignment
 from repro.core.bounds import thm2_phi_threshold
-from repro.core.lemma1 import lemma1_orientation, optimal_star_cover
+from repro.core.lemma1 import lemma1_orientation
 from repro.core.result import OrientationResult
 from repro.errors import InvalidParameterError
 from repro.geometry.points import PointSet
 from repro.geometry.sectors import sector_toward
+from repro.spanning.bounded_angle import segment_wedges
 from repro.spanning.emst import SpanningTree, euclidean_mst
 
 __all__ = ["orient_theorem2"]
@@ -69,28 +70,29 @@ def orient_theorem2(
         raise InvalidParameterError("Theorem 2 requires a spanning tree of max degree 5")
 
     n = len(ps)
-    assignment = AntennaAssignment(n)
     if n == 1:
         return OrientationResult(
-            ps, assignment, np.empty((0, 2), dtype=np.int64), k, float(phi),
+            ps, AntennaAssignment(n), np.empty((0, 2), dtype=np.int64), k, float(phi),
             1.0, 0.0, "theorem2", stats={"construction": construction},
         )
 
     lmax = tree.lmax
-    adj = tree.adjacency()
-    coords = ps.coords
-    cover_fn = optimal_star_cover if construction == "optimal" else lemma1_orientation
-    for u in range(n):
-        nbrs = adj[u]
-        d = len(nbrs)
-        if d == 0:
-            continue
-        if d <= k:
-            for v in nbrs:
-                assignment.add(u, sector_toward(coords[u], coords[v], radius=lmax))
-        else:
-            for sec in cover_fn(coords[u], coords[np.asarray(nbrs)], k, radius=lmax):
-                assignment.add(u, sec)
+    if construction == "optimal":
+        assignment = _optimal_cover(ps.coords, tree, k, lmax)
+    else:
+        assignment = AntennaAssignment(n)
+        adj = tree.adjacency()
+        coords = ps.coords
+        for u in range(n):
+            nbrs = adj[u]
+            if len(nbrs) <= k:
+                for v in nbrs:
+                    assignment.add(u, sector_toward(coords[u], coords[v], radius=lmax))
+            else:
+                for sec in lemma1_orientation(
+                    coords[u], coords[np.asarray(nbrs)], k, radius=lmax
+                ):
+                    assignment.add(u, sec)
 
     intended = np.vstack([tree.edges, tree.edges[:, ::-1]])
     return OrientationResult(
@@ -108,3 +110,21 @@ def orient_theorem2(
             "phi_threshold": threshold,
         },
     )
+
+
+def _optimal_cover(coords: np.ndarray, tree: SpanningTree, k: int, lmax: float):
+    """Every vertex's optimal star cover over the tree's arcs at once.
+
+    A vertex of degree ``d <= k`` aims one zero-spread beam at each
+    neighbour; a larger one gets :func:`optimal_star_cover`'s ``k``
+    sectors (the segment kernel with ``raw_angles=True``).
+    """
+    arcs = tree.arcs()
+    off = coords[arcs.dst] - coords[arcs.src]
+    star = (np.diff(arcs.indptr) > k)[arcs.src]
+    if np.any(np.hypot(off[star, 0], off[star, 1]) == 0.0):
+        raise InvalidParameterError("a neighbour coincides with the apex")
+    sensor, start, spread = segment_wedges(
+        arcs.indptr, np.arctan2(off[:, 1], off[:, 0]), k, raw_angles=True
+    )
+    return AntennaAssignment.from_columns(len(coords), sensor, start, spread, lmax)

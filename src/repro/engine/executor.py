@@ -257,13 +257,16 @@ def _run_chunk_batched(
     Python-level launch per instance.  Packed polar tables are chunk-scoped
     (see :meth:`ArtifactCache.packed_polar`) and kept out of the deltas.
 
-    Metrics are bit-identical to the per-instance path; elapsed time is
-    attributed evenly across the chunk's instances (per-instance wall time
-    is not separable when launches are fused).
+    Metrics are bit-identical to the per-instance path.  Elapsed time is
+    each instance's own artifact and construction time plus an even share
+    of the fused remainder (packing, packed kernels, facts), so the
+    chunk's instances still sum to its wall time.
     """
     t0 = time.perf_counter()
+    own = [0.0] * len(chunk)  # per-instance artifact + construction seconds
     entries = []  # (slot, pointset, tree, cache-stats delta)
-    for slot, _si, _ii, coords in chunk:
+    for j, (slot, _si, _ii, coords) in enumerate(chunk):
+        t = time.perf_counter()
         before = cache.stats.as_dict()
         ps = cache.pointset(coords)
         tree = cache.tree(ps)
@@ -271,6 +274,7 @@ def _run_chunk_batched(
         entries.append(
             (slot, ps, tree, {k: after[k] - before[k] for k in after})
         )
+        own[j] += time.perf_counter() - t
 
     n_max = max(len(ps) for _, ps, _, _ in entries)
     per = max(1, _BATCH_MAX_ELEMS // max(n_max * n_max, 1))
@@ -289,10 +293,11 @@ def _run_chunk_batched(
                 continue
             if regime is not None:
                 measured[regime] = ci
-            results = [
-                orient_for_mode(ps, cell.k, cell.phi, mode=mode, tree=tree)
-                for _, ps, tree, _ in sub
-            ]
+            results = []
+            for j, (_, ps, tree, _) in enumerate(sub):
+                t = time.perf_counter()
+                results.append(orient_for_mode(ps, cell.k, cell.phi, mode=mode, tree=tree))
+                own[base + j] += time.perf_counter() - t
             for j, m in enumerate(
                 batched_orientation_metrics(
                     results, batch, tables,
@@ -310,10 +315,10 @@ def _run_chunk_batched(
             }
             payload_parts.append((slot, cell_metrics[j], facts, delta))
 
-    dt = (time.perf_counter() - t0) / max(len(chunk), 1)
+    shared = (time.perf_counter() - t0 - sum(own)) / max(len(chunk), 1)
     return [
-        (slot, (metrics, facts, dt, delta, backend_name))
-        for slot, metrics, facts, delta in payload_parts
+        (slot, (metrics, facts, own[j] + shared, delta, backend_name))
+        for j, (slot, metrics, facts, delta) in enumerate(payload_parts)
     ]
 
 

@@ -28,6 +28,7 @@ from repro.geometry.angles import (
 
 __all__ = [
     "Sector",
+    "sectors_cover",
     "sector_between",
     "sector_toward",
     "radius_tolerance",
@@ -105,12 +106,7 @@ class Sector:
         has an edge to itself.  Distance tolerance scales with the radius so
         the test is robust at any instance scale.
         """
-        off = np.asarray(offsets, dtype=float)
-        dist = np.hypot(off[..., 0], off[..., 1])
-        within = dist <= self.radius + radius_tolerance(self.radius, eps)
-        nonzero = dist > 0.0
-        ang = self.contains_direction(angle_of(off), eps=eps)
-        return within & nonzero & ang
+        return sectors_cover(self.start, self.spread, self.radius, offsets, eps=eps)
 
     def covers_point(self, apex, point, *, eps: float = DEFAULT_ANGLE_EPS) -> bool:
         """Does a sector with the given ``apex`` cover ``point``?"""
@@ -124,6 +120,25 @@ class Sector:
     def rotated(self, delta: float) -> "Sector":
         """Copy rotated ccw by ``delta`` radians."""
         return Sector(self.start + delta, self.spread, self.radius)
+
+
+def sectors_cover(
+    start, spread, radius, offsets, *, eps: float = DEFAULT_ANGLE_EPS
+) -> np.ndarray:
+    """Does sector ``i`` cover apex-relative offset ``offsets[i]``?
+
+    The test of :meth:`Sector.covers_offsets`, vectorized over the sectors
+    too: ``start``, ``spread`` and ``radius`` are columns (or scalars)
+    broadcast against the offsets' leading shape.  The apex itself is never
+    covered; the angular test is :func:`in_ccw_interval`'s, boundary
+    inclusive, with every sector of spread ``>= 2π − eps`` omnidirectional.
+    """
+    off = np.asarray(offsets, dtype=float)
+    dist = np.hypot(off[..., 0], off[..., 1])
+    within = dist <= radius + radius_tolerance(radius, eps)
+    rel = ccw_angle(start, angle_of(off))
+    ang = (spread >= TWO_PI - eps) | (rel <= spread + eps) | (rel >= TWO_PI - eps)
+    return within & (dist > 0.0) & ang
 
 
 def sector_between(

@@ -13,19 +13,40 @@ angle ≥ π/3, with equality only under distance ties).  We realize this as:
 
 A :class:`SpanningTree` stores edges, lengths, ``lmax`` (the paper's
 normalization unit) and an adjacency structure reused by all orientation
-algorithms.
+algorithms: neighbour lists for the per-vertex builders, and the same
+neighbours as an arc CSR (:class:`TreeArcs`) for the array-native ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import DegreeBoundError, InvalidPointSetError
 from repro.geometry.points import PointSet
 from repro.spanning.union_find import UnionFind
 
-__all__ = ["SpanningTree", "euclidean_mst", "prim_mst_edges", "kruskal_on_edges"]
+__all__ = [
+    "SpanningTree",
+    "TreeArcs",
+    "euclidean_mst",
+    "prim_mst_edges",
+    "kruskal_on_edges",
+]
+
+
+class TreeArcs(NamedTuple):
+    """Both directions of every tree edge, grouped by source vertex.
+
+    The arcs leaving ``v`` are ``src[indptr[v]:indptr[v + 1]]`` (all equal
+    to ``v``) and ``dst[...]``, in ``adjacency()[v]`` order.  Read-only.
+    """
+
+    indptr: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
 
 
 @dataclass
@@ -46,6 +67,7 @@ class SpanningTree:
     edges: np.ndarray
     lengths: np.ndarray = field(default=None)  # type: ignore[assignment]
     _adj: list[list[int]] = field(default=None, repr=False)  # type: ignore[assignment]
+    _arcs: TreeArcs = field(default=None, repr=False)  # type: ignore[assignment]
     _degrees: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -62,6 +84,7 @@ class SpanningTree:
             self.lengths = np.hypot(diff[:, 0], diff[:, 1])
         self.lengths = np.asarray(self.lengths, dtype=float)
         self._adj = None
+        self._arcs = None
         self._degrees = None
         self._validate_tree()
 
@@ -91,14 +114,31 @@ class SpanningTree:
         return float(self.lengths.sum())
 
     def adjacency(self) -> list[list[int]]:
-        """Neighbour lists (cached); ``adjacency()[u]`` lists u's neighbours."""
+        """Neighbour lists (cached); ``adjacency()[u]`` lists u's neighbours.
+
+        Each list follows the order of the edges in ``edges``.
+        """
         if self._adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[int(u)].append(int(v))
-                adj[int(v)].append(int(u))
-            self._adj = adj
+            arcs = self.arcs()
+            dst, ptr = arcs.dst.tolist(), arcs.indptr.tolist()
+            self._adj = [dst[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
         return self._adj
+
+    def arcs(self) -> TreeArcs:
+        """The arc CSR of the tree (cached), in :meth:`adjacency` order."""
+        if self._arcs is None:
+            # Arc 2i is edge i forwards, arc 2i+1 backwards; a stable sort
+            # by source keeps each vertex's arcs in edge order.
+            src = self.edges.reshape(-1)
+            dst = self.edges[:, ::-1].reshape(-1)
+            order = np.argsort(src, kind="stable")
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+            arcs = TreeArcs(indptr, src[order], dst[order])
+            for arr in arcs:
+                arr.setflags(write=False)
+            self._arcs = arcs
+        return self._arcs
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees (cached; repeated ``leaves()``/``max_degree()`` are free)."""

@@ -16,7 +16,7 @@ limit.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,24 @@ from repro.errors import InvalidParameterError
 from repro.geometry.angles import angle_of, ccw_angle
 from repro.spanning.emst import SpanningTree
 
-__all__ = ["RootedTree"]
+__all__ = ["ChildBlocks", "RootedTree"]
+
+
+class ChildBlocks(NamedTuple):
+    """The children lists of a :class:`RootedTree` as flat arrays.
+
+    ``kids`` lists every non-root vertex with the children of each vertex
+    together — one *block*, in ``children[v]`` order — and the blocks in
+    the preorder of their parents.  BFS enqueues a vertex's children at
+    once, so ``kids`` is simply ``bfs_order[1:]``.
+    """
+
+    kids: np.ndarray  # (n - 1,) vertices, block by block
+    block: np.ndarray  # (n - 1,) block of each entry of ``kids``
+    local: np.ndarray  # (n - 1,) index of each entry within its block
+    owner: np.ndarray  # (B,) the vertex whose children form the block
+    first: np.ndarray  # (B,) offset of the block in ``kids``
+    size: np.ndarray  # (B,) number of children in the block
 
 
 class RootedTree:
@@ -60,6 +77,18 @@ class RootedTree:
         for v in order[1:]:
             children[int(parent[v])].append(int(v))
         self.children = children
+
+    def child_blocks(self) -> ChildBlocks:
+        """Every vertex's children as one block of a flat array (see :class:`ChildBlocks`)."""
+        kids = self.bfs_order[1:]
+        par = self.parent[kids]
+        new_block = np.ones(kids.size, dtype=bool)
+        new_block[1:] = par[1:] != par[:-1]
+        first = np.flatnonzero(new_block)
+        size = np.diff(np.append(first, kids.size))
+        block = np.repeat(np.arange(first.size), size)
+        local = np.arange(kids.size) - first[block]
+        return ChildBlocks(kids, block, local, par[first], first, size)
 
     # -- basic structure ---------------------------------------------------------
     @property

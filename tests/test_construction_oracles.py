@@ -112,7 +112,7 @@ REFERENCE = _algorithms(ref)
 def _outcome(fn, ps, tree):
     try:
         return fn(ps, tree)
-    except Exception as exc:  # noqa: BLE001 - the error is part of the output
+    except Exception as exc:  # the error is part of the output
         return exc
 
 

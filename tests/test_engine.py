@@ -255,6 +255,38 @@ class TestPhiFreeRegimeReuse:
         assert len(built) == request.total_instances * len(request.grid)
 
 
+class TestPackedChunkTiming:
+    def test_instances_are_timed_on_their_own(self):
+        """A packed chunk times each instance's artifacts and construction
+        separately and splits only the fused remainder evenly: the k1-tour
+        instance of n = 512 ledgers more time than the n = 16 one, and the
+        times sum to the chunk's wall time.  Metrics and facts equal the
+        per-instance path's; cache deltas are the packed path's as before
+        (one point set and one tree per instance, packed tables excluded)."""
+        import time
+
+        from repro.engine.executor import _run_chunk
+
+        chunk = [(0, 0, 0, uniform_points(16, seed=3)), (1, 0, 1, uniform_points(512, seed=4))]
+        grid = (GridCell(1, 0.0),)
+        _run_chunk(chunk, grid, True, "numpy", batched=True)  # imports and first calls
+        t0 = time.perf_counter()
+        packed = _run_chunk(chunk, grid, True, "numpy", batched=True)
+        wall = time.perf_counter() - t0
+        single = _run_chunk(chunk, grid, True, "numpy", batched=False)
+
+        (_, small), (_, large) = packed
+        assert large[2] > small[2] > 0.0
+        assert small[2] + large[2] <= wall
+        delta = {"hits": 1, "misses": 1, "pointset_builds": 1, "tree_builds": 1,
+                 "distance_builds": 0, "polar_builds": 0, "sparse_polar_builds": 0,
+                 "evictions": 0}
+        for (slot_p, p), (slot_s, q) in zip(packed, single):
+            assert slot_p == slot_s
+            assert [m.identical(r) for m, r in zip(p[0], q[0])] == [True]
+            assert p[1] == q[1] and p[3] == delta and p[4] == q[4]
+
+
 class TestExecutePlan:
     def test_serial_results_in_plan_order(self):
         req = small_request()
