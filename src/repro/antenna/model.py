@@ -16,6 +16,7 @@ indexing and iteration.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -64,7 +65,7 @@ class AntennaAssignment:
         self._radius = np.empty(0, dtype=float)
         self._offsets: np.ndarray | None = None
         # Beams mounted by ``add`` and not yet merged into the columns.
-        self._pending: dict[int, list[Sector]] = {}
+        self._pending: defaultdict[int, list[Sector]] = defaultdict(list)
         if sectors is not None:
             if len(sectors) != self.n:
                 raise InvalidParameterError(
@@ -109,7 +110,7 @@ class AntennaAssignment:
             raise InvalidParameterError(f"sensor {sensor} out of range (n={self.n})")
         if not isinstance(sector, Sector):
             raise InvalidParameterError(f"expected a Sector, got {type(sector).__name__}")
-        self._pending.setdefault(int(sensor), []).append(sector)
+        self._pending[int(sensor)].append(sector)
 
     def extend(self, sensor: int, sectors: Iterable[Sector]) -> None:
         for s in sectors:
@@ -119,22 +120,23 @@ class AntennaAssignment:
         """Append the ``add``-ed beams to the columns, keeping them grouped."""
         if not self._pending:
             return
-        rows = [(i, s) for i in sorted(self._pending) for s in self._pending[i]]
-        self._pending = {}
+        sensors = sorted(self._pending)
+        beams = [s for i in sensors for s in self._pending[i]]
+        counts = [len(self._pending[i]) for i in sensors]
+        self._pending.clear()
         sensor = np.concatenate(
-            [self._sensor, np.fromiter((i for i, _ in rows), np.int64, len(rows))]
+            [self._sensor, np.repeat(np.asarray(sensors, dtype=np.int64), counts)]
         )
-        cols = [
+        order = np.argsort(sensor, kind="stable")
+        self._sensor = sensor[order]
+        self._start, self._spread, self._radius = (
             np.concatenate(
-                [old, np.fromiter((getattr(s, f) for _, s in rows), float, len(rows))]
-            )
+                [old, np.fromiter((getattr(s, f) for s in beams), float, len(beams))]
+            )[order]
             for old, f in (
                 (self._start, "start"), (self._spread, "spread"), (self._radius, "radius")
             )
-        ]
-        order = np.argsort(sensor, kind="stable")
-        self._sensor = sensor[order]
-        self._start, self._spread, self._radius = (c[order] for c in cols)
+        )
         self._offsets = None
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -152,16 +154,16 @@ class AntennaAssignment:
     # -- access -----------------------------------------------------------------
     def __getitem__(self, sensor: int) -> list[Sector]:
         sensor = range(self.n)[sensor]
-        lo, hi = self._row_offsets()[sensor : sensor + 2].tolist()
-        out = [
-            Sector(a, b, r)
-            for a, b, r in zip(
+        out = list(self._pending.get(sensor, ()))
+        if self._sensor.size:
+            lo, hi = self._row_offsets()[sensor : sensor + 2].tolist()
+            out[:0] = map(
+                Sector,
                 self._start[lo:hi].tolist(),
                 self._spread[lo:hi].tolist(),
                 self._radius[lo:hi].tolist(),
             )
-        ]
-        return out + self._pending.get(sensor, [])
+        return out
 
     def __iter__(self) -> Iterator[tuple[int, Sector]]:
         sensor, start, spread, radius = self._columns()

@@ -68,8 +68,9 @@ def orient_star_chain_tree(
     coords = ps.coords
     blocks = rooted.child_blocks()
     # A vertex with at most k-1 children makes every child its own chain:
-    # u -> child, child -> u, child by child.  Edge j of block b sorts at
-    # key b * stride + j, which lays the edges out in the loop's order.
+    # u -> child, child -> u, child by child.  Only larger families need
+    # best_chain_partition.  Edge j of block b sorts at key b * stride + j:
+    # blocks in preorder, each block's edges in gadget order.
     stride = 2 * int(blocks.size.max()) + 1
     alone = blocks.size[blocks.block] <= k - 1
     kid = blocks.kids[alone]

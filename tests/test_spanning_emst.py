@@ -55,6 +55,20 @@ class TestSpanningTreeStructure:
         assert t.max_degree() == 2
         assert set(t.leaves()) == {0, 2}
 
+    def test_arcs_follow_adjacency(self, rng):
+        t = euclidean_mst(PointSet(rng.random((40, 2))))
+        arcs = t.arcs()
+        assert arcs is t.arcs()
+        assert arcs.indptr[0] == 0 and arcs.indptr[-1] == 2 * (t.n - 1)
+        for v, nbrs in enumerate(t.adjacency()):
+            lo, hi = arcs.indptr[v], arcs.indptr[v + 1]
+            assert arcs.src[lo:hi].tolist() == [v] * len(nbrs)
+            assert arcs.dst[lo:hi].tolist() == nbrs
+        with pytest.raises(ValueError):
+            arcs.dst[0] = 0
+        single = euclidean_mst(PointSet([[0.0, 0.0]])).arcs()
+        assert single.indptr.tolist() == [0, 0] and single.dst.size == 0
+
     def test_replace_edge(self):
         ps = PointSet([[0, 0], [1, 0], [1, 1]])
         t = SpanningTree(ps, np.array([[0, 1], [1, 2]]))

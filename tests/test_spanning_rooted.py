@@ -22,6 +22,18 @@ class TestRootedStructure:
         assert rt.children[0] == [1]
         assert rt.children[4] == []
 
+    def test_child_blocks_flatten_children_in_preorder(self, tree50):
+        rt = RootedTree(tree50, 7)
+        blocks = rt.child_blocks()
+        assert blocks.kids.tolist() == rt.bfs_order[1:].tolist()
+        owners = blocks.owner.tolist()
+        assert owners == [int(v) for v in rt.bfs_order if rt.children[v]]
+        for b, u in enumerate(owners):
+            lo, size = blocks.first[b], blocks.size[b]
+            assert blocks.kids[lo : lo + size].tolist() == rt.children[u]
+            assert blocks.block[lo : lo + size].tolist() == [b] * size
+            assert blocks.local[lo : lo + size].tolist() == list(range(size))
+
     def test_bad_root_raises(self):
         with pytest.raises(InvalidParameterError):
             RootedTree(path_tree(), 99)
