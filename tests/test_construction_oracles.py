@@ -239,3 +239,30 @@ def test_adjacency_matches_loop_oracle():
     for seed in ORACLE_SEEDS:
         tree = euclidean_mst(PointSet(_random_points(seed)))
         assert tree.adjacency() == ref.adjacency(tree)
+
+
+def test_pair_lemma_error_matches_loop_oracle():
+    """The vectorised pair-lemma test raises at the same arc, with the same
+    message, as the per-arc loop (unreachable on a real matching, so the
+    sectors here are aimed away on purpose)."""
+    from repro.antenna.model import AntennaAssignment
+    from repro.core.kone import _covering_endpoint
+    from repro.geometry.sectors import Sector
+
+    ps = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+    start = [np.pi, np.pi, 0.5, 0.0]
+    new = AntennaAssignment.from_columns(4, np.arange(4), start, 0.5, 10.0)
+    old = ref.AntennaAssignment(4, [[Sector(a, 0.5, 10.0)] for a in start])
+    partner = {0: 1, 1: 0}
+    mate = np.array([1, 0, -1, -1])
+    src, dst = np.array([2, 0, 3]), np.array([3, 2, 0])
+    with pytest.raises(Exception) as got:
+        _covering_endpoint(ps.coords, new, mate, src, dst)
+    with pytest.raises(Exception) as want:
+        for s, d in zip(src.tolist(), dst.tolist()):
+            ref._covering_endpoint(ps, old, partner, s, d)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value) == (
+        "pair lemma violated: neither 0 nor its partner covers 2"
+    )
+    assert _covering_endpoint(ps.coords, new, mate, src[:1], dst[:1]).tolist() == [2]
