@@ -37,12 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.geometry.angles import angle_of
 from repro.kernels.backend import active_backend
 from repro.kernels.batch import PackedPolarTables
 from repro.kernels.connectivity import (
     strongly_connected_edges,
     symmetric_connected_edges,
 )
+from repro.kernels.coverage import _ccw_from_start
 from repro.kernels.critical import (
     critical_range_search,
     symmetric_critical_range_search,
@@ -343,8 +345,12 @@ def _measure_sparse(
     count, n = start_t.shape[0], tables.n
     antennae = sensor_idx.shape[0]
     cap = complete_cutoff(ps.coords, eps)
-    finite_r = radius_t[np.isfinite(radius_t)]
-    need = required_cutoff(float(finite_r.max()), eps) if finite_r.size else 0.0
+    if not np.isfinite(radius_t).all():
+        # An unbounded antenna covers arbitrarily distant points in its
+        # wedge: only the complete candidate set reproduces its edges.
+        need = cap
+    else:
+        need = required_cutoff(float(radius_t.max()), eps) if radius_t.size else 0.0
     tables = _widen(ps, tables, min(max(need, tables.r_cut), cap), cache)
 
     tid = np.repeat(np.arange(count, dtype=np.int64), antennae)
@@ -426,20 +432,75 @@ def _measure_sparse(
                     n_eff, np.column_stack([src, dst]), dists, eps=eps
                 )
             critical[j] = value
+            if value == 0.0 or tables.r_cut >= cap:
+                continue
             # Certify: every edge the accepting dense probe could use has
             # physical length <= value * max fade, so the candidate set is
             # provably complete iff that radius fits under r_cut.
-            if np.isfinite(value) and value > 0.0:
+            if np.isfinite(value):
                 fade_max = (
                     float(draws.fade[j].max()) if draws.fade is not None else 1.0
                 )
                 needed = required_cutoff(value * fade_max, eps)
-                if needed > tables.r_cut and tables.r_cut < cap:
+                if needed > tables.r_cut:
                     widen_to = max(widen_to or 0.0, needed)
+            elif not _has_dead_end(
+                ps.coords, tables, cov_ang[j],
+                None if draws.alive is None else draws.alive[j],
+                sensor_idx, start_t[j], spread,
+                draws.edge_seeds[j], pert.edge_fail, eps,
+            ):
+                # inf below the complete cutoff is exact only with a
+                # certificate; otherwise a farther pair may connect it.
+                widen_to = max(widen_to or 0.0, 2.0 * tables.r_cut)
         if widen_to is None:
             return connected, critical
         COUNTERS.rcut_widenings += 1
         tables = _widen(ps, tables, min(max(widen_to, 2.0 * tables.r_cut), cap), cache)
+
+
+def _has_dead_end(
+    coords, tables, mask, alive, sensor_idx, start, spread, edge_seed,
+    edge_fail: float, eps: float,
+) -> bool:
+    """Does an alive vertex lack any surviving angularly-covered out-edge,
+    to any point at any distance?
+
+    Such a vertex reaches nobody at any radius, so the trial's ``inf``
+    critical range is exact without a complete cutoff, in symmetric mode
+    too (it has no mutual edge either).  Candidates are the alive vertices
+    with no surviving out-edge among the masked candidate edges; each is
+    then tested against every point with the coverage kernel's own
+    expressions, after the node- and edge-failure masks.
+    """
+    n = tables.n
+    dead = np.bincount(tables.src[mask], minlength=n) == 0
+    if alive is not None:
+        dead &= alive
+    c = np.asarray(coords, dtype=float)
+    for u in np.flatnonzero(dead):
+        ants = np.flatnonzero(sensor_idx == u)
+        off = c - c[u]
+        dist = np.hypot(off[:, 0], off[:, 1])
+        ang = angle_of(off)
+        COUNTERS.trig_evals += n
+        hit = np.zeros(n, dtype=bool)
+        for i in ants:
+            if spread[i] >= _TWO_PI - eps:
+                hit[:] = True
+                break
+            rel = _ccw_from_start(ang, start[i])
+            hit |= (rel <= spread[i] + eps) | (rel >= _TWO_PI - eps)
+        hit &= dist > 0.0
+        if alive is not None:
+            hit &= alive
+        if edge_fail > 0.0 and hit.any():
+            v = np.flatnonzero(hit)
+            ids = np.uint64(u) * np.uint64(n) + v.astype(np.uint64)
+            hit[v[~_edge_fail_keep(edge_seed, ids, edge_fail)]] = False
+        if not hit.any():
+            return True
+    return False
 
 
 def _widen(ps, tables, r_cut: float, cache):

@@ -168,6 +168,82 @@ class TestTrialDeterminism:
         )
 
 
+class TestSparseTrialExactness:
+    """The sparse trial path returns the dense path's numbers, bit for bit,
+    also where the critical range lies beyond the instance cutoff or an
+    antenna's radius is infinite."""
+
+    @staticmethod
+    def _instance():
+        from repro.core.symmetric import orient_for_mode
+        from repro.experiments.workloads import make_workload
+        from repro.geometry.points import PointSet
+        from repro.kernels.geometry import polar_tables
+        from repro.kernels.sparse import default_instance_cutoff, sparse_polar_tables
+        from repro.spanning.emst import euclidean_mst
+
+        ps = PointSet(make_workload("uniform", 60, 3))
+        tree = euclidean_mst(ps)
+        result = orient_for_mode(ps, 1, PI, tree=tree)
+        sparse = sparse_polar_tables(ps.coords, default_instance_cutoff(tree.lmax))
+        return ps, result, polar_tables(ps.coords), sparse
+
+    @staticmethod
+    def _both(ps, result, dense, sparse, pert, **kwargs):
+        from repro.engine.cache import ArtifactCache
+        from repro.ensemble.trials import measure_trials
+
+        a = measure_trials(ps, dense, result, pert, "k", 0, range(16), **kwargs)
+        with recording() as rec:
+            b = measure_trials(ps, sparse, result, pert, "k", 0, range(16),
+                               cache=ArtifactCache(), **kwargs)
+        return a, b, rec
+
+    def test_inf_beyond_the_cutoff_is_widened(self):
+        """Trial 12's critical range (~6.05 absolute) lies past the default
+        cutoff (~4.83): the sparse search sees only inf there, which is not
+        a certified answer."""
+        ps, result, dense, sparse = self._instance()
+        a, b, rec = self._both(ps, result, dense, sparse,
+                               Perturbation(rotate=True), want_critical=True)
+        assert math.isfinite(a.critical[12])
+        assert a.critical[12] * result.lmax > sparse.r_cut
+        assert a.critical.tobytes() == b.critical.tobytes()
+        assert rec.rcut_widenings > 0
+
+    def test_infinite_radius_forces_the_complete_cutoff(self):
+        import dataclasses
+
+        ps, result, dense, sparse = self._instance()
+        unbounded = dataclasses.replace(
+            result, assignment=result.assignment.with_uniform_radius(np.inf)
+        )
+        a, b, _ = self._both(ps, unbounded, dense, sparse, Perturbation(rotate=True))
+        assert a.connected.sum() == 9
+        assert np.array_equal(a.connected, b.connected)
+
+    def test_dead_end_certifies_inf_without_widening(self):
+        """A sensor with no antenna reaches nobody at any radius: inf is
+        exact at the default cutoff, in both modes."""
+        import dataclasses
+
+        from repro.antenna.model import AntennaAssignment
+
+        ps, result, dense, sparse = self._instance()
+        sensor, start, spread, radius = result.assignment.flattened()
+        keep = sensor != 7
+        mute = dataclasses.replace(result, assignment=AntennaAssignment.from_columns(
+            len(ps), sensor[keep], start[keep], spread[keep], radius[keep]
+        ))
+        for mode in ("strong", "symmetric"):
+            a, b, rec = self._both(ps, mute, dense, sparse,
+                                   Perturbation(rotate=True, edge_fail=0.1),
+                                   want_critical=True, mode=mode)
+            assert np.isinf(a.critical).all()
+            assert a.critical.tobytes() == b.critical.tobytes()
+            assert rec.rcut_widenings == 0
+
+
 class TestRegimeMemo:
     def test_k1_tour_probes_change_only_the_reused_flag(self):
         """k1-tour is φ-free: a memoised probe carries exactly the trial
