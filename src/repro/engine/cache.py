@@ -22,7 +22,11 @@ from repro.geometry.points import PointSet, pairwise_distances
 from repro.kernels.backend import active_backend
 from repro.kernels.batch import BatchedInstances, PackedPolarTables
 from repro.kernels.geometry import PolarTables, polar_tables
-from repro.kernels.sparse import SparsePolarTables, sparse_polar_tables
+from repro.kernels.sparse import (
+    SparsePolarTables,
+    dense_candidate_tables,
+    sparse_polar_tables,
+)
 from repro.spanning.emst import SpanningTree, euclidean_mst
 
 __all__ = ["content_hash", "CacheStats", "ArtifactCache"]
@@ -106,6 +110,9 @@ class _Entry:
     #: grid cells share one default-cutoff artifact, while the widening
     #: loop's larger rebuilds coexist without clobbering it.
     sparse: dict[float, SparsePolarTables] = field(default_factory=dict)
+    #: The same CSR derived from ``polar`` (dense-routed ensemble trials),
+    #: keyed by cutoff.
+    candidates: dict[float, SparsePolarTables] = field(default_factory=dict)
 
 
 @dataclass
@@ -197,6 +204,27 @@ class ArtifactCache:
             entry.sparse[key] = tables
             self.stats.sparse_polar_builds += 1
         return tables
+
+    def dense_candidates(
+        self, coords, tables: PolarTables, r_cut: float
+    ) -> SparsePolarTables:
+        """``tables``' pairs within ``r_cut`` as candidate CSR (kept per cutoff).
+
+        The dense-routed ensemble trials' candidate pairs
+        (:func:`~repro.kernels.sparse.dense_candidate_tables`).  Derived
+        without a kd-tree or trig, so, like packed tables, they are not
+        tracked in :class:`CacheStats`: a dense ensemble's ledgered cache
+        deltas stay those of the artifacts it builds.  Kept on the
+        instance's entry when ``coords`` has one.
+        """
+        entry = self._entries.get(content_hash(coords))
+        key = float(r_cut)
+        cached = None if entry is None else entry.candidates.get(key)
+        if cached is None:
+            cached = dense_candidate_tables(tables, key)
+            if entry is not None:
+                entry.candidates[key] = cached
+        return cached
 
     def packed_polar(self, batch: BatchedInstances) -> PackedPolarTables:
         """Packed polar tables for a whole chunk, keyed by the batch hash.

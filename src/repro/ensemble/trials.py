@@ -1,32 +1,48 @@
-"""Batched Monte-Carlo trial measurement over cached geometry.
+"""Batched Monte-Carlo trial measurement over cached candidate pairs.
 
 A trial never rebuilds geometry: it is a *mask and rescale* of the
-instance's cached polar tables.
+instance's cached candidate pairs, the directed point pairs within a
+cutoff held as one CSR :class:`~repro.kernels.sparse.SparsePolarTables`.
+Every backend measures through the same path:
 
-* **Dense path** — the instance's ``(n, n)`` :class:`PolarTables` are
-  broadcast (zero-copy) into a trials-as-instances
-  :class:`~repro.kernels.batch.PackedPolarTables`, so a whole chunk of
-  trials costs ONE :func:`~repro.kernels.batch.packed_coverage` launch
-  (plus one ``ignore_radius`` launch when the critical range is wanted),
-  one :func:`~repro.kernels.batch.packed_strongly_connected` launch and
-  one :func:`~repro.kernels.batch.packed_critical` launch — no extra trig,
-  no per-trial Python coverage loops.
-* **Sparse path** — the cached radius-bounded
-  :class:`~repro.kernels.sparse.SparsePolarTables` serve every trial
-  through :func:`~repro.kernels.sparse.sparse_trial_coverage` (again one
-  coverage launch per chunk); per-trial connectivity/critical run on the
-  masked candidate arrays.  Fading can push the needed candidate radius
-  past the cached ``r_cut``; the chunk then widens the cutoff through the
-  shared :class:`~repro.engine.cache.ArtifactCache` and re-derives itself
-  — results are *certified*, never silently truncated, mirroring
-  :func:`repro.kernels.sparse.sparse_metrics`.
+* **Candidate pairs.**  Under ``sparse``/``auto`` routing the instance
+  artifact already is that CSR, at
+  :func:`~repro.kernels.sparse.default_instance_cutoff`.  Under dense
+  routing the CSR at the same cutoff is derived from the cached dense
+  :class:`~repro.kernels.geometry.PolarTables`
+  (:func:`~repro.kernels.sparse.dense_candidate_tables`): each pair keeps
+  its exact float values, and no kd-tree is built.  A wider table comes
+  through the :class:`~repro.engine.cache.ArtifactCache`, on a doubling
+  ladder of cutoffs, only when a chunk's faded radii or a trial's
+  certificate needs it.
+* **Hoisting.**  Rotation decides whether the angular test varies per
+  trial; fading decides whether the radius test does.
+  :func:`~repro.kernels.sparse.trial_coverage` evaluates the
+  trial-invariant factor once per chunk and the other only on the
+  (antenna, edge) entries that pass it, with the dense kernel's
+  elementwise expressions.
+* **One launch per chunk** for each kernel: one coverage launch per mask,
+  one block-diagonal union connectivity launch
+  (:func:`~repro.kernels.sparse.trial_connected`) and one critical-range
+  launch (:func:`~repro.kernels.sparse.trial_critical`).
+* **Exactness.**  The radius mask is complete once the cutoff covers the
+  largest faded radius (an infinite radius forces the complete cutoff),
+  so connectivity is exact in one pass.  A finite critical range is
+  certified when every pair its accepting probe can use lies under the
+  cutoff.  An ``inf`` one is certified when some alive vertex has no
+  surviving angularly-covered out-edge to any other point, at any
+  distance, after node and edge failures: that vertex reaches nobody at
+  any radius, in symmetric mode too.  Only the trials still uncertified
+  are re-measured on a wider cutoff (counted in ``rcut_widenings``), up to
+  the complete cutoff where every answer is exact.  Every result
+  therefore equals the dense ``n²`` computation bit for bit.
 
 Randomness is drawn from counter-based streams keyed by
 ``(run key, instance slot, trial index)`` — see :func:`draw_trials` — and
 edge failures from the random-access table
 :func:`repro.utils.rng.indexed_uniforms` keyed by the directed pair id
-``u·n + v``.  The dense path evaluates all ``n²`` pair ids and the sparse
-path only the candidate ids, yet both see identical draws, so backend
+``u·n + v``.  Only covered candidate pairs are ever evaluated, yet every
+pair's draw is the one a full ``n²`` evaluation would see, so backend
 routing, sharding, resume order and cutoff widening never change a trial's
 outcome.
 """
@@ -38,23 +54,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.angles import angle_of
-from repro.kernels.backend import active_backend
-from repro.kernels.batch import PackedPolarTables
-from repro.kernels.connectivity import (
-    strongly_connected_edges,
-    symmetric_connected_edges,
-)
-from repro.kernels.coverage import _ccw_from_start
-from repro.kernels.critical import (
-    critical_range_search,
-    symmetric_critical_range_search,
-)
+from repro.kernels.connectivity import component_labels_csr
 from repro.kernels.instrument import COUNTERS
 from repro.kernels.sparse import (
+    _EDGE_BLOCK_ELEMS,
     SparsePolarTables,
+    _angular_ok,
+    certified_cutoff,
     complete_cutoff,
+    default_instance_cutoff,
+    dense_candidate_tables,
     required_cutoff,
-    sparse_trial_coverage,
+    sparse_polar_tables,
+    trial_connected,
+    trial_coverage,
+    trial_critical,
 )
 from repro.utils.rng import counter_rng, indexed_uniforms, stable_seed
 
@@ -128,18 +142,6 @@ def _edge_fail_keep(seed: np.uint64, ids: np.ndarray, edge_fail: float) -> np.nd
     return indexed_uniforms(seed, ids) >= edge_fail
 
 
-def _alive_permutation(alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(perm, counts)`` compacting each trial's alive sensors to the front.
-
-    A stable argsort of ``~alive`` keeps alive sensors in index order, so
-    the compacted block is a relabeling the packed connectivity/critical
-    kernels (which assume vertices ``0..counts-1``) can consume directly.
-    """
-    perm = np.argsort(~alive, axis=1, kind="stable")
-    counts = alive.sum(axis=1).astype(np.int64)
-    return perm, counts
-
-
 def _realized_ranges(result, draws: TrialDraws, count: int) -> np.ndarray:
     """Per-trial realized range (lmax units): the nominal uniform radius at
     which every intended edge works despite the fading — knockouts and edge
@@ -181,12 +183,12 @@ def measure_trials(
     sparse :class:`SparsePolarTables` (whichever
     :func:`~repro.engine.executor.instance_artifacts` returned); ``result``
     is the deterministic :class:`~repro.core.result.OrientationResult` the
-    perturbation is applied to.  ``cache`` is required on the sparse path
-    when fading may widen the candidate cutoff.  ``mode`` selects the
-    per-trial connectivity objective; under ``"symmetric"`` a link works
-    only when both directions survive the perturbation, so fading (which
-    skews the two directions' effective distances apart) is judged at the
-    pair's *worse* direction.
+    perturbation is applied to.  ``cache`` keeps the candidate tables and
+    their widenings across chunks; without one they are built per call.
+    ``mode`` selects the per-trial connectivity objective; under
+    ``"symmetric"`` a link works only when both directions survive the
+    perturbation, so fading (which skews the two directions' effective
+    distances apart) is judged at the pair's *worse* direction.
     """
     trial_list = [int(t) for t in trial_indices]
     count = len(trial_list)
@@ -201,314 +203,243 @@ def measure_trials(
 
     sensor_idx, start, spread, radius = result.assignment.flattened()
     if draws.rotation is not None:
-        start_t = np.mod(start[None, :] + draws.rotation[:, sensor_idx], _TWO_PI)
-    else:
-        start_t = np.broadcast_to(start, (count, start.shape[0]))
+        start = np.mod(start[None, :] + draws.rotation[:, sensor_idx], _TWO_PI)
     if draws.fade is not None:
-        radius_t = radius[None, :] * draws.fade[:, sensor_idx]
+        radius = radius[None, :] * draws.fade[:, sensor_idx]
+    if draws.alive is None:
+        counts, relabel = np.full(count, n, dtype=np.int64), None
     else:
-        radius_t = np.broadcast_to(radius, (count, radius.shape[0]))
+        counts = draws.alive.sum(axis=1).astype(np.int64)
+        relabel = np.cumsum(draws.alive, axis=1) - 1
+    chunk = _Chunk(ps, tables, cache, draws, pert.edge_fail, sensor_idx, start,
+                   spread, radius, eps)
 
-    if isinstance(tables, SparsePolarTables):
-        connected, critical = _measure_sparse(
-            ps, tables, pert, draws, sensor_idx, start_t, spread, radius_t,
-            cache=cache, want_connectivity=want_connectivity,
-            want_critical=want_critical, eps=eps, mode=mode,
-        )
-    else:
-        connected, critical = _measure_dense(
-            tables, pert, draws, sensor_idx, start_t, spread, radius_t,
-            want_connectivity=want_connectivity, want_critical=want_critical,
-            eps=eps, mode=mode,
-        )
-    if critical is not None and result.lmax > 0:
-        critical = critical / result.lmax
-    return TrialMeasurements(connected, critical, realized)
-
-
-# -- dense path ------------------------------------------------------------
-
-
-def _measure_dense(
-    tables, pert, draws, sensor_idx, start_t, spread, radius_t,
-    *, want_connectivity, want_critical, eps, mode="strong",
-):
-    count, n = start_t.shape[0], tables.dist.shape[0]
-    antennae = sensor_idx.shape[0]
-    backend = active_backend()
-    # Zero-copy trials-as-instances packing: every "instance" of the packed
-    # chunk is a broadcast view of the same cached tables.
-    packed = PackedPolarTables(
-        np.broadcast_to(tables.dist, (count, n, n)),
-        np.broadcast_to(tables.ang, (count, n, n)),
-        np.full(count, n, dtype=np.int64),
-    )
-    inst_idx = np.repeat(np.arange(count, dtype=np.int64), antennae)
-    sensor_f = np.tile(sensor_idx, count)
-    spread_f = np.tile(spread, count)
-    start_f = np.ascontiguousarray(start_t).ravel()
-    radius_f = np.ascontiguousarray(radius_t).ravel()
-
-    cover = backend.packed_coverage(
-        packed, inst_idx, sensor_f, start_f, spread_f, radius_f, eps=eps
-    )
-    cover_ang = None
-    if want_critical:
-        cover_ang = backend.packed_coverage(
-            packed, inst_idx, sensor_f, start_f, spread_f, radius_f,
-            eps=eps, ignore_radius=True,
-        )
-    if pert.edge_fail > 0.0:
-        ids = np.arange(n, dtype=np.uint64)[:, None] * np.uint64(n) + np.arange(
-            n, dtype=np.uint64
-        )
-        for j in range(count):
-            keep = _edge_fail_keep(draws.edge_seeds[j], ids, pert.edge_fail)
-            cover[j] &= keep
-            if cover_ang is not None:
-                cover_ang[j] &= keep
-    if draws.alive is not None:
-        pair_alive = draws.alive[:, :, None] & draws.alive[:, None, :]
-        cover &= pair_alive
-        if cover_ang is not None:
-            cover_ang &= pair_alive
-
-    if draws.alive is not None:
-        perm, counts = _alive_permutation(draws.alive)
-        ti = np.arange(count)[:, None, None]
-        rows = perm[:, :, None]
-        cols = perm[:, None, :]
-        cover = cover[ti, rows, cols]
-        if cover_ang is not None:
-            cover_ang = cover_ang[ti, rows, cols]
-    else:
-        counts = packed.counts
-
-    if not want_connectivity:
-        connected = None
-    elif mode == "symmetric":
-        connected = backend.packed_symmetric_connected(cover, counts)
-    else:
-        connected = backend.packed_strongly_connected(cover, counts)
-    critical = None
-    if want_critical:
-        if draws.fade is not None:
-            dist_eff = tables.dist[None, :, :] / draws.fade[:, :, None]
-            if mode == "symmetric":
-                # A symmetric link needs BOTH directions under the radius;
-                # fading makes the two effective distances differ, so the
-                # pair is judged at the worse one.  Without fading the
-                # matrix is already symmetric and this branch never runs.
-                dist_eff = np.maximum(dist_eff, dist_eff.swapaxes(1, 2))
-        else:
-            dist_eff = np.broadcast_to(tables.dist, (count, n, n))
-        if draws.alive is not None:
-            dist_eff = dist_eff[
-                np.arange(count)[:, None, None], perm[:, :, None], perm[:, None, :]
-            ]
-        eff = PackedPolarTables(dist_eff, dist_eff, counts)
-        if mode == "symmetric":
-            critical = backend.packed_symmetric_critical(eff, cover_ang, eps=eps)
-        else:
-            critical = backend.packed_critical(eff, cover_ang, eps=eps)
-    return connected, critical
-
-
-# -- sparse path -----------------------------------------------------------
-
-
-def _pair_max_dists(n: int, src, dst, dists) -> np.ndarray:
-    """Per-directed-edge max of its own and its reverse edge's distance.
-
-    Edges whose reverse is absent keep their own distance (they are dropped
-    by the mutual filter downstream anyway).  Same packed-key pairing as
-    :func:`~repro.kernels.connectivity.mutual_mask`.
-    """
-    if src.shape[0] == 0:
-        return np.asarray(dists, dtype=float)
-    key = src.astype(np.int64) * np.int64(n) + dst.astype(np.int64)
-    rkey = dst.astype(np.int64) * np.int64(n) + src.astype(np.int64)
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    pos = np.searchsorted(skey, rkey)
-    pos[pos == skey.shape[0]] = 0  # any in-range slot; equality check decides
-    has = skey[pos] == rkey
-    out = np.asarray(dists, dtype=float).copy()
-    out[has] = np.maximum(out[has], out[order[pos[has]]])
-    return out
-
-
-def _measure_sparse(
-    ps, tables, pert, draws, sensor_idx, start_t, spread, radius_t,
-    *, cache, want_connectivity, want_critical, eps, mode="strong",
-):
-    count, n = start_t.shape[0], tables.n
-    antennae = sensor_idx.shape[0]
     cap = complete_cutoff(ps.coords, eps)
-    if not np.isfinite(radius_t).all():
+    if isinstance(tables, SparsePolarTables):
+        base = tables.r_cut
+    else:
+        base = default_instance_cutoff(result.lmax, eps)
+    if not np.isfinite(radius).all():
         # An unbounded antenna covers arbitrarily distant points in its
         # wedge: only the complete candidate set reproduces its edges.
         need = cap
     else:
-        need = required_cutoff(float(radius_t.max()), eps) if radius_t.size else 0.0
-    tables = _widen(ps, tables, min(max(need, tables.r_cut), cap), cache)
+        need = required_cutoff(float(radius.max()), eps) if radius.size else 0.0
+    cand = chunk.candidates(_rung(base, need, cap))
 
-    tid = np.repeat(np.arange(count, dtype=np.int64), antennae)
-    sensor_f = np.tile(sensor_idx, count)
-    spread_f = np.tile(spread, count)
-
-    while True:
-        start_f = np.ascontiguousarray(start_t).ravel()
-        radius_f = np.ascontiguousarray(radius_t).ravel()
-        cov = sparse_trial_coverage(
-            tables, tid, sensor_f, start_f, spread_f, radius_f,
-            trials=count, eps=eps,
-        )
-        cov_ang = None
-        if want_critical:
-            cov_ang = sparse_trial_coverage(
-                tables, tid, sensor_f, start_f, spread_f, radius_f,
-                trials=count, eps=eps, ignore_radius=True,
+    rows = np.arange(count)
+    cover, cover_ang = chunk.masks(cand, rows, radius_mask=want_connectivity,
+                                   angular_mask=want_critical)
+    connected = None
+    if want_connectivity:
+        connected = trial_connected(cand, cover, counts, relabel, mode=mode)
+    critical = None
+    if want_critical:
+        critical = np.empty(count)
+        while True:
+            values = trial_critical(
+                cand, cover_ang, counts[rows],
+                None if relabel is None else relabel[rows],
+                None if draws.fade is None else draws.fade[rows],
+                mode=mode, eps=eps,
             )
-        ids = (
-            tables.src.astype(np.uint64) * np.uint64(n)
-            + tables.indices.astype(np.uint64)
-        )
-        if pert.edge_fail > 0.0:
-            for j in range(count):
-                keep = _edge_fail_keep(draws.edge_seeds[j], ids, pert.edge_fail)
-                cov[j] &= keep
-                if cov_ang is not None:
-                    cov_ang[j] &= keep
-        if draws.alive is not None:
-            pair_alive = draws.alive[:, tables.src] & draws.alive[:, tables.indices]
-            cov &= pair_alive
-            if cov_ang is not None:
-                cov_ang &= pair_alive
-
-        connected = np.zeros(count, dtype=bool) if want_connectivity else None
-        critical = np.zeros(count) if want_critical else None
-        widen_to = None
-        for j in range(count):
-            if draws.alive is not None:
-                alive_j = draws.alive[j]
-                n_eff = int(alive_j.sum())
-                relabel = np.cumsum(alive_j) - 1
-            else:
-                n_eff, relabel = n, None
-            if connected is not None:
-                mask = cov[j]
-                src = tables.src[mask]
-                dst = tables.indices[mask]
-                if relabel is not None:
-                    src, dst = relabel[src], relabel[dst]
-                if n_eff <= 1:
-                    connected[j] = True
-                elif mode == "symmetric":
-                    connected[j] = symmetric_connected_edges(n_eff, src, dst)
-                else:
-                    connected[j] = strongly_connected_edges(n_eff, src, dst)
-            if critical is None:
-                continue
-            mask = cov_ang[j]
-            src = tables.src[mask]
-            dst = tables.indices[mask]
-            dists = tables.dist[mask]
-            fade_src = draws.fade[j, src] if draws.fade is not None else None
-            if fade_src is not None:
-                dists = dists / fade_src
-                if mode == "symmetric":
-                    # Judge each mutual pair at its worse direction (see
-                    # measure_trials); pairing uses the pre-relabel ids.
-                    dists = _pair_max_dists(n, src, dst, dists)
-            if relabel is not None:
-                src, dst = relabel[src], relabel[dst]
-            if mode == "symmetric":
-                value = symmetric_critical_range_search(
-                    n_eff, np.column_stack([src, dst]), dists, eps=eps
-                )
-            else:
-                value = critical_range_search(
-                    n_eff, np.column_stack([src, dst]), dists, eps=eps
-                )
-            critical[j] = value
-            if value == 0.0 or tables.r_cut >= cap:
-                continue
-            # Certify: every edge the accepting dense probe could use has
-            # physical length <= value * max fade, so the candidate set is
-            # provably complete iff that radius fits under r_cut.
-            if np.isfinite(value):
-                fade_max = (
-                    float(draws.fade[j].max()) if draws.fade is not None else 1.0
-                )
-                needed = required_cutoff(value * fade_max, eps)
-                if needed > tables.r_cut:
-                    widen_to = max(widen_to or 0.0, needed)
-            elif not _has_dead_end(
-                ps.coords, tables, cov_ang[j],
-                None if draws.alive is None else draws.alive[j],
-                sensor_idx, start_t[j], spread,
-                draws.edge_seeds[j], pert.edge_fail, eps,
-            ):
-                # inf below the complete cutoff is exact only with a
-                # certificate; otherwise a farther pair may connect it.
-                widen_to = max(widen_to or 0.0, 2.0 * tables.r_cut)
-        if widen_to is None:
-            return connected, critical
-        COUNTERS.rcut_widenings += 1
-        tables = _widen(ps, tables, min(max(widen_to, 2.0 * tables.r_cut), cap), cache)
-
-
-def _has_dead_end(
-    coords, tables, mask, alive, sensor_idx, start, spread, edge_seed,
-    edge_fail: float, eps: float,
-) -> bool:
-    """Does an alive vertex lack any surviving angularly-covered out-edge,
-    to any point at any distance?
-
-    Such a vertex reaches nobody at any radius, so the trial's ``inf``
-    critical range is exact without a complete cutoff, in symmetric mode
-    too (it has no mutual edge either).  Candidates are the alive vertices
-    with no surviving out-edge among the masked candidate edges; each is
-    then tested against every point with the coverage kernel's own
-    expressions, after the node- and edge-failure masks.
-    """
-    n = tables.n
-    dead = np.bincount(tables.src[mask], minlength=n) == 0
-    if alive is not None:
-        dead &= alive
-    c = np.asarray(coords, dtype=float)
-    for u in np.flatnonzero(dead):
-        ants = np.flatnonzero(sensor_idx == u)
-        off = c - c[u]
-        dist = np.hypot(off[:, 0], off[:, 1])
-        ang = angle_of(off)
-        COUNTERS.trig_evals += n
-        hit = np.zeros(n, dtype=bool)
-        for i in ants:
-            if spread[i] >= _TWO_PI - eps:
-                hit[:] = True
+            critical[rows] = values
+            reach = chunk.uncertified(cand, cover_ang, rows, values, cap)
+            rows = rows[reach > 0.0]
+            if rows.size == 0:
                 break
-            rel = _ccw_from_start(ang, start[i])
-            hit |= (rel <= spread[i] + eps) | (rel >= _TWO_PI - eps)
-        hit &= dist > 0.0
-        if alive is not None:
-            hit &= alive
-        if edge_fail > 0.0 and hit.any():
-            v = np.flatnonzero(hit)
-            ids = np.uint64(u) * np.uint64(n) + v.astype(np.uint64)
-            hit[v[~_edge_fail_keep(edge_seed, ids, edge_fail)]] = False
-        if not hit.any():
-            return True
-    return False
+            COUNTERS.rcut_widenings += 1
+            cand = chunk.candidates(_rung(cand.r_cut, float(reach.max()), cap))
+            _, cover_ang = chunk.masks(cand, rows, radius_mask=False,
+                                       angular_mask=True)
+        if result.lmax > 0:
+            critical = critical / result.lmax
+    return TrialMeasurements(connected, critical, realized)
 
 
-def _widen(ps, tables, r_cut: float, cache):
-    """Fetch tables at a (possibly) wider cutoff through the shared cache."""
-    if r_cut <= tables.r_cut:
-        return tables
-    if cache is None:
-        from repro.kernels.sparse import sparse_polar_tables
+def _rung(r_cut: float, need: float, cap: float) -> float:
+    """The cutoff to fetch: ``r_cut`` doubled until it covers ``need``,
+    at most ``cap``.  Doubling keeps an instance to a few cached cutoffs,
+    however many chunks and threshold probes ask."""
+    need = min(need, cap)
+    if need <= r_cut:
+        return r_cut
+    if r_cut <= 0.0:
+        return cap
+    while r_cut < need:
+        r_cut *= 2.0
+    return min(r_cut, cap)
 
-        return sparse_polar_tables(ps.coords, r_cut)
-    return cache.sparse_polar(ps, r_cut)
+
+@dataclass
+class _Chunk:
+    """One chunk's antenna columns, draws and instance artifacts.
+
+    ``start``/``radius`` are ``(a,)`` when every trial shares them, else
+    ``(T, a)``.
+    """
+
+    ps: object
+    tables: object
+    cache: object
+    draws: TrialDraws
+    edge_fail: float
+    sensor_idx: np.ndarray
+    start: np.ndarray
+    spread: np.ndarray
+    radius: np.ndarray
+    eps: float
+
+    def candidates(self, r_cut: float) -> SparsePolarTables:
+        """The instance's candidate pairs within ``r_cut``, through the cache."""
+        ps, tables, cache = self.ps, self.tables, self.cache
+        if isinstance(tables, SparsePolarTables):
+            if r_cut <= tables.r_cut:
+                return tables
+            if cache is None:
+                return sparse_polar_tables(ps.coords, r_cut)
+            return cache.sparse_polar(ps, r_cut)
+        if cache is None:
+            return dense_candidate_tables(tables, r_cut)
+        return cache.dense_candidates(ps, tables, r_cut)
+
+    def masks(self, cand, rows, *, radius_mask: bool, angular_mask: bool):
+        """Surviving covered-edge masks ``(cover, cover_ang)`` of trials ``rows``."""
+        cover, cover_ang = trial_coverage(
+            cand, self.sensor_idx,
+            self.start[rows] if self.start.ndim == 2 else self.start,
+            self.spread,
+            self.radius[rows] if self.radius.ndim == 2 else self.radius,
+            trials=rows.shape[0], eps=self.eps,
+            radius_mask=radius_mask, angular_mask=angular_mask,
+        )
+        # The radius mask is a subset of the angular one: draw the
+        # failures once, on the larger mask.
+        self._fail(cand, cover if cover_ang is None else cover_ang, rows)
+        if cover is not None and cover_ang is not None:
+            cover &= cover_ang
+        return cover, cover_ang
+
+    def _fail(self, cand, mask, rows) -> None:
+        """AND node and edge survival into ``mask`` (one row per trial of
+        ``rows``), drawing only on its covered entries, in blocks of
+        ``_EDGE_BLOCK_ELEMS``."""
+        alive, n, m = self.draws.alive, cand.n, cand.m
+        if (alive is None and self.edge_fail <= 0.0) or m == 0:
+            return
+        flat = mask.reshape(-1)
+        for lo in range(0, flat.shape[0], _EDGE_BLOCK_ELEMS):
+            f = lo + np.flatnonzero(flat[lo : lo + _EDGE_BLOCK_ELEMS])
+            j, e = np.divmod(f, m)
+            t = rows[j]
+            src, dst = cand.src[e], cand.indices[e]
+            keep = np.ones(f.shape[0], dtype=bool)
+            if alive is not None:
+                keep = alive[t, src] & alive[t, dst]
+            if self.edge_fail > 0.0:
+                ids = src.astype(np.uint64) * np.uint64(n) + dst.astype(np.uint64)
+                keep &= _edge_fail_keep(self.draws.edge_seeds[t], ids, self.edge_fail)
+            flat[f[~keep]] = False
+
+    def uncertified(self, cand, cover_ang, rows, values, cap) -> np.ndarray:
+        """Per trial, the cutoff its critical range still needs (0 = certified)."""
+        need = np.zeros(rows.shape[0])
+        if cand.r_cut >= cap:
+            return need
+        fade = self.draws.fade
+        for j, t in enumerate(rows):
+            value = float(values[j])
+            if value == 0.0:
+                continue
+            if np.isfinite(value):
+                scale = 1.0 if fade is None else float(fade[t].max())
+                reach = certified_cutoff(value, scale, self.eps)
+                if reach > cand.r_cut:
+                    need[j] = reach
+            elif not self._cut_off(cand, cover_ang[j], t):
+                need[j] = 2.0 * cand.r_cut if cand.r_cut > 0.0 else cap
+        return need
+
+    def _cut_off(self, cand, mask, t) -> bool:
+        """Is some set of alive vertices cut off at every radius?
+
+        ``mask`` is the trial's surviving angular graph at the cutoff.  A
+        strongly connected component of it that reaches no other (or that
+        no other reaches) stays cut off at every radius when no surviving
+        angularly-covered edge beyond the cutoff leaves (enters) it either;
+        then the trial's ``inf`` is exact, in symmetric mode too.  Single
+        vertices without a out- (in-) edge are tried first, then larger
+        components while testing them costs less than a few widenings.
+        Every test uses the coverage kernel's expressions and the trial's
+        failure draws.
+        """
+        n = cand.n
+        alive = np.ones(n, dtype=bool) if self.draws.alive is None else self.draws.alive[t]
+        e = np.flatnonzero(mask)
+        src, dst = cand.src[e], cand.indices[e]
+        for inward, ends in ((False, src), (True, dst)):
+            lonely = (np.bincount(ends, minlength=n) == 0) & alive
+            for w in np.flatnonzero(lonely):
+                if not self._crosses(t, np.arange(n) == w, inward):
+                    return True
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        labels = component_labels_csr(n, indptr, dst)
+        if labels is None:
+            return False
+        cross = labels[src] != labels[dst]
+        size = np.bincount(labels[alive], minlength=labels.max() + 1)
+        budget = 4 * max(cand.m, n)
+        for inward, ends in ((False, src[cross]), (True, dst[cross])):
+            free = (np.bincount(labels[ends], minlength=size.shape[0]) == 0)
+            free &= (size > 1) & (size < alive.sum())
+            for comp in sorted(np.flatnonzero(free), key=lambda c: size[c]):
+                group = (labels == comp) & alive
+                if self._crossing_tests(t, group, inward) > budget:
+                    break
+                if not self._crosses(t, group, inward):
+                    return True
+        return False
+
+    def _ends(self, t, group, inward):
+        """``(antennas, points)`` of the pairs leaving ``group`` (entering
+        it, ``inward``) toward the trial's other alive vertices."""
+        others = ~group
+        if self.draws.alive is not None:
+            others &= self.draws.alive[t]
+        sources, targets = (others, group) if inward else (group, others)
+        return np.flatnonzero(sources[self.sensor_idx]), np.flatnonzero(targets)
+
+    def _crossing_tests(self, t, group, inward) -> int:
+        ants, pts = self._ends(t, group, inward)
+        return ants.shape[0] * pts.shape[0]
+
+    def _crosses(self, t, group, inward) -> bool:
+        """Does a surviving angularly-covered edge at any distance leave
+        ``group`` (enter it, ``inward``)?  Blocked to ``_EDGE_BLOCK_ELEMS``
+        (antenna, point) tests."""
+        ants, pts = self._ends(t, group, inward)
+        if ants.shape[0] == 0 or pts.shape[0] == 0:
+            return False
+        n, eps = len(self.ps), self.eps
+        start = self.start[t] if self.start.ndim == 2 else self.start
+        step = max(1, _EDGE_BLOCK_ELEMS // pts.shape[0])
+        for lo in range(0, ants.shape[0], step):
+            a = np.repeat(ants[lo : lo + step], pts.shape[0])
+            src = self.sensor_idx[a]
+            dst = np.tile(pts, a.shape[0] // pts.shape[0])
+            if isinstance(self.tables, SparsePolarTables):
+                off = self.ps.coords[dst] - self.ps.coords[src]
+                dist, ang = np.hypot(off[:, 0], off[:, 1]), angle_of(off)
+                COUNTERS.trig_evals += int(src.shape[0])
+            else:
+                dist, ang = self.tables.dist[src, dst], self.tables.ang[src, dst]
+            spread = self.spread[a]
+            hit = _angular_ok(ang, start[a], spread, spread >= _TWO_PI - eps, eps)
+            e = np.flatnonzero(hit & (dist > 0.0))
+            if e.shape[0] and self.edge_fail > 0.0:
+                ids = src[e].astype(np.uint64) * np.uint64(n) + dst[e].astype(np.uint64)
+                e = e[_edge_fail_keep(self.draws.edge_seeds[t], ids, self.edge_fail)]
+            if e.shape[0]:
+                return True
+        return False

@@ -40,11 +40,7 @@ import hashlib
 import numpy as np
 
 from repro.geometry.angles import angle_of
-from repro.kernels.connectivity import (
-    _HAVE_SCIPY,
-    strongly_connected_csr,
-    symmetric_connected_csr,
-)
+from repro.kernels.connectivity import union_connected
 from repro.kernels.coverage import _fill_block
 from repro.kernels.critical import _critical_search_impl, _symmetric_search_impl
 from repro.errors import InvalidParameterError
@@ -258,9 +254,7 @@ def packed_strongly_connected(cover: np.ndarray, counts: np.ndarray) -> np.ndarr
     No cross-instance edges exist, so this is exactly the per-instance
     answer.  Instances with ``counts[m] <= 1`` are trivially connected.
     """
-    return _packed_connected(
-        cover, counts, connection="strong", probe=strongly_connected_csr
-    )
+    return _packed_connected(cover, counts, connection="strong")
 
 
 def packed_symmetric_connected(cover: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -272,55 +266,20 @@ def packed_symmetric_connected(cover: np.ndarray, counts: np.ndarray) -> np.ndar
     instance's block iff its mutual graph is one undirected component.
     """
     sym = cover & cover.swapaxes(1, 2)
-    return _packed_connected(
-        sym, counts, connection="weak", probe=symmetric_connected_csr
-    )
+    return _packed_connected(sym, counts, connection="weak")
 
 
 def _packed_connected(
-    cover: np.ndarray, counts: np.ndarray, *, connection: str, probe
+    cover: np.ndarray, counts: np.ndarray, *, connection: str
 ) -> np.ndarray:
     """Shared block-diagonal one-launch connectivity body (both modes)."""
     counts = np.asarray(counts, dtype=np.int64)
-    m = int(counts.shape[0])
-    out = np.zeros(m, dtype=bool)
-    if m == 0:
-        return out
-    if not _HAVE_SCIPY:  # pragma: no cover - scipy is a hard dep in practice
-        for i in range(m):
-            n = int(counts[i])
-            sub = cover[i, :n, :n]
-            indptr = np.concatenate(
-                [np.zeros(1, np.int64), np.cumsum(sub.sum(axis=1), dtype=np.int64)]
-            )
-            out[i] = probe(n, indptr, np.nonzero(sub)[1])
-        return out
-
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    COUNTERS.connectivity_probes += m
-    COUNTERS.scipy_scc_calls += 1
     base = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
-    total = int(base[-1])
-    if total == 0:
-        return out
     mi, u, v = np.nonzero(cover)  # pads and diagonal are already False
-    src = base[mi] + u
-    dst = base[mi] + v
-    graph = coo_matrix(
-        (np.ones(src.shape[0], dtype=np.int8), (src, dst)), shape=(total, total)
-    )
-    _, labels = connected_components(
-        graph, directed=True, connection=connection, return_labels=True
-    )
-    starts = base[:-1]
-    nonempty = counts > 0
-    lo = np.minimum.reduceat(labels, starts[nonempty])
-    hi = np.maximum.reduceat(labels, starts[nonempty])
-    out[nonempty] = lo == hi
-    out[counts <= 1] = True
-    return out
+    src = base[mi] + u  # row-major: already sorted by union vertex
+    indptr = np.zeros(int(base[-1]) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=int(base[-1])), out=indptr[1:])
+    return union_connected(counts, indptr, base[mi] + v, connection=connection)
 
 
 def packed_critical(

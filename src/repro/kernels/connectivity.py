@@ -35,8 +35,10 @@ __all__ = [
     "symmetric_connected_edges",
     "mutual_mask",
     "mutual_edges",
+    "union_connected",
     "scc_count_csr",
     "component_count_csr",
+    "component_labels_csr",
     "reverse_csr",
 ]
 
@@ -183,6 +185,74 @@ def symmetric_connected_edges(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
     order = np.argsort(src, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
     return symmetric_connected_csr(n, indptr, dst[order])
+
+
+def union_connected(
+    counts: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    *,
+    connection: str,
+) -> np.ndarray:
+    """Per-block connectivity of a block-diagonal union graph, one launch.
+
+    Block ``i`` owns the union vertices ``base[i]:base[i + 1]`` (``base``
+    the running sum of ``counts``); the CSR ``(indptr, indices)`` over all
+    union vertices has no edge between blocks.  One
+    ``connected_components(connection=...)`` call labels every vertex, and
+    block ``i`` is connected iff its labels are constant: with no
+    cross-block edges that is exactly its own answer.  ``"strong"`` asks
+    strong connectivity, ``"weak"`` undirected connectivity of a mutual
+    edge set (symmetric mode).  Blocks with at most one vertex are
+    trivially connected.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    m = int(counts.shape[0])
+    out = counts <= 1
+    if m == 0:
+        return out
+    base = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
+    if not _HAVE_SCIPY:  # pragma: no cover - scipy is a hard dep in practice
+        probe = strongly_connected_csr if connection == "strong" else symmetric_connected_csr
+        for i in range(m):
+            lo, hi = int(base[i]), int(base[i + 1])
+            sub = indptr[lo : hi + 1]
+            out[i] = probe(hi - lo, sub - sub[0], indices[sub[0] : sub[-1]] - lo)
+        return out
+
+    COUNTERS.connectivity_probes += m
+    COUNTERS.scipy_scc_calls += 1
+    total = int(base[-1])
+    if total == 0:
+        return out
+    graph = csr_matrix(
+        (np.ones(indices.shape[0], dtype=np.int8), indices, indptr),
+        shape=(total, total),
+    )
+    _, labels = connected_components(
+        graph, directed=True, connection=connection, return_labels=True
+    )
+    nonempty = counts > 0
+    starts = base[:-1][nonempty]
+    lo = np.minimum.reduceat(labels, starts)
+    hi = np.maximum.reduceat(labels, starts)
+    out[nonempty] |= lo == hi
+    return out
+
+
+def component_labels_csr(
+    n: int, indptr: np.ndarray, indices: np.ndarray, *, connection: str = "strong"
+) -> np.ndarray | None:
+    """Per-vertex component labels via scipy, or ``None`` without scipy."""
+    if not _HAVE_SCIPY:
+        return None
+    COUNTERS.scipy_scc_calls += 1
+    mat = csr_matrix(
+        (np.ones(indices.shape[0], dtype=np.int8), indices, indptr), shape=(n, n)
+    )
+    return connected_components(
+        mat, directed=True, connection=connection, return_labels=True
+    )[1]
 
 
 def scc_count_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> int | None:

@@ -39,11 +39,12 @@ def _ccw_from_start(ang: np.ndarray, start: np.ndarray) -> np.ndarray:
     ``|d| < 2π``, and numpy's mod adds the modulus when signs differ), so
     this skips the expensive fmod.  The final wrap-fix mirrors
     :func:`~repro.geometry.angles.normalize_angle`: a tiny negative ``d``
-    can round to exactly 2π.
+    can round to exactly 2π.  Both fixes run in place on the difference.
     """
-    d = ang - start
-    out = np.where(d < 0.0, d + TWO_PI, d)
-    return np.where(out >= TWO_PI, out - TWO_PI, out)
+    d = np.subtract(ang, start)
+    np.add(d, TWO_PI, out=d, where=d < 0.0)
+    np.subtract(d, TWO_PI, out=d, where=d >= TWO_PI)
+    return d
 
 
 def batched_coverage(

@@ -113,6 +113,19 @@ def _critical_search_impl(
     inside the probe.  Requires ``n >= 2`` and at least one edge.
     """
     m = src_all.shape[0]
+    zero = np.zeros(1, dtype=np.int64)
+
+    # The first probe is the whole candidate set.  Run it before sorting:
+    # a deficient set (a common outcome of random perturbations) is then
+    # answered with no sort at all.
+    if np.any(src_all[1:] < src_all[:-1]):
+        order = np.argsort(src_all, kind="stable")
+        full_src, full_dst = src_all[order], dst_all[order]
+    else:
+        full_src, full_dst = src_all, dst_all
+    indptr = np.concatenate([zero, np.cumsum(np.bincount(full_src, minlength=n))])
+    if not probe(n, indptr, full_dst):
+        return float("inf")
 
     # One sort by distance; every probe is a prefix of these arrays.
     by_dist = np.argsort(dists, kind="stable")
@@ -127,8 +140,6 @@ def _critical_search_impl(
     indices_all = dst_all[by_dist][by_src]
     ranks = np.arange(m, dtype=np.int64)[by_src]
 
-    zero = np.zeros(1, dtype=np.int64)
-
     def connected_at(r: float) -> bool:
         cnt = int(np.searchsorted(sorted_dists, r + radius_tolerance(r, eps), side="right"))
         row_counts = np.bincount(src[:cnt], minlength=n)
@@ -136,8 +147,6 @@ def _critical_search_impl(
         return probe(n, indptr, indices_all[ranks < cnt])
 
     candidates = np.unique(dists)
-    if not connected_at(float(candidates[-1])):
-        return float("inf")
     lo, hi = 0, candidates.size - 1  # invariant: connected_at(candidates[hi])
     while lo < hi:
         mid = (lo + hi) // 2

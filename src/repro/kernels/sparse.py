@@ -48,17 +48,27 @@ from repro.geometry.sectors import radius_tolerance
 from repro.kernels.connectivity import (
     strongly_connected_csr,
     symmetric_connected_csr,
+    union_connected,
     validate_mode,
 )
 from repro.kernels.coverage import _ccw_from_start
-from repro.kernels.critical import critical_range_search, symmetric_critical_range_search
+from repro.kernels.critical import (
+    _critical_search_impl,
+    _symmetric_search_impl,
+    critical_range_search,
+    symmetric_critical_range_search,
+)
+from repro.kernels.geometry import PolarTables
 from repro.kernels.instrument import COUNTERS
 
 __all__ = [
     "SparsePolarTables",
     "sparse_polar_tables",
+    "dense_candidate_tables",
     "sparse_covered_edges",
-    "sparse_trial_coverage",
+    "trial_coverage",
+    "trial_connected",
+    "trial_critical",
     "covered_edge_arrays",
     "reverse_edge_permutation",
     "strongly_connected_sparse",
@@ -68,6 +78,7 @@ __all__ = [
     "default_instance_cutoff",
     "bbox_diameter_bound",
     "complete_cutoff",
+    "certified_cutoff",
 ]
 
 #: Relative safety pad between a certified radius and the cutoff.  Large
@@ -193,6 +204,29 @@ def sparse_polar_tables(coords, r_cut: float) -> SparsePolarTables:
     return SparsePolarTables(indptr, dst, src, dist, ang, r)
 
 
+def dense_candidate_tables(tables: PolarTables, r_cut: float) -> SparsePolarTables:
+    """The off-diagonal pairs of dense ``tables`` within ``r_cut``, as CSR.
+
+    Row-major ``np.nonzero`` order is the ``(src, dst)`` order
+    :func:`sparse_polar_tables` emits, and every pair keeps its dense float
+    values, so the result serves every consumer of a kd-tree build at the
+    same cutoff (up to the boundary fuzz the cutoff pads absorb) with no
+    kd-tree and no trig.
+    """
+    r = float(r_cut)
+    within = tables.dist <= r
+    np.fill_diagonal(within, False)
+    src, dst = np.nonzero(within)
+    n = tables.n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    dist = tables.dist[src, dst]
+    ang = tables.ang[src, dst]
+    for arr in (indptr, src, dst, dist, ang):
+        arr.setflags(write=False)
+    return SparsePolarTables(indptr, dst, src, dist, ang, r)
+
+
 def sparse_covered_edges(
     tables: SparsePolarTables,
     sensor_idx: np.ndarray,
@@ -206,148 +240,250 @@ def sparse_covered_edges(
     """Boolean mask over the tables' edges: covered by some antenna?
 
     The sparse analogue of :func:`repro.kernels.coverage.batched_coverage`:
-    the same elementwise containment expressions (full-circle shortcut, ccw
-    sweep, :func:`radius_tolerance`, the ``dist > 0`` self-exclusion)
-    evaluated per candidate edge instead of per ``(antenna, point)`` cell,
-    so a True mask entry corresponds exactly to a True dense-cover entry.
-    ``sector_evals`` counts the actual (antenna, candidate-edge) tests.
+    one trial of :func:`trial_coverage`, so a True mask entry corresponds
+    exactly to a True dense-cover entry.  ``ignore_radius`` tests angular
+    containment only.
     """
-    covered = np.zeros(tables.m, dtype=bool)
-    a = int(np.asarray(sensor_idx).shape[0])
-    if a == 0 or tables.m == 0:
-        return covered
-    COUNTERS.coverage_calls += 1
-    idx = np.asarray(sensor_idx, dtype=np.int64)
-    deg = tables.indptr[idx + 1] - tables.indptr[idx]
-    COUNTERS.sector_evals += int(deg.sum())
-    bounds = np.cumsum(deg)
-    lo = 0
-    while lo < a:
-        budget = (bounds[lo - 1] if lo else 0) + _EDGE_BLOCK_ELEMS
-        hi = min(max(int(np.searchsorted(bounds, budget)) + 1, lo + 1), a)
-        _edge_block(
-            tables, idx[lo:hi], start[lo:hi], spread[lo:hi], radius[lo:hi],
-            deg[lo:hi], eps, ignore_radius, covered,
-        )
-        lo = hi
-    return covered
+    cover, cover_ang = trial_coverage(
+        tables, sensor_idx, start, spread, radius, eps=eps,
+        radius_mask=not ignore_radius, angular_mask=ignore_radius,
+    )
+    return (cover_ang if ignore_radius else cover)[0]
 
 
-def sparse_trial_coverage(
+def trial_coverage(
     tables: SparsePolarTables,
-    trial_idx: np.ndarray,
     sensor_idx: np.ndarray,
     start: np.ndarray,
     spread: np.ndarray,
     radius: np.ndarray,
     *,
-    trials: int,
+    trials: int = 1,
     eps: float = 1e-9,
-    ignore_radius: bool = False,
-) -> np.ndarray:
+    radius_mask: bool = True,
+    angular_mask: bool = False,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Per-trial covered-edge masks for a chunk of Monte-Carlo trials.
 
-    The sparse analogue of :func:`repro.kernels.batch.packed_coverage` with
-    trials in the role of instances: the antenna arrays are the
-    trial-concatenated ``flattened()`` columns (``trial_idx[a]`` names the
-    trial antenna ``a`` belongs to), all trials share ``tables`` — one set
-    of cached candidate-pair geometry, zero rebuilds — and the whole chunk
-    is one ``coverage_calls`` launch.  Row ``t`` of the returned
-    ``(trials, m)`` boolean is bit-identical to
-    ``sparse_covered_edges(tables, ...)`` on trial ``t``'s antennae alone;
-    the containment expressions are literally the same block body.
+    ``sensor_idx`` and ``spread`` are the ``flattened()`` columns every
+    trial shares.  ``start`` and ``radius`` are either ``(a,)``, shared by
+    every trial, or ``(trials, a)``, one row per trial (rotation perturbs
+    the starts, fading the radii).  Returns ``(cover, cover_ang)``, each a
+    ``(trials, m)`` boolean over the candidate edges: covered by some
+    antenna within its radius (``radius_mask``), and covered at any
+    distance (``angular_mask``); a mask not asked for is ``None``.
+
+    A factor whose inputs every trial shares (the angular test without
+    rotation, the radius test without fading) is evaluated once per chunk;
+    the other only on the (antenna, edge) entries that pass it.  Both use
+    the dense kernel's elementwise expressions (the full-circle shortcut,
+    :func:`~repro.kernels.coverage._ccw_from_start`,
+    :func:`radius_tolerance`, ``dist > 0``), so every mask bit equals that
+    trial's dense coverage entry.  Temporaries are blocked to
+    ``_EDGE_BLOCK_ELEMS`` elements over (trial, entry).  One
+    ``coverage_calls`` launch per mask; ``sector_evals`` counts each
+    trial's (antenna, candidate-edge) tests per mask.
     """
-    covered = np.zeros((int(trials), tables.m), dtype=bool)
-    a = int(np.asarray(sensor_idx).shape[0])
-    if a == 0 or tables.m == 0 or trials == 0:
-        return covered
-    COUNTERS.coverage_calls += 1
-    tid = np.asarray(trial_idx, dtype=np.int64)
+    trials = int(trials)
+    cover = np.zeros((trials, tables.m), dtype=bool) if radius_mask else None
+    cover_ang = np.zeros((trials, tables.m), dtype=bool) if angular_mask else None
     idx = np.asarray(sensor_idx, dtype=np.int64)
+    a = idx.shape[0]
+    masks = int(radius_mask) + int(angular_mask)
+    if a == 0 or trials == 0 or masks == 0:
+        return cover, cover_ang
+    COUNTERS.coverage_calls += masks
     deg = tables.indptr[idx + 1] - tables.indptr[idx]
-    COUNTERS.sector_evals += int(deg.sum())
-    flat = covered.reshape(-1)
-    m = tables.m
     bounds = np.cumsum(deg)
+    COUNTERS.sector_evals += masks * trials * int(bounds[-1])
+    start = np.asarray(start, dtype=float)
+    spread = np.asarray(spread, dtype=float)
+    radius = np.asarray(radius, dtype=float)
+    full = spread >= TWO_PI - eps
     lo = 0
     while lo < a:
         budget = (bounds[lo - 1] if lo else 0) + _EDGE_BLOCK_ELEMS
-        hi = min(max(int(np.searchsorted(bounds, budget)) + 1, lo + 1), a)
-        eid, hit = _edge_block_hits(
-            tables, idx[lo:hi], start[lo:hi], spread[lo:hi], radius[lo:hi],
-            deg[lo:hi], eps, ignore_radius,
+        hi = max(int(np.searchsorted(bounds, budget, side="right")), lo + 1)
+        block = slice(lo, hi)
+        _trial_block(
+            tables, idx[block], deg[block], start[..., block], spread[block],
+            full[block], radius[..., block], eps, cover, cover_ang,
         )
-        if eid.shape[0]:
-            off = np.repeat(tid[lo:hi], deg[lo:hi]) * m
-            flat[(off + eid)[hit]] = True
         lo = hi
-    return covered
+    return cover, cover_ang
 
 
-def _edge_block(
-    tables: SparsePolarTables,
-    idx: np.ndarray,
-    start: np.ndarray,
-    spread: np.ndarray,
-    radius: np.ndarray,
-    deg: np.ndarray,
-    eps: float,
-    ignore_radius: bool,
-    covered: np.ndarray,
-) -> None:
-    """OR one antenna block's hits into ``covered`` (expanded edge ids)."""
-    eid, hit = _edge_block_hits(
-        tables, idx, start, spread, radius, deg, eps, ignore_radius
-    )
-    if eid.shape[0]:
-        covered[eid[hit]] = True
+def _angular_ok(ang, start, spread, full, eps: float) -> np.ndarray:
+    """Angular containment over the last axis (columns = entries).
+
+    ``ang``, ``spread`` and ``full`` are per entry; ``start`` is per entry
+    or ``(trials, entries)``.  Full-circle columns short-circuit.
+    """
+    nf = ~full
+    if nf.all():
+        rel = _ccw_from_start(ang, start)
+        return (rel <= spread + eps) | (rel >= TWO_PI - eps)
+    ok = np.ones(np.broadcast_shapes(ang.shape, start.shape), dtype=bool)
+    if nf.any():
+        rel = _ccw_from_start(ang[nf], start[..., nf])
+        ok[..., nf] = (rel <= spread[nf] + eps) | (rel >= TWO_PI - eps)
+    return ok
 
 
-def _edge_block_hits(
-    tables: SparsePolarTables,
-    idx: np.ndarray,
-    start: np.ndarray,
-    spread: np.ndarray,
-    radius: np.ndarray,
-    deg: np.ndarray,
-    eps: float,
-    ignore_radius: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One antenna block's ``(edge ids, hit mask)`` over expanded edges."""
+def _within(dist: np.ndarray, radius: np.ndarray, eps: float) -> np.ndarray:
+    """Radius containment, elementwise (``inf`` plus its tolerance stays
+    ``inf``, so an unbounded antenna passes every entry)."""
+    return dist <= radius + radius_tolerance(radius, eps)
+
+
+def _trial_block(tables, idx, deg, start, spread, full, radius, eps, cover, cover_ang):
+    """OR one antenna block's per-trial hits into the masks."""
     total = int(deg.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=bool)
+        return
+    ant = np.repeat(np.arange(deg.shape[0]), deg)
     ends = np.cumsum(deg)
-    eid = (
-        np.repeat(tables.indptr[idx], deg)
-        + np.arange(total, dtype=np.int64)
-        - np.repeat(ends - deg, deg)
-    )
-    ang = tables.ang[eid]
+    eid = np.repeat(tables.indptr[idx] - ends + deg, deg) + np.arange(total)
     dist = tables.dist[eid]
+    ang = tables.ang[eid]
+    rotated, faded = start.ndim == 2, radius.ndim == 2
+    keep = dist > 0.0
+    if not rotated:
+        # The angular test is trial-invariant: once for the chunk.
+        keep &= _angular_ok(ang, start[ant], spread[ant], full[ant], eps)
+        if cover_ang is not None:
+            cover_ang[:, eid[keep]] = True
+        if cover is None:
+            return
+        p = np.flatnonzero(keep)
+        if not faded:
+            cover[:, eid[p[_within(dist[p], radius[ant[p]], eps)]]] = True
+            return
+        for t0, t1 in _trial_spans(cover.shape[0], p.shape[0]):
+            rows, cols = np.nonzero(_within(dist[p], radius[t0:t1][:, ant[p]], eps))
+            cover[t0 + rows, eid[p[cols]]] = True
+        return
+    rad_ok = None
+    if cover is not None and not faded:
+        # The radius test is trial-invariant: once for the chunk, and the
+        # per-trial angular test skips the entries it rejects unless the
+        # angular mask needs them.
+        rad_ok = _within(dist, radius[ant], eps)
+        if cover_ang is None:
+            keep &= rad_ok
+    p = np.flatnonzero(keep)
+    for t0, t1 in _trial_spans(start.shape[0], p.shape[0]):
+        rows, cols = np.nonzero(
+            _angular_ok(ang[p], start[t0:t1][:, ant[p]], spread[ant[p]],
+                        full[ant[p]], eps)
+        )
+        e = p[cols]
+        if cover_ang is not None:
+            cover_ang[t0 + rows, eid[e]] = True
+        if cover is None:
+            continue
+        if faded:
+            ok = _within(dist[e], radius[t0 + rows, ant[e]], eps)
+            rows, e = rows[ok], e[ok]
+        elif cover_ang is not None:
+            rows, e = rows[rad_ok[e]], e[rad_ok[e]]
+        cover[t0 + rows, eid[e]] = True
 
-    full = spread >= TWO_PI - eps
-    fullr = np.repeat(full, deg)
-    ang_ok = np.empty(total, dtype=bool)
-    ang_ok[fullr] = True
-    nf = ~fullr
-    if nf.any():
-        rel = _ccw_from_start(ang[nf], np.repeat(start, deg)[nf])
-        sp = np.repeat(spread, deg)[nf]
-        ang_ok[nf] = (rel <= sp + eps) | (rel >= TWO_PI - eps)
 
-    if ignore_radius:
-        hit = ang_ok & (dist > 0.0)
-    else:
-        ra = np.repeat(radius, deg)
-        rad_ok = np.ones(total, dtype=bool)
-        fin = np.isfinite(ra)
-        if fin.any():
-            tol = radius_tolerance(ra[fin], eps)
-            rad_ok[fin] = dist[fin] <= (ra[fin] + tol)
-        hit = ang_ok & rad_ok & (dist > 0.0)
-    return eid, hit
+def _trial_spans(trials: int, entries: int):
+    """``(t0, t1)`` trial ranges whose ``(t1 - t0) × entries`` temporaries
+    stay within ``_EDGE_BLOCK_ELEMS``."""
+    step = max(1, _EDGE_BLOCK_ELEMS // max(entries, 1))
+    for t0 in range(0, trials, step):
+        yield t0, min(t0 + step, trials)
+
+
+def trial_connected(
+    tables: SparsePolarTables,
+    cover: np.ndarray,
+    counts: np.ndarray,
+    relabel: np.ndarray | None = None,
+    *,
+    mode: str = "strong",
+) -> np.ndarray:
+    """Per-trial connectivity of a ``(trials, m)`` covered-edge stack.
+
+    Row ``t`` is trial ``t``'s edge mask; its vertices are ``relabel[t]``
+    (each alive sensor's compact id, ``counts[t]`` of them) or all of
+    ``0..n-1``.  Every row becomes one block of a block-diagonal union
+    graph, answered by one :func:`union_connected` launch; symmetric mode
+    keeps each row's mutual edges and asks undirected connectivity.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    base = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
+    total = int(base[-1])
+    rev = reverse_edge_permutation(tables) if mode == "symmetric" else None
+    # Union ids fit int32 at any practical size: half the edge memory.
+    itype = np.int32 if total < 2**31 else np.int64
+    degree = np.zeros(total, dtype=np.int64)
+    dsts = [np.empty(0, itype)]
+    step = max(1, _EDGE_BLOCK_ELEMS // max(tables.m, 1))
+    for r0 in range(0, cover.shape[0], step):
+        block = cover[r0 : r0 + step]
+        if rev is not None:
+            block = block & block[:, rev]
+        j, e = np.nonzero(block)
+        t = r0 + j
+        src, dst = tables.src[e], tables.indices[e]
+        if relabel is not None:
+            src, dst = relabel[t, src], relabel[t, dst]
+        # Row-major order, CSR edge order and a monotone relabel keep the
+        # union edges grouped by source.
+        degree += np.bincount(src + base[t], minlength=total)
+        dsts.append((dst + base[t]).astype(itype))
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    connection = "weak" if mode == "symmetric" else "strong"
+    return union_connected(counts, indptr, np.concatenate(dsts), connection=connection)
+
+
+def trial_critical(
+    tables: SparsePolarTables,
+    cover_ang: np.ndarray,
+    counts: np.ndarray,
+    relabel: np.ndarray | None = None,
+    fade: np.ndarray | None = None,
+    *,
+    mode: str = "strong",
+    eps: float = 1e-9,
+) -> np.ndarray:
+    """Per-trial critical range over a ``(trials, m)`` angular-mask stack.
+
+    ``counts``/``relabel`` as in :func:`trial_connected`.  With ``fade``
+    (``(trials, n)``) an edge's length is divided by its source's fade;
+    symmetric mode judges each pair at its worse direction.  Each trial
+    runs the dense kernels' search body on the same edge arrays, so a
+    value equals the dense one whenever the candidate set holds every
+    pair the search can use (``0.0`` for at most one vertex, ``inf`` when
+    deficient).  One ``critical_searches`` launch for the whole stack.
+    """
+    search = _symmetric_search_impl if mode == "symmetric" else _critical_search_impl
+    rev = (
+        reverse_edge_permutation(tables)
+        if mode == "symmetric" and fade is not None else None
+    )
+    out = np.empty(cover_ang.shape[0], dtype=float)
+    COUNTERS.critical_searches += 1
+    for t in range(cover_ang.shape[0]):
+        n = int(counts[t])
+        e = np.flatnonzero(cover_ang[t])
+        if n <= 1 or e.shape[0] == 0:
+            out[t] = 0.0 if n <= 1 else np.inf
+            continue
+        src, dst, dist = tables.src[e], tables.indices[e], tables.dist[e]
+        if fade is not None:
+            dist = dist / fade[t, src]
+            if rev is not None:
+                dist = np.maximum(dist, tables.dist[rev[e]] / fade[t, dst])
+        if relabel is not None:
+            src, dst = relabel[t][src], relabel[t][dst]
+        out[t] = search(n, src, dst, dist, eps)
+    return out
 
 
 def covered_edge_arrays(
@@ -451,19 +587,27 @@ def complete_cutoff(coords, eps: float = 1e-9) -> float:
 # -- the measurement loop -----------------------------------------------------------
 
 
-def _certified(critical: float, r_cut: float, eps: float) -> bool:
-    """Is a finite sparse critical range provably the dense value?
+def certified_cutoff(critical: float, scale: float = 1.0, eps: float = 1e-9) -> float:
+    """The smallest cutoff at which a finite critical range is certified.
 
-    True iff every edge the accepting dense probe can use lies strictly
-    inside the candidate cutoff, membership fuzz included — then the
-    sparse and dense prefix graphs coincide at every probe radius up to
-    ``critical`` and both bisections return the same candidate float.
+    Every edge the accepting dense probe can use is at most
+    ``critical + radius_tolerance(critical)`` long, times ``scale`` when
+    the search divided pair lengths by factors up to ``scale`` (fading);
+    ``_CUT_PAD`` keeps it strictly inside the cutoff, membership fuzz
+    included.  At that cutoff the sparse and dense prefix graphs coincide
+    at every probe radius up to ``critical``, so both bisections return the
+    same candidate float.
     """
+    return (critical + radius_tolerance(critical, eps)) * scale * _CUT_PAD
+
+
+def _certified(critical: float, r_cut: float, eps: float) -> bool:
+    """Is a sparse critical range provably the dense value?"""
     if critical == 0.0:
         return True
     if not np.isfinite(critical):
         return False
-    return (critical + radius_tolerance(critical, eps)) * _CUT_PAD <= r_cut
+    return certified_cutoff(critical, eps=eps) <= r_cut
 
 
 def sparse_metrics(
@@ -536,18 +680,15 @@ def sparse_metrics(
         tables = factory(need)
 
     while True:
-        cov = sparse_covered_edges(
-            tables, sensor_idx, start, spread, radius, eps=eps
+        cov, cov_ang = trial_coverage(
+            tables, sensor_idx, start, spread, radius, eps=eps,
+            angular_mask=compute_critical,
         )
-        edges = int(np.count_nonzero(cov))
-        connected = connected_of(tables, cov)
+        edges = int(np.count_nonzero(cov[0]))
+        connected = connected_of(tables, cov[0])
         if not compute_critical:
             return edges, connected, float("nan"), tables
-        cov_ang = sparse_covered_edges(
-            tables, sensor_idx, start, spread, radius,
-            eps=eps, ignore_radius=True,
-        )
-        pairs, dists = covered_edge_arrays(tables, cov_ang)
+        pairs, dists = covered_edge_arrays(tables, cov_ang[0])
         critical = critical_of(n, pairs, dists, eps=eps)
         # a == 0 can never cover a pair at any cutoff: inf is genuine.
         if (

@@ -117,6 +117,8 @@ def indexed_uniforms(seed: int, index) -> np.ndarray:
     The generator is the splitmix64 finalizer keyed by ``seed`` — a full
     avalanche mix whose output passes the usual empirical batteries; for
     failure masks and fading draws its quality is far beyond need.
+    ``seed`` may also be a uint64 array broadcasting against ``index``:
+    each element then reads its own seed's table.
     """
     idx = np.asarray(index, dtype=np.uint64)
     with np.errstate(over="ignore"):
