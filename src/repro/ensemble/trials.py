@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.angles import angle_of
-from repro.kernels.connectivity import component_labels_csr
 from repro.kernels.instrument import COUNTERS
 from repro.kernels.sparse import (
     _EDGE_BLOCK_ELEMS,
@@ -361,85 +360,51 @@ class _Chunk:
         return need
 
     def _cut_off(self, cand, mask, t) -> bool:
-        """Is some set of alive vertices cut off at every radius?
+        """Is some alive vertex without any surviving angularly-covered
+        out-edge to, or in-edge from, any other point at any distance?
 
-        ``mask`` is the trial's surviving angular graph at the cutoff.  A
-        strongly connected component of it that reaches no other (or that
-        no other reaches) stays cut off at every radius when no surviving
-        angularly-covered edge beyond the cutoff leaves (enters) it either;
-        then the trial's ``inf`` is exact, in symmetric mode too.  Single
-        vertices without a out- (in-) edge are tried first, then larger
-        components while testing them costs less than a few widenings.
-        Every test uses the coverage kernel's expressions and the trial's
-        failure draws.
+        Such a vertex is cut off at every radius, so the trial's ``inf`` is
+        exact, in symmetric mode too.  Candidates are the alive vertices
+        with no surviving out- (in-) edge in ``mask``, the trial's angular
+        graph at the cutoff; each is then tested against every point with
+        the coverage kernel's expressions and the trial's failure draws.
         """
-        n = cand.n
-        alive = np.ones(n, dtype=bool) if self.draws.alive is None else self.draws.alive[t]
+        alive = self.draws.alive
         e = np.flatnonzero(mask)
-        src, dst = cand.src[e], cand.indices[e]
-        for inward, ends in ((False, src), (True, dst)):
-            lonely = (np.bincount(ends, minlength=n) == 0) & alive
+        for inward, ends in ((False, cand.src[e]), (True, cand.indices[e])):
+            lonely = np.bincount(ends, minlength=cand.n) == 0
+            if alive is not None:
+                lonely &= alive[t]
             for w in np.flatnonzero(lonely):
-                if not self._crosses(t, np.arange(n) == w, inward):
-                    return True
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        labels = component_labels_csr(n, indptr, dst)
-        if labels is None:
-            return False
-        cross = labels[src] != labels[dst]
-        size = np.bincount(labels[alive], minlength=labels.max() + 1)
-        budget = 4 * max(cand.m, n)
-        for inward, ends in ((False, src[cross]), (True, dst[cross])):
-            free = (np.bincount(labels[ends], minlength=size.shape[0]) == 0)
-            free &= (size > 1) & (size < alive.sum())
-            for comp in sorted(np.flatnonzero(free), key=lambda c: size[c]):
-                group = (labels == comp) & alive
-                if self._crossing_tests(t, group, inward) > budget:
-                    break
-                if not self._crosses(t, group, inward):
+                if not self._links(int(w), inward, t):
                     return True
         return False
 
-    def _ends(self, t, group, inward):
-        """``(antennas, points)`` of the pairs leaving ``group`` (entering
-        it, ``inward``) toward the trial's other alive vertices."""
-        others = ~group
-        if self.draws.alive is not None:
-            others &= self.draws.alive[t]
-        sources, targets = (others, group) if inward else (group, others)
-        return np.flatnonzero(sources[self.sensor_idx]), np.flatnonzero(targets)
-
-    def _crossing_tests(self, t, group, inward) -> int:
-        ants, pts = self._ends(t, group, inward)
-        return ants.shape[0] * pts.shape[0]
-
-    def _crosses(self, t, group, inward) -> bool:
-        """Does a surviving angularly-covered edge at any distance leave
-        ``group`` (enter it, ``inward``)?  Blocked to ``_EDGE_BLOCK_ELEMS``
-        (antenna, point) tests."""
-        ants, pts = self._ends(t, group, inward)
-        if ants.shape[0] == 0 or pts.shape[0] == 0:
-            return False
+    def _links(self, w: int, inward: bool, t) -> bool:
+        """Does ``w`` keep a surviving angularly-covered link out to (or,
+        ``inward``, in from) any other point?"""
         n, eps = len(self.ps), self.eps
+        if inward:  # every antenna, aimed at w
+            ants = np.arange(self.sensor_idx.shape[0])
+            src, dst = self.sensor_idx, np.full(ants.shape[0], w)
+        else:  # w's antennas, aimed at every point
+            own = np.flatnonzero(self.sensor_idx == w)
+            ants = np.repeat(own, n)
+            src, dst = np.full(ants.shape[0], w), np.tile(np.arange(n), own.shape[0])
+        if isinstance(self.tables, SparsePolarTables):
+            off = self.ps.coords[dst] - self.ps.coords[src]
+            dist, ang = np.hypot(off[:, 0], off[:, 1]), angle_of(off)
+            COUNTERS.trig_evals += int(src.shape[0])
+        else:
+            dist, ang = self.tables.dist[src, dst], self.tables.ang[src, dst]
         start = self.start[t] if self.start.ndim == 2 else self.start
-        step = max(1, _EDGE_BLOCK_ELEMS // pts.shape[0])
-        for lo in range(0, ants.shape[0], step):
-            a = np.repeat(ants[lo : lo + step], pts.shape[0])
-            src = self.sensor_idx[a]
-            dst = np.tile(pts, a.shape[0] // pts.shape[0])
-            if isinstance(self.tables, SparsePolarTables):
-                off = self.ps.coords[dst] - self.ps.coords[src]
-                dist, ang = np.hypot(off[:, 0], off[:, 1]), angle_of(off)
-                COUNTERS.trig_evals += int(src.shape[0])
-            else:
-                dist, ang = self.tables.dist[src, dst], self.tables.ang[src, dst]
-            spread = self.spread[a]
-            hit = _angular_ok(ang, start[a], spread, spread >= _TWO_PI - eps, eps)
-            e = np.flatnonzero(hit & (dist > 0.0))
-            if e.shape[0] and self.edge_fail > 0.0:
-                ids = src[e].astype(np.uint64) * np.uint64(n) + dst[e].astype(np.uint64)
-                e = e[_edge_fail_keep(self.draws.edge_seeds[t], ids, self.edge_fail)]
-            if e.shape[0]:
-                return True
-        return False
+        spread = self.spread[ants]
+        hit = _angular_ok(ang, start[ants], spread, spread >= _TWO_PI - eps, eps)
+        hit &= dist > 0.0
+        if self.draws.alive is not None:
+            hit &= self.draws.alive[t, src] & self.draws.alive[t, dst]
+        e = np.flatnonzero(hit)
+        if e.shape[0] and self.edge_fail > 0.0:
+            ids = src[e].astype(np.uint64) * np.uint64(n) + dst[e].astype(np.uint64)
+            e = e[_edge_fail_keep(self.draws.edge_seeds[t], ids, self.edge_fail)]
+        return e.shape[0] > 0

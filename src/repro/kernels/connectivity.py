@@ -38,7 +38,6 @@ __all__ = [
     "union_connected",
     "scc_count_csr",
     "component_count_csr",
-    "component_labels_csr",
     "reverse_csr",
 ]
 
@@ -238,21 +237,6 @@ def union_connected(
     hi = np.maximum.reduceat(labels, starts)
     out[nonempty] |= lo == hi
     return out
-
-
-def component_labels_csr(
-    n: int, indptr: np.ndarray, indices: np.ndarray, *, connection: str = "strong"
-) -> np.ndarray | None:
-    """Per-vertex component labels via scipy, or ``None`` without scipy."""
-    if not _HAVE_SCIPY:
-        return None
-    COUNTERS.scipy_scc_calls += 1
-    mat = csr_matrix(
-        (np.ones(indices.shape[0], dtype=np.int8), indices, indptr), shape=(n, n)
-    )
-    return connected_components(
-        mat, directed=True, connection=connection, return_labels=True
-    )[1]
 
 
 def scc_count_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> int | None:
