@@ -37,6 +37,11 @@ The safety pad ``_CUT_PAD`` absorbs the ulp-level disagreement between the
 kd-tree's internal distance and the table's ``np.hypot`` at the cutoff
 boundary: certified results sit a relative ``1e-6`` inside the cutoff,
 seven orders of magnitude beyond any last-ulp membership fuzz.
+
+The same CSR carries every Monte-Carlo trial of :mod:`repro.ensemble`
+(:func:`trial_coverage`, :func:`trial_connected`, :func:`trial_critical`),
+on every backend: a dense-routed instance derives it from its dense tables
+(:func:`dense_candidate_tables`).
 """
 
 from __future__ import annotations
