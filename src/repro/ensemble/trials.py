@@ -30,12 +30,13 @@ Every backend measures through the same path:
   so connectivity is exact in one pass.  A finite critical range is
   certified when every pair its accepting probe can use lies under the
   cutoff.  An ``inf`` one is certified when some alive vertex has no
-  surviving angularly-covered out-edge to any other point, at any
-  distance, after node and edge failures: that vertex reaches nobody at
-  any radius, in symmetric mode too.  Only the trials still uncertified
-  are re-measured on a wider cutoff (counted in ``rcut_widenings``), up to
-  the complete cutoff where every answer is exact.  Every result
-  therefore equals the dense ``n²`` computation bit for bit.
+  surviving angularly-covered out-edge to (or in-edge from) any other
+  point, at any distance, after node and edge failures: that vertex is
+  cut off at every radius, in symmetric mode too.  Only the trials still
+  uncertified are re-measured on a wider cutoff (counted in
+  ``rcut_widenings``), up to the complete cutoff where every answer is
+  exact.  Every result therefore equals the dense ``n²`` computation bit
+  for bit.
 
 Randomness is drawn from counter-based streams keyed by
 ``(run key, instance slot, trial index)`` — see :func:`draw_trials` — and

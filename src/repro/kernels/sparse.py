@@ -390,8 +390,9 @@ def _trial_block(tables, idx, deg, start, spread, full, radius, eps, cover, cove
         if faded:
             ok = _within(dist[e], radius[t0 + rows, ant[e]], eps)
             rows, e = rows[ok], e[ok]
-        elif cover_ang is not None:
-            rows, e = rows[rad_ok[e]], e[rad_ok[e]]
+        elif rad_ok is not None and cover_ang is not None:
+            ok = rad_ok[e]
+            rows, e = rows[ok], e[ok]
         cover[t0 + rows, eid[e]] = True
 
 
