@@ -4,9 +4,9 @@ Times the three measurement kernels on n ∈ {200, 1000, 5000} (uniform
 instances, Theorem-3 orientations at k=2, φ=π):
 
 * batched coverage (:func:`repro.antenna.coverage.coverage_matrix`) vs the
-  per-antenna Python loop (:func:`repro.kernels.reference.coverage_matrix_loop`);
+  per-antenna Python loop (:func:`tests.kernels_reference.coverage_matrix_loop`);
 * the rebuild-free critical-range search vs the per-probe ``DiGraph``
-  rebuild (:func:`repro.kernels.reference.critical_range_rebuild`).
+  rebuild (:func:`tests.kernels_reference.critical_range_rebuild`).
 
 Everything is single-core: the wins are vectorization wins, verified by
 the instrumentation counters (zero per-probe graph builds, one trig pass),
@@ -28,10 +28,10 @@ from repro.core.planner import orient_antennae
 from repro.engine import Scenario
 from repro.geometry.points import PointSet
 from repro.kernels import kernel_counters, polar_tables, recording, use_backend
-from repro.kernels.reference import coverage_matrix_loop, critical_range_rebuild
 from repro.spanning.emst import euclidean_mst
 from repro.utils.tables import format_ascii_table
 from repro.utils.timing import measure
+from tests.kernels_reference import coverage_matrix_loop, critical_range_rebuild
 
 SIZES = (200, 1000, 5000)
 #: Largest size at which the reference kernels are run for comparison.
@@ -137,7 +137,7 @@ def test_backend_axis_emits_machine_readable_report(
     per_size = []
     for n in SIZES:
         ps, assignment = instances[n]
-        tables = kernel_backend.polar_tables(ps.coords)
+        tables = polar_tables(ps.coords)
         with recording() as rec:
             t_cov, _ = measure(
                 lambda: coverage_matrix(ps, assignment, tables=tables)
@@ -200,18 +200,9 @@ def test_backend_axis_emits_machine_readable_report(
         ))
 
 
-@pytest.mark.parametrize("n", SPARSE_SIZES)
-def test_sparse_large_n_axis(n, capsys):
-    """The sparse radius-bounded path at n ∈ {10⁴, 10⁵}: counters + RSS.
-
-    Measures the full measurement stack (orientation excluded) under the
-    sparse backend — coverage, strong connectivity, and the certified
-    critical range — and merges a ``sparse_large_n`` section into
-    BENCH_kernels.json.  Asserted quantities are counters and peak RSS,
-    never wall-clock: trig work must be ≥ 20× below the dense ``n²``
-    (the ISSUE-8 acceptance bar) and the whole run must fit in 4 GB.
-    """
-    import json
+def _sparse_axis_case(n: int) -> dict:
+    """Measure one sparse-axis size; run in a fresh process, so the peak
+    RSS it reports is this size's alone."""
     import resource
 
     from repro.analysis.metrics import orientation_metrics
@@ -223,16 +214,47 @@ def test_sparse_large_n_axis(n, capsys):
     with use_backend("sparse"):
         with recording() as rec:
             t_metrics, metrics = measure(lambda: orientation_metrics(result))
-    peak_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return {
+        "metrics_s": t_metrics,
+        "strongly_connected": metrics.strongly_connected,
+        "critical_range": metrics.critical_range,
+        "counters": rec.as_dict(),
+        # ru_maxrss is KB on Linux.
+        "peak_rss_kb": int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+    }
 
-    assert metrics.strongly_connected
-    assert np.isfinite(metrics.critical_range)
-    assert rec.polar_builds == 0, "sparse axis must not build dense tables"
-    assert rec.sparse_polar_builds >= 1
-    assert rec.trig_evals * 20 <= n * n, (
-        f"trig reduction below 20x at n={n}: {rec.trig_evals} vs {n * n}"
+
+@pytest.mark.parametrize("n", SPARSE_SIZES)
+def test_sparse_large_n_axis(n, capsys):
+    """The sparse radius-bounded path at n ∈ {10⁴, 10⁵}: counters + RSS.
+
+    Measures the full measurement stack (orientation excluded) under the
+    sparse backend — coverage, strong connectivity, and the certified
+    critical range — in a fresh child process per size, and merges a
+    ``sparse_large_n`` section into BENCH_kernels.json.  Asserted
+    quantities are counters and the child's peak RSS, never wall-clock:
+    trig work must be ≥ 20× below the dense ``n²`` (the ISSUE-8
+    acceptance bar) and the whole run must fit in 4 GB.
+    """
+    import json
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        case = pool.submit(_sparse_axis_case, n).result()
+    counters = case["counters"]
+    t_metrics, critical_range = case["metrics_s"], case["critical_range"]
+    peak_rss_kb = case["peak_rss_kb"]
+
+    assert case["strongly_connected"]
+    assert np.isfinite(critical_range)
+    assert counters["polar_builds"] == 0, "sparse axis must not build dense tables"
+    assert counters["sparse_polar_builds"] >= 1
+    assert counters["trig_evals"] * 20 <= n * n, (
+        f"trig reduction below 20x at n={n}: {counters['trig_evals']} vs {n * n}"
     )
-    # ru_maxrss is KB on Linux; 4 GB is the ISSUE-8 acceptance budget.
+    # 4 GB is the ISSUE-8 acceptance budget.
     assert peak_rss_kb < 4 * 1024 * 1024, f"peak RSS {peak_rss_kb} KB over 4 GB"
 
     out = "BENCH_kernels.json"
@@ -247,9 +269,9 @@ def test_sparse_large_n_axis(n, capsys):
     section[str(n)] = {
         "n": n,
         "metrics_s": round(t_metrics, 6),
-        "critical_range": metrics.critical_range,
+        "critical_range": critical_range,
         "peak_rss_kb": peak_rss_kb,
-        "counters": rec.as_dict(),
+        "counters": counters,
         "dense_trig_equivalent": n * n,
     }
     with open(out, "w", encoding="utf8") as fh:
@@ -263,12 +285,12 @@ def test_sparse_large_n_axis(n, capsys):
             [
                 ["n", n],
                 ["metrics wall (s)", round(t_metrics, 4)],
-                ["critical range (lmax)", round(metrics.critical_range, 6)],
-                ["trig evals (sparse)", rec.trig_evals],
+                ["critical range (lmax)", round(critical_range, 6)],
+                ["trig evals (sparse)", counters["trig_evals"]],
                 ["trig evals (dense would be)", n * n],
-                ["reduction", f"{n * n / max(rec.trig_evals, 1):.0f}×"],
-                ["rcut widenings", rec.rcut_widenings],
-                ["peak RSS (MB)", peak_rss_kb // 1024],
+                ["reduction", f"{n * n / max(counters['trig_evals'], 1):.0f}×"],
+                ["rcut widenings", counters["rcut_widenings"]],
+                ["peak RSS (MB, own process)", peak_rss_kb // 1024],
             ],
             title=f"[K1] sparse radius-bounded axis, n={n} -> {out}",
         ))

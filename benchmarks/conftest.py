@@ -6,8 +6,7 @@ correctness gate as well as a performance report.  Run with ``-s`` to see
 the reproduced tables.
 
 ``--backend <name>`` runs the backend-aware benchmarks (bench_kernels)
-under that kernel backend; unavailable backends skip instead of failing,
-so CI can probe optional backends without gating on them.
+under that kernel routing name; an unknown name skips instead of failing.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ def pytest_addoption(parser):
         "--backend",
         action="store",
         default="numpy",
-        help="kernel backend for backend-aware benchmarks "
-             "(numpy, numba, sparse, auto)",
+        help="kernel routing name for backend-aware benchmarks "
+             "(numpy, sparse, auto)",
     )
 
 

@@ -36,7 +36,7 @@ exit codes:
   0  success
   1  a validation/certificate check failed (plan, validate)
   2  usage, store, or backend error (bad parameters, refused ledger,
-     unavailable backend, missing --run-dir)
+     unknown backend, missing --run-dir)
   3  execution stopped at a cancellation tombstone (repro sweep/frontier/
      ensemble --resume after clearing it continues from the ledgered chunks)
 """
@@ -530,11 +530,12 @@ def _durable_options() -> argparse.ArgumentParser:
                    help="execute (sweep/frontier) or claim (worker) only "
                         "shard I of M disjoint plan partitions (e.g. 0/2)")
     g.add_argument("--backend", default=None,
-                   help="kernel backend: numpy, numba, sparse, or auto "
-                        "(default: the REPRO_BACKEND environment variable, "
-                        "else numpy); results are bit-identical across "
-                        "backends — sparse/auto route large instances "
-                        "through radius-bounded candidate geometry")
+                   help="kernel routing: numpy (dense tables), sparse "
+                        "(radius-bounded candidate pairs) or auto (sparse "
+                        "from REPRO_SPARSE_AUTO_N points, default 4096); "
+                        "default: the REPRO_BACKEND environment variable, "
+                        "else numpy.  Results are bit-identical under "
+                        "every name")
     g.add_argument("--jobs", type=int, default=1,
                    help="worker processes per execution (default: 1 = serial)")
     return parent

@@ -6,7 +6,7 @@ drivers stay declarative.
 
 Two entry points: :func:`orientation_metrics` measures a single result;
 :func:`batched_orientation_metrics` measures a whole chunk of instances'
-results through the packed multi-instance kernels — one backend launch per
+results through the packed multi-instance kernels — one kernel launch per
 measurement for the chunk, bit-identical values.
 """
 
@@ -20,7 +20,13 @@ import numpy as np
 from repro.core.result import OrientationResult
 from repro.graph.connectivity import is_strongly_connected, is_symmetrically_connected
 from repro.kernels.backend import active_backend
-from repro.kernels.batch import BatchedInstances, PackedPolarTables
+from repro.kernels.batch import (
+    BatchedInstances,
+    PackedPolarTables,
+    packed_connected,
+    packed_coverage,
+    packed_critical,
+)
 from repro.kernels.geometry import PolarTables, polar_tables
 from repro.kernels.instrument import recording
 from repro.kernels.sparse import SparsePolarTables, sparse_metrics
@@ -111,8 +117,7 @@ def orientation_metrics(
             mode=mode,
         )
     if tables is None:
-        wants = getattr(backend, "use_sparse", None)
-        if wants is not None and wants(len(result.points)):
+        if backend.use_sparse(len(result.points)):
             return _sparse_orientation_metrics(
                 result, None, compute_critical=compute_critical, backend=backend,
                 mode=mode,
@@ -242,26 +247,18 @@ def batched_orientation_metrics(
     spread = np.concatenate(spread_parts)
     radius = np.concatenate(radius_parts)
 
-    cover = backend.packed_coverage(
+    cover = packed_coverage(
         tables, inst_idx, sensor_idx, start, spread, radius, eps=eps
     )
-    if mode == "symmetric":
-        connected = backend.packed_symmetric_connected(cover, batch.counts)
-    else:
-        connected = backend.packed_strongly_connected(cover, batch.counts)
+    connected = packed_connected(cover, batch.counts, mode=mode)
     edges = cover.reshape(m, -1).sum(axis=1)
 
     if compute_critical:
-        cover_ang = backend.packed_coverage(
+        cover_ang = packed_coverage(
             tables, inst_idx, sensor_idx, start, spread, radius,
             eps=eps, ignore_radius=True,
         )
-        if mode == "symmetric":
-            critical_abs = backend.packed_symmetric_critical(
-                tables, cover_ang, eps=eps
-            )
-        else:
-            critical_abs = backend.packed_critical(tables, cover_ang, eps=eps)
+        critical_abs = packed_critical(tables, cover_ang, eps=eps, mode=mode)
 
     out = []
     for i, result in enumerate(results):

@@ -8,9 +8,6 @@ in pure array ops, and the critical-range search bisects a once-sorted edge
 list with zero per-probe graph rebuilds.  Pass ``tables=`` (e.g. from the
 engine's :class:`~repro.engine.cache.ArtifactCache`) to share the polar
 geometry across calls on the same point set.
-
-Kernel calls dispatch through :func:`repro.kernels.backend.active_backend`,
-so the same code path runs on the numpy or numba backend unchanged.
 """
 
 from __future__ import annotations
@@ -20,8 +17,9 @@ import numpy as np
 from repro.antenna.model import AntennaAssignment
 from repro.geometry.points import PointSet
 from repro.graph.digraph import DiGraph
-from repro.kernels.backend import active_backend
-from repro.kernels.geometry import PolarTables
+from repro.kernels.coverage import batched_coverage
+from repro.kernels.critical import critical_range_search
+from repro.kernels.geometry import PolarTables, polar_tables
 
 __all__ = [
     "coverage_matrix",
@@ -38,7 +36,7 @@ def _points_arr(points) -> np.ndarray:
 
 def _tables_for(coords: np.ndarray, tables: PolarTables | None) -> PolarTables:
     if tables is None:
-        return active_backend().polar_tables(coords)
+        return polar_tables(coords)
     if tables.n != coords.shape[0]:
         raise ValueError(
             f"polar tables are for n={tables.n}, point set has n={coords.shape[0]}"
@@ -68,7 +66,7 @@ def coverage_matrix(
     idx, start, spread, radius = assignment.flattened()
     if idx.size == 0:
         return np.zeros((n, n), dtype=bool)
-    return active_backend().coverage(
+    return batched_coverage(
         _tables_for(coords, tables),
         idx,
         start,
@@ -141,8 +139,7 @@ def critical_range(
     and zero per-probe graph constructions (see the kernel counters).
     ``mode`` selects the objective: strong connectivity of the directed
     graph (the paper's model) or, for ``"symmetric"``, undirected
-    connectivity of the mutual-coverage graph
-    (:func:`~repro.kernels.critical.symmetric_critical_range_search`).
+    connectivity of the mutual-coverage graph.
     Returns ``inf`` if no radius achieves connectivity (the orientations
     themselves are deficient).
 
@@ -155,7 +152,4 @@ def critical_range(
     if n <= 1:
         return 0.0
     pairs, dists = covered_pairs(points, assignment, eps=eps, tables=tables)
-    backend = active_backend()
-    if mode == "symmetric":
-        return backend.symmetric_critical_range(n, pairs, dists, eps=eps)
-    return backend.critical_range(n, pairs, dists, eps=eps)
+    return critical_range_search(n, pairs, dists, eps=eps, mode=mode)

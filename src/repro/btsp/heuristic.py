@@ -17,7 +17,7 @@ against every column per numpy call.  The biconnectivity search is
 bracketed above by a 2-opt tour's bottleneck: it collects the pairs below
 that once, as one CSR, and bisects their sorted distances with a mask of
 the CSR and one scipy DFS per probe.  The replaced Python loops are kept
-in :mod:`repro.btsp.reference`; the tests assert that both produce the
+in ``tests/btsp_reference.py``; the tests assert that both produce the
 same tours and bounds.
 """
 

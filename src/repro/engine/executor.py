@@ -74,12 +74,6 @@ class InstanceReport:
     elapsed: float
 
 
-def _wants_sparse(backend, n: int) -> bool:
-    """Does ``backend`` route an ``n``-point instance through the sparse path?"""
-    use_sparse = getattr(backend, "use_sparse", None)
-    return bool(use_sparse is not None and use_sparse(n))
-
-
 def instance_artifacts(cache: ArtifactCache, coords: np.ndarray):
     """``(pointset, tree, tables, facts)`` for one instance, via the cache.
 
@@ -94,7 +88,7 @@ def instance_artifacts(cache: ArtifactCache, coords: np.ndarray):
     """
     ps = cache.pointset(coords)
     tree = cache.tree(ps)
-    if _wants_sparse(active_backend(), len(ps)):
+    if active_backend().use_sparse(len(ps)):
         tables = cache.sparse_polar(ps, default_instance_cutoff(tree.lmax))
         diameter = max_pairwise_distance(ps.coords) if len(ps) > 1 else 0.0
     else:
@@ -197,8 +191,8 @@ def _run_chunk(
             # Sparse-routed instances cannot take the packed dense path
             # (it materializes (m, n_max, n_max) tables); split the chunk
             # and measure them per-instance, everything else packed.
-            dense = [t for t in chunk if not _wants_sparse(backend, t[3].shape[0])]
-            sparse = [t for t in chunk if _wants_sparse(backend, t[3].shape[0])]
+            dense = [t for t in chunk if not backend.use_sparse(t[3].shape[0])]
+            sparse = [t for t in chunk if backend.use_sparse(t[3].shape[0])]
             out: list[tuple[int, _Payload]] = []
             if dense:
                 out.extend(
@@ -603,7 +597,7 @@ def execute_plan(
     backend:
         Kernel backend name for all measurement work.  ``None`` defers to
         ``request.backend``, then the ``REPRO_BACKEND`` environment
-        variable, then the numpy default.  Unknown or unavailable backends
+        variable, then the numpy default.  Unknown backend names
         raise :class:`~repro.kernels.backend.BackendUnavailable` up front.
     batch_instances:
         Evaluate each chunk of instances through the packed multi-instance

@@ -21,6 +21,7 @@ from repro.core.lemma1 import (
     lemma1_required_spread,
     optimal_star_spread,
 )
+from repro.errors import InvalidParameterError
 from repro.experiments.harness import ExperimentRecord
 from repro.experiments.workloads import regular_polygon_star
 from repro.utils.rng import as_rng, stable_seed
@@ -29,12 +30,18 @@ __all__ = ["run_fig1", "random_mst_star_angles"]
 
 
 def random_mst_star_angles(d: int, rng) -> np.ndarray:
-    """Random neighbour directions with all gaps ≥ π/3 (MST-feasible star)."""
-    while True:
-        ang = np.sort(rng.uniform(0, 2 * np.pi, d))
-        gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-        if d == 1 or gaps.min() >= np.pi / 3:
-            return ang
+    """Random neighbour directions with all gaps ≥ π/3 (MST-feasible star).
+
+    Uniform directions conditioned on every cyclic gap being at least π/3,
+    drawn in O(d) per star: each gap is π/3 plus its share of the slack
+    2π − dπ/3 under uniform spacings (a flat Dirichlet), and the star is
+    rotated uniformly.  Sorted ascending in [0, 2π).
+    """
+    if not 1 <= d <= 6:
+        raise InvalidParameterError(f"an MST star has 1 to 6 neighbours, got {d}")
+    gaps = np.pi / 3 + (2 * np.pi - d * np.pi / 3) * rng.dirichlet(np.ones(d))
+    ang = rng.uniform(0, 2 * np.pi) + np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    return np.sort(np.mod(ang, 2 * np.pi))
 
 
 def run_fig1(*, random_trials: int = 200) -> ExperimentRecord:

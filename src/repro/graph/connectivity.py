@@ -21,7 +21,11 @@ from repro.errors import InvalidParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.maxflow import Dinic
 from repro.graph.scc import strongly_connected_components
-from repro.kernels.backend import active_backend
+from repro.kernels.connectivity import (
+    mutual_mask,
+    strongly_connected_csr,
+    symmetric_connected_csr,
+)
 
 __all__ = [
     "is_strongly_connected",
@@ -36,12 +40,11 @@ __all__ = [
 def is_strongly_connected(g: DiGraph) -> bool:
     """True iff every vertex reaches every other vertex.
 
-    Delegates to the active backend's CSR kernel (scipy ``csgraph`` fast
-    path with degree-based quick rejects on numpy, a JIT'd two-pass BFS on
-    numba) — one connectivity probe on the instrumentation counters, zero
-    graph copies.
+    Delegates to the CSR kernel (scipy ``csgraph`` fast path with
+    degree-based quick rejects) — one connectivity probe on the
+    instrumentation counters, zero graph copies.
     """
-    return active_backend().strongly_connected(g.n, *g.csr())
+    return strongly_connected_csr(g.n, *g.csr())
 
 
 def is_symmetrically_connected(g: DiGraph) -> bool:
@@ -50,15 +53,13 @@ def is_symmetrically_connected(g: DiGraph) -> bool:
     The symmetric-mode objective: a link counts only when both directions
     are present.  Symmetrizes the CSR edge list with one
     :func:`~repro.kernels.connectivity.mutual_mask` pass (no second graph
-    build) and hands the mutual CSR to the active backend's undirected
-    kernel — the same ``csgraph`` scaffold as :func:`is_strongly_connected`,
-    one ``connection`` flag apart.
+    build) and hands the mutual CSR to the undirected kernel — the same
+    ``csgraph`` scaffold as :func:`is_strongly_connected`, one
+    ``connection`` flag apart.
     """
-    from repro.kernels.connectivity import mutual_mask
-
     n = g.n
     if n <= 1:
-        return active_backend().symmetric_connected(n, *g.csr())
+        return symmetric_connected_csr(n, *g.csr())
     indptr, indices = g.csr()
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     mask = mutual_mask(n, src, indices)
@@ -66,7 +67,7 @@ def is_symmetrically_connected(g: DiGraph) -> bool:
     mptr = np.concatenate(
         [[0], np.cumsum(np.bincount(src[mask], minlength=n))]
     ).astype(np.int64)
-    return active_backend().symmetric_connected(n, mptr, indices[mask])
+    return symmetric_connected_csr(n, mptr, indices[mask])
 
 
 @dataclass

@@ -1,38 +1,37 @@
 """Vectorized measurement kernels shared by every layer above geometry.
 
 The three kernels every experiment funnels through — sector coverage,
-strong connectivity, and the measured critical range — live here as pure
-array programs over shared per-instance geometry:
+connectivity, and the measured critical range — live here as pure array
+programs over shared per-instance geometry:
 
 * :mod:`repro.kernels.geometry` — :class:`PolarTables`, the ``(n, n)``
   per-source angle/distance tables computed once per point set (cacheable
   via :class:`repro.engine.cache.ArtifactCache`);
 * :mod:`repro.kernels.coverage` — :func:`batched_coverage`, all ``k·n``
   sectors evaluated against the tables in one pass;
-* :mod:`repro.kernels.connectivity` — CSR strong connectivity
-  (``scipy.sparse.csgraph`` fast path, two-pass BFS fallback) on raw
+* :mod:`repro.kernels.connectivity` — CSR strong and symmetric
+  connectivity (``scipy.sparse.csgraph`` fast path, BFS fallback) on raw
   arrays, no graph objects;
 * :mod:`repro.kernels.critical` — :func:`critical_range_search`, the
   rebuild-free bottleneck-radius bisection over a once-sorted edge list;
 * :mod:`repro.kernels.batch` — packed multi-instance kernels: a whole
   chunk of instances (:class:`BatchedInstances` + packed polar tables)
   evaluated per Python-level launch;
-* :mod:`repro.kernels.backend` — the :class:`KernelBackend` seam: the
-  four hot primitives behind a narrow protocol, with the numpy kernels as
-  the default implementation, an optional numba JIT backend
-  (:mod:`repro.kernels.numba_backend`), and the radius-bounded
-  ``sparse``/``auto`` backends, selected by ``REPRO_BACKEND``, a request
-  flag, or ``--backend``;
 * :mod:`repro.kernels.sparse` — :class:`SparsePolarTables`, the CSR
   radius-bounded candidate geometry and the certified-exact
   :func:`sparse_metrics` measurement loop that scales instances to
   n = 10⁵ without the ``(n, n)`` tables;
+* :mod:`repro.kernels.backend` — the ``numpy``, ``sparse`` and ``auto``
+  routing names, selected by ``REPRO_BACKEND``, a request flag, or
+  ``--backend``: each only decides (:meth:`KernelBackend.use_sparse`)
+  whether an instance is measured dense or sparse;
 * :mod:`repro.kernels.instrument` — process-wide work counters (graph
   builds, connectivity probes, trig evaluations) that perf-regression
-  tests assert on instead of wall-clock;
-* :mod:`repro.kernels.reference` — the replaced loop kernels, kept
-  verbatim as bit-exactness oracles (import it explicitly; it is not
-  re-exported here because it depends on the graph layer above).
+  tests assert on instead of wall-clock.
+
+Every kernel exists once; the connectivity objective is a ``mode``
+argument (``"strong"`` or ``"symmetric"``).  The replaced loop kernels
+are kept verbatim as bit-exactness oracles in ``tests/kernels_reference.py``.
 
 Layering: ``repro.kernels`` imports only :mod:`repro.geometry` (and
 numpy/scipy); :mod:`repro.graph`, :mod:`repro.antenna` and everything
@@ -44,7 +43,6 @@ from repro.kernels.backend import (
     BackendUnavailable,
     KernelBackend,
     active_backend,
-    available_backends,
     resolve_backend,
     use_backend,
 )
@@ -52,10 +50,10 @@ from repro.kernels.batch import (
     BatchedInstances,
     PackedPolarTables,
     pack_instances,
+    packed_connected,
     packed_coverage,
     packed_critical,
     packed_polar_tables,
-    packed_strongly_connected,
 )
 from repro.kernels.connectivity import (
     reverse_csr,
@@ -79,10 +77,10 @@ from repro.kernels.sparse import (
     covered_edge_arrays,
     default_instance_cutoff,
     required_cutoff,
+    sparse_connected,
     sparse_covered_edges,
     sparse_metrics,
     sparse_polar_tables,
-    strongly_connected_sparse,
 )
 
 __all__ = [
@@ -95,7 +93,6 @@ __all__ = [
     "PolarTables",
     "SparsePolarTables",
     "active_backend",
-    "available_backends",
     "batched_coverage",
     "bbox_diameter_bound",
     "complete_cutoff",
@@ -104,21 +101,21 @@ __all__ = [
     "default_instance_cutoff",
     "kernel_counters",
     "pack_instances",
+    "packed_connected",
     "packed_coverage",
     "packed_critical",
     "packed_polar_tables",
-    "packed_strongly_connected",
     "polar_tables",
     "recording",
     "required_cutoff",
     "reset_kernel_counters",
     "resolve_backend",
+    "sparse_connected",
     "sparse_covered_edges",
     "sparse_metrics",
     "sparse_polar_tables",
     "strongly_connected_csr",
     "strongly_connected_edges",
-    "strongly_connected_sparse",
     "reverse_csr",
     "scc_count_csr",
     "use_backend",

@@ -1,13 +1,18 @@
-"""The kernel backend seam: one narrow protocol, swappable implementations.
+"""Kernel backends: the routing names measurement runs under.
 
-Every measurement in the codebase funnels through four hot primitives —
-polar-table construction, batched sector coverage, the CSR strong-
-connectivity probe, and the sorted-edge prefix-mask bisection behind
-``critical_range`` — plus their packed multi-instance variants.
-:class:`KernelBackend` names exactly those operations; call sites dispatch
-through :func:`active_backend` instead of importing kernel functions
-directly, so alternative implementations (numba JIT today, GPU kernels
-tomorrow) plug in without touching callers.
+There is one implementation of every kernel (coverage, connectivity,
+critical-range search, their packed multi-instance and candidate-pair
+forms); call sites import those functions directly.  A backend is only a
+*routing rule*: :meth:`KernelBackend.use_sparse` decides whether an
+``n``-point instance is measured through the radius-bounded sparse path
+(:mod:`repro.kernels.sparse`) or through the dense ``(n, n)`` tables.  Its
+``name`` is recorded in ledger rows as provenance.
+
+* ``numpy`` — always dense;
+* ``sparse`` — sparse for every instance with ``n >= 2``;
+* ``auto`` — sparse from :func:`sparse_auto_threshold` points up
+  (``REPRO_SPARSE_AUTO_N``, default 4096 — roughly where the dense tables
+  stop fitting in cache and their O(n²) build dominates).
 
 Selection precedence (first match wins):
 
@@ -19,50 +24,22 @@ Selection precedence (first match wins):
 3. the ``REPRO_BACKEND`` environment variable;
 4. the default ``numpy`` backend.
 
-Two backends route large instances through the radius-bounded sparse path
-(:mod:`repro.kernels.sparse`) instead of the dense ``(n, n)`` tables: the
-``sparse`` backend does so for every instance with ``n >= 2``, and the
-``auto`` backend only above :func:`sparse_auto_threshold` points
-(``REPRO_SPARSE_AUTO_N``, default 4096 — roughly where the dense tables
-stop fitting in cache and their O(n²) build dominates).  Both answer the
-dense primitive protocol with the plain numpy kernels, so small instances
-and code paths that hand them dense tables behave exactly like ``numpy``;
-the engine and metrics layers consult :meth:`KernelBackend.use_sparse` to
-decide which artifact to build.
-
-Exactness contract: every backend must be bit-exact against
-:mod:`repro.kernels.reference` on valid inputs.  The numpy backend *is*
-the reference-equivalent vectorized code; the numba backend delegates all
-trigonometry to the shared numpy table builders and JITs only the pure
-comparison/arithmetic passes, which are reproducible bit-for-bit (see
-:mod:`repro.kernels.numba_backend`).  Because results are bit-identical,
-ledgers written by one backend are valid resume/merge material for any
-other — the per-row ``backend`` tag records provenance, not meaning.
+Exactness contract: both routes are bit-exact against the replaced loop
+kernels kept as oracles in ``tests/kernels_reference.py``, so ledgers
+written under one name are valid resume/merge material for any other —
+the per-row ``backend`` tag records provenance, not meaning.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Protocol, runtime_checkable
-
-import numpy as np
+from typing import Iterator, Protocol
 
 from repro.errors import ReproError
-from repro.kernels.batch import (
-    BatchedInstances,
-    PackedPolarTables,
-    packed_coverage,
-    packed_critical,
-    packed_polar_tables,
-    packed_strongly_connected,
-    packed_symmetric_connected,
-    packed_symmetric_critical,
-)
-from repro.kernels.coverage import batched_coverage
-from repro.kernels.critical import critical_range_search, symmetric_critical_range_search
-from repro.kernels.geometry import PolarTables, polar_tables
-from repro.kernels.connectivity import strongly_connected_csr, symmetric_connected_csr
+# The packed table build is looked up here at call time
+# (``ArtifactCache.packed_polar``), where perfbench/tracing.py wraps it.
+from repro.kernels.batch import packed_polar_tables  # noqa: F401
 
 __all__ = [
     "KNOWN_BACKENDS",
@@ -76,15 +53,11 @@ __all__ = [
     "SparseBackend",
     "AutoBackend",
     "active_backend",
-    "available_backends",
     "resolve_backend",
     "sparse_auto_threshold",
     "use_backend",
 ]
 
-#: Names the registry knows how to construct (construction may still fail
-#: when the backing package is absent — see :func:`available_backends`).
-KNOWN_BACKENDS = ("numpy", "numba", "sparse", "auto")
 DEFAULT_BACKEND = "numpy"
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
@@ -107,79 +80,14 @@ def sparse_auto_threshold() -> int:
 
 
 class BackendUnavailable(ReproError):
-    """The requested kernel backend is unknown or cannot be constructed."""
+    """The requested kernel backend name is unknown."""
 
 
-@runtime_checkable
 class KernelBackend(Protocol):
-    """The four hot kernel primitives plus their packed chunk variants."""
+    """A routing name and its dense-or-sparse rule."""
 
     name: str
 
-    # -- per-instance primitives ------------------------------------------
-    def polar_tables(self, coords) -> PolarTables: ...
-
-    def coverage(
-        self,
-        tables: PolarTables,
-        sensor_idx: np.ndarray,
-        start: np.ndarray,
-        spread: np.ndarray,
-        radius: np.ndarray,
-        *,
-        eps: float = 1e-9,
-        ignore_radius: bool = False,
-    ) -> np.ndarray: ...
-
-    def strongly_connected(
-        self, n: int, indptr: np.ndarray, indices: np.ndarray
-    ) -> bool: ...
-
-    def symmetric_connected(
-        self, n: int, indptr: np.ndarray, indices: np.ndarray
-    ) -> bool: ...
-
-    def critical_range(
-        self, n: int, pairs: np.ndarray, dists: np.ndarray, *, eps: float = 1e-9
-    ) -> float: ...
-
-    def symmetric_critical_range(
-        self, n: int, pairs: np.ndarray, dists: np.ndarray, *, eps: float = 1e-9
-    ) -> float: ...
-
-    # -- packed multi-instance variants -----------------------------------
-    def packed_polar(self, batch: BatchedInstances) -> PackedPolarTables: ...
-
-    def packed_coverage(
-        self,
-        tables: PackedPolarTables,
-        inst_idx: np.ndarray,
-        sensor_idx: np.ndarray,
-        start: np.ndarray,
-        spread: np.ndarray,
-        radius: np.ndarray,
-        *,
-        eps: float = 1e-9,
-        ignore_radius: bool = False,
-    ) -> np.ndarray: ...
-
-    def packed_strongly_connected(
-        self, cover: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray: ...
-
-    def packed_symmetric_connected(
-        self, cover: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray: ...
-
-    def packed_critical(
-        self, tables: PackedPolarTables, cover_ang: np.ndarray, *, eps: float = 1e-9
-    ) -> np.ndarray: ...
-
-    def packed_symmetric_critical(
-        self, tables: PackedPolarTables, cover_ang: np.ndarray, *, eps: float = 1e-9
-    ) -> np.ndarray: ...
-
-    # -- routing ----------------------------------------------------------
     def use_sparse(self, n: int) -> bool:
         """Should an ``n``-point instance take the radius-bounded sparse
         path (:mod:`repro.kernels.sparse`) instead of dense tables?"""
@@ -187,77 +95,25 @@ class KernelBackend(Protocol):
 
 
 class NumpyBackend:
-    """The default backend: the vectorized numpy kernels as-is."""
+    """Every instance through the dense tables."""
 
     name = "numpy"
-
-    def polar_tables(self, coords):
-        return polar_tables(coords)
-
-    def coverage(self, tables, sensor_idx, start, spread, radius, *,
-                 eps=1e-9, ignore_radius=False):
-        return batched_coverage(tables, sensor_idx, start, spread, radius,
-                                eps=eps, ignore_radius=ignore_radius)
-
-    def strongly_connected(self, n, indptr, indices):
-        return strongly_connected_csr(n, indptr, indices)
-
-    def symmetric_connected(self, n, indptr, indices):
-        return symmetric_connected_csr(n, indptr, indices)
-
-    def critical_range(self, n, pairs, dists, *, eps=1e-9):
-        return critical_range_search(n, pairs, dists, eps=eps)
-
-    def symmetric_critical_range(self, n, pairs, dists, *, eps=1e-9):
-        return symmetric_critical_range_search(n, pairs, dists, eps=eps)
-
-    def packed_polar(self, batch):
-        return packed_polar_tables(batch)
-
-    def packed_coverage(self, tables, inst_idx, sensor_idx, start, spread,
-                        radius, *, eps=1e-9, ignore_radius=False):
-        return packed_coverage(tables, inst_idx, sensor_idx, start, spread,
-                               radius, eps=eps, ignore_radius=ignore_radius)
-
-    def packed_strongly_connected(self, cover, counts):
-        return packed_strongly_connected(cover, counts)
-
-    def packed_symmetric_connected(self, cover, counts):
-        return packed_symmetric_connected(cover, counts)
-
-    def packed_critical(self, tables, cover_ang, *, eps=1e-9):
-        return packed_critical(tables, cover_ang, eps=eps)
-
-    def packed_symmetric_critical(self, tables, cover_ang, *, eps=1e-9):
-        return packed_symmetric_critical(tables, cover_ang, eps=eps)
 
     def use_sparse(self, n: int) -> bool:
         return False
 
-    def __repr__(self) -> str:
-        return "NumpyBackend()"
 
-
-class SparseBackend(NumpyBackend):
-    """Radius-bounded sparse geometry for every non-trivial instance.
-
-    Dense primitives (inherited) stay the plain numpy kernels — callers
-    that already hold dense tables are served bit-identically — but the
-    engine and metrics layers route every instance with ``n >= 2``
-    through :func:`repro.kernels.sparse.sparse_metrics`.
-    """
+class SparseBackend:
+    """Every instance with ``n >= 2`` through the sparse candidate pairs."""
 
     name = "sparse"
 
     def use_sparse(self, n: int) -> bool:
         return n >= 2
 
-    def __repr__(self) -> str:
-        return "SparseBackend()"
 
-
-class AutoBackend(NumpyBackend):
-    """Numpy below :func:`sparse_auto_threshold` points, sparse above.
+class AutoBackend:
+    """Dense below :func:`sparse_auto_threshold` points, sparse above.
 
     The threshold is read per call, so ``REPRO_SPARSE_AUTO_N`` can steer
     an already-resolved backend (tests pin it; sweeps mixing instance
@@ -270,57 +126,35 @@ class AutoBackend(NumpyBackend):
     def use_sparse(self, n: int) -> bool:
         return n >= sparse_auto_threshold()
 
-    def __repr__(self) -> str:
-        return "AutoBackend()"
 
-
-def _load_numba() -> KernelBackend:
-    from repro.kernels.numba_backend import NumbaBackend
-
-    return NumbaBackend()
-
-
-_FACTORIES = {
-    "numpy": NumpyBackend,
-    "numba": _load_numba,
-    "sparse": SparseBackend,
-    "auto": AutoBackend,
+_BACKENDS: dict[str, KernelBackend] = {
+    b.name: b for b in (NumpyBackend(), SparseBackend(), AutoBackend())
 }
-_instances: dict[str, KernelBackend] = {}
+KNOWN_BACKENDS = tuple(_BACKENDS)
+
 #: Override stack pushed by :func:`use_backend`; top wins over the env var.
 _override: list[KernelBackend] = []
 
 
 def resolve_backend(name: str | None = None) -> KernelBackend:
-    """Construct (or fetch the cached) backend for ``name``.
+    """The backend named ``name``.
 
     ``None`` falls back to ``$REPRO_BACKEND`` and then to the default
-    numpy backend.  Raises :class:`BackendUnavailable` for unknown names
-    and for known backends whose package is not installed.
+    numpy backend.  Raises :class:`BackendUnavailable` for unknown names.
     """
     if name is None:
         name = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    if name not in _FACTORIES:
+    backend = _BACKENDS.get(name)
+    if backend is None:
         raise BackendUnavailable(
             f"unknown kernel backend {name!r}; known backends: "
             f"{', '.join(KNOWN_BACKENDS)}"
         )
-    backend = _instances.get(name)
-    if backend is None:
-        try:
-            backend = _FACTORIES[name]()
-        except BackendUnavailable:
-            raise
-        except ImportError as exc:  # pragma: no cover - env dependent
-            raise BackendUnavailable(
-                f"kernel backend {name!r} failed to import: {exc}"
-            ) from exc
-        _instances[name] = backend
     return backend
 
 
 def active_backend() -> KernelBackend:
-    """The backend kernel call sites should dispatch through right now.
+    """The backend measurement routes under right now.
 
     The innermost :func:`use_backend` override wins; otherwise the env
     var / default resolution of :func:`resolve_backend` applies per call.
@@ -334,7 +168,7 @@ def active_backend() -> KernelBackend:
 def use_backend(backend: str | KernelBackend | None) -> Iterator[KernelBackend]:
     """Pin :func:`active_backend` to ``backend`` within the ``with`` body.
 
-    Accepts a backend name, an already-constructed backend, or ``None``
+    Accepts a backend name, an already-resolved backend, or ``None``
     (resolve env/default now and pin that — useful to freeze the choice
     for a whole run even if the environment changes midway).
     """
@@ -345,15 +179,3 @@ def use_backend(backend: str | KernelBackend | None) -> Iterator[KernelBackend]:
         yield backend
     finally:
         _override.pop()
-
-
-def available_backends() -> list[str]:
-    """Known backend names whose construction actually succeeds here."""
-    out = []
-    for name in KNOWN_BACKENDS:
-        try:
-            resolve_backend(name)
-        except BackendUnavailable:
-            continue
-        out.append(name)
-    return out

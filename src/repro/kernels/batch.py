@@ -5,11 +5,11 @@ grid cell — and at that scale the per-call overhead of one kernel launch
 per instance dominates the actual array work.  This module packs a ragged
 chunk of instances (:class:`BatchedInstances`: padded coords + counts),
 builds one packed ``(M, n_max, n_max)`` polar table for the whole chunk
-(:class:`PackedPolarTables`), and evaluates coverage / strong connectivity
-/ critical range for every instance in a *single* Python-level launch.
+(:class:`PackedPolarTables`), and evaluates coverage / connectivity /
+critical range for every instance in a *single* Python-level launch.
 
-Bit-exactness contract (vs. the per-instance kernels, and hence vs.
-:mod:`repro.kernels.reference`):
+Bit-exactness contract (vs. the per-instance kernels, and hence vs. the
+oracles in ``tests/kernels_reference.py``):
 
 * packed polar tables run the same ``hypot`` / ``angle_of`` expressions on
   the same per-instance offsets — padding only adds rows/columns that are
@@ -18,10 +18,10 @@ Bit-exactness contract (vs. the per-instance kernels, and hence vs.
   (:func:`repro.kernels.coverage._fill_block`) on pre-gathered rows —
   elementwise float ops are shape-independent, so valid entries are
   bit-identical; pad columns are masked off explicitly;
-* packed strong connectivity runs *one* ``connected_components`` call on
-  the block-diagonal union graph — with no cross-instance edges the labels
-  restricted to an instance's block are exactly its own SCC labels, so the
-  per-instance boolean is exact;
+* packed connectivity runs *one* ``connected_components`` call on the
+  block-diagonal union graph — with no cross-instance edges the labels
+  restricted to an instance's block are exactly its own component labels,
+  so the per-instance boolean is exact;
 * packed critical range runs the identical counter-free search body
   (:func:`repro.kernels.critical._critical_search_impl`) per instance on
   identical edge arrays.
@@ -42,7 +42,7 @@ import numpy as np
 from repro.geometry.angles import angle_of
 from repro.kernels.connectivity import union_connected
 from repro.kernels.coverage import _fill_block
-from repro.kernels.critical import _critical_search_impl, _symmetric_search_impl
+from repro.kernels.critical import _critical_search_impl
 from repro.errors import InvalidParameterError
 from repro.kernels.geometry import DENSE_LIMIT_ENV_VAR, _ROW_BLOCK_ELEMS, dense_element_limit
 from repro.kernels.instrument import COUNTERS
@@ -53,10 +53,8 @@ __all__ = [
     "pack_instances",
     "packed_polar_tables",
     "packed_coverage",
-    "packed_strongly_connected",
-    "packed_symmetric_connected",
+    "packed_connected",
     "packed_critical",
-    "packed_symmetric_critical",
 ]
 
 
@@ -245,34 +243,24 @@ def packed_coverage(
     return cover
 
 
-def packed_strongly_connected(cover: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-instance strong connectivity, one SCC call for the whole chunk.
-
-    Builds the block-diagonal union digraph of all instances and runs a
-    single ``connected_components(connection="strong")``; instance ``m`` is
-    strongly connected iff the labels inside its vertex block are constant.
-    No cross-instance edges exist, so this is exactly the per-instance
-    answer.  Instances with ``counts[m] <= 1`` are trivially connected.
-    """
-    return _packed_connected(cover, counts, connection="strong")
-
-
-def packed_symmetric_connected(cover: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-instance symmetric connectivity, one component call per chunk.
-
-    Symmetrizes the coverage chunk (elementwise AND with its per-instance
-    transpose — the mutual-edge graph) and runs the same block-diagonal
-    union build with ``connection="weak"``: labels constant on an
-    instance's block iff its mutual graph is one undirected component.
-    """
-    sym = cover & cover.swapaxes(1, 2)
-    return _packed_connected(sym, counts, connection="weak")
-
-
-def _packed_connected(
-    cover: np.ndarray, counts: np.ndarray, *, connection: str
+def packed_connected(
+    cover: np.ndarray, counts: np.ndarray, *, mode: str = "strong"
 ) -> np.ndarray:
-    """Shared block-diagonal one-launch connectivity body (both modes)."""
+    """Per-instance connectivity under ``mode``, one component call per chunk.
+
+    Builds the block-diagonal union graph of all instances and runs a
+    single ``connected_components`` call; instance ``m`` is connected iff
+    the labels inside its vertex block are constant.  No cross-instance
+    edges exist, so this is exactly the per-instance answer.  Strong mode
+    asks strong connectivity of the coverage digraph; symmetric mode first
+    keeps the mutual edges (elementwise AND with the per-instance
+    transpose) and asks undirected connectivity.  Instances with
+    ``counts[m] <= 1`` are trivially connected.
+    """
+    connection = "strong"
+    if mode == "symmetric":
+        cover = cover & cover.swapaxes(1, 2)
+        connection = "weak"
     counts = np.asarray(counts, dtype=np.int64)
     base = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
     mi, u, v = np.nonzero(cover)  # pads and diagonal are already False
@@ -283,15 +271,19 @@ def _packed_connected(
 
 
 def packed_critical(
-    tables: PackedPolarTables, cover_ang: np.ndarray, *, eps: float = 1e-9
+    tables: PackedPolarTables,
+    cover_ang: np.ndarray,
+    *,
+    eps: float = 1e-9,
+    mode: str = "strong",
 ) -> np.ndarray:
-    """Per-instance critical range from an angular coverage chunk.
+    """Per-instance critical range under ``mode`` from an angular coverage chunk.
 
     ``cover_ang`` is the ``ignore_radius=True`` packed coverage.  One
     ``critical_searches`` launch for the whole chunk; each instance runs
     the identical search body as :func:`critical_range_search` on the same
-    sorted edge arrays, so results are bit-identical (``0.0`` for
-    ``n <= 1``, ``inf`` when deficient).
+    edge arrays, so results are bit-identical (``0.0`` for ``n <= 1``,
+    ``inf`` when deficient).
     """
     counts = tables.counts
     m = int(counts.shape[0])
@@ -307,33 +299,5 @@ def packed_critical(
             out[i] = np.inf
             continue
         dists = tables.dist[i][src, dst]
-        out[i] = _critical_search_impl(n, src, dst, dists, eps)
-    return out
-
-
-def packed_symmetric_critical(
-    tables: PackedPolarTables, cover_ang: np.ndarray, *, eps: float = 1e-9
-) -> np.ndarray:
-    """Per-instance symmetric critical range from an angular coverage chunk.
-
-    One ``critical_searches`` launch for the whole chunk; each instance
-    runs the identical symmetrize-then-bisect body as
-    :func:`~repro.kernels.critical.symmetric_critical_range_search` on the
-    same edge arrays, so results are bit-identical.
-    """
-    counts = tables.counts
-    m = int(counts.shape[0])
-    out = np.empty(m, dtype=float)
-    COUNTERS.critical_searches += 1
-    for i in range(m):
-        n = int(counts[i])
-        if n <= 1:
-            out[i] = 0.0
-            continue
-        src, dst = np.nonzero(cover_ang[i, :n, :n])
-        if src.shape[0] == 0:
-            out[i] = np.inf
-            continue
-        dists = tables.dist[i][src, dst]
-        out[i] = _symmetric_search_impl(n, src, dst, dists, eps)
+        out[i] = _critical_search_impl(n, src, dst, dists, eps, mode)
     return out

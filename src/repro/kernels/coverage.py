@@ -10,7 +10,7 @@ single ``logical_or.reduceat``.
 The kernel is bit-identical to the loop it replaces (same elementwise
 expressions in the same dtype; boolean reduction is exact) — the
 equivalence suite in ``tests/test_kernels.py`` asserts this on randomized
-instances against :mod:`repro.kernels.reference`.
+instances against the loop oracle in ``tests/kernels_reference.py``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Rebuild-free critical-range search.
 
 The measured critical range is the smallest uniform radius whose distance-
-truncated transmission graph is strongly connected.  The old implementation
+truncated transmission graph is connected: strongly, or, in symmetric mode,
+through its mutual edges.  The old implementation
 rebuilt a fresh :class:`~repro.graph.digraph.DiGraph` (sort + dedup + CSR)
 for every binary-search probe.  This kernel sorts the covered pairs by
 distance exactly once; each probe is then a prefix of the sorted edge list,
@@ -27,17 +28,29 @@ from repro.kernels.connectivity import (
 )
 from repro.kernels.instrument import COUNTERS
 
-__all__ = ["critical_range_search", "symmetric_critical_range_search"]
+__all__ = ["critical_range_search"]
 
 
 def critical_range_search(
-    n: int, pairs: np.ndarray, dists: np.ndarray, *, eps: float = 1e-9
+    n: int,
+    pairs: np.ndarray,
+    dists: np.ndarray,
+    *,
+    eps: float = 1e-9,
+    mode: str = "strong",
 ) -> float:
     """Bottleneck radius over candidate edges ``pairs`` with lengths ``dists``.
 
-    Returns ``inf`` when even the full candidate set is not strongly
-    connected (the orientations themselves are deficient), ``0.0`` for
-    ``n <= 1``.
+    ``mode="symmetric"`` runs the same search on the *symmetrized*
+    candidate list: an angularly covered pair survives only when both
+    directions are present (:func:`mutual_mask`).  Distances are
+    direction-symmetric bit-exactly (``hypot(-dx, -dy) == hypot(dx, dy)``),
+    so a radius prefix of the mutual list contains whole pairs and the
+    probe checks undirected connectivity of exactly the mutual graph at
+    that radius.
+
+    Returns ``inf`` when even the full candidate set is not connected
+    (the orientations themselves are deficient), ``0.0`` for ``n <= 1``.
     """
     if n <= 1:
         return 0.0
@@ -46,52 +59,7 @@ def critical_range_search(
     if pairs.shape[0] == 0:
         return float("inf")
     COUNTERS.critical_searches += 1
-    return _critical_search_impl(n, pairs[:, 0], pairs[:, 1], dists, eps)
-
-
-def symmetric_critical_range_search(
-    n: int, pairs: np.ndarray, dists: np.ndarray, *, eps: float = 1e-9
-) -> float:
-    """Symmetric-mode bottleneck radius over candidate edges.
-
-    Same one-sort prefix-mask bisection as :func:`critical_range_search`,
-    run on the *symmetrized* candidate list: an angularly covered pair
-    survives only when both directions are present (:func:`mutual_edges`).
-    Distances are direction-symmetric bit-exactly (``hypot(-dx, -dy) ==
-    hypot(dx, dy)``), so a radius prefix of the mutual list contains
-    whole pairs and the probe checks undirected connectivity of exactly
-    the mutual graph at that radius.
-    """
-    if n <= 1:
-        return 0.0
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    dists = np.asarray(dists, dtype=float)
-    if pairs.shape[0] == 0:
-        return float("inf")
-    COUNTERS.critical_searches += 1
-    return _symmetric_search_impl(n, pairs[:, 0], pairs[:, 1], dists, eps)
-
-
-def _symmetric_search_impl(
-    n: int, src_all: np.ndarray, dst_all: np.ndarray, dists: np.ndarray, eps: float
-) -> float:
-    """Counter-free symmetric search body (packed kernels reuse it too).
-
-    Symmetrizes the candidate list, then runs the shared prefix-mask
-    bisection with the undirected-connectivity probe.  Requires ``n >= 2``
-    and at least one edge.
-    """
-    mask = mutual_mask(n, src_all, dst_all)
-    if not mask.any():
-        return float("inf")
-    return _critical_search_impl(
-        n,
-        np.asarray(src_all, dtype=np.int64)[mask],
-        np.asarray(dst_all, dtype=np.int64)[mask],
-        dists[mask],
-        eps,
-        probe=symmetric_connected_csr,
-    )
+    return _critical_search_impl(n, pairs[:, 0], pairs[:, 1], dists, eps, mode)
 
 
 def _critical_search_impl(
@@ -100,18 +68,28 @@ def _critical_search_impl(
     dst_all: np.ndarray,
     dists: np.ndarray,
     eps: float,
-    probe=strongly_connected_csr,
+    mode: str = "strong",
 ) -> float:
     """The search body, free of launch accounting (``critical_searches``).
 
-    Shared by the per-instance entry point above and the packed
-    multi-instance kernel (:func:`repro.kernels.batch.packed_critical`),
-    which counts one launch for a whole chunk.  ``probe`` is the CSR
-    connectivity predicate the bisection drives — the strong kernel by
-    default, :func:`symmetric_connected_csr` on an already-mutual edge
-    list for symmetric mode.  Connectivity probes are still counted
-    inside the probe.  Requires ``n >= 2`` and at least one edge.
+    Shared by the per-instance entry point above, the packed
+    multi-instance kernel (:func:`repro.kernels.batch.packed_critical`)
+    and the trial kernel (:func:`repro.kernels.sparse.trial_critical`),
+    which count one launch for a whole chunk.  Symmetric mode keeps the
+    mutual edges and probes with :func:`symmetric_connected_csr`, strong
+    mode probes with :func:`strongly_connected_csr`; connectivity probes
+    are counted inside the probe.  Requires ``n >= 2`` and at least one
+    edge.
     """
+    probe = strongly_connected_csr
+    if mode == "symmetric":
+        mask = mutual_mask(n, src_all, dst_all)
+        if not mask.any():
+            return float("inf")
+        src_all = np.asarray(src_all, dtype=np.int64)[mask]
+        dst_all = np.asarray(dst_all, dtype=np.int64)[mask]
+        dists = dists[mask]
+        probe = symmetric_connected_csr
     m = src_all.shape[0]
     zero = np.zeros(1, dtype=np.int64)
 

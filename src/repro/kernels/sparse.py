@@ -57,12 +57,7 @@ from repro.kernels.connectivity import (
     validate_mode,
 )
 from repro.kernels.coverage import _ccw_from_start
-from repro.kernels.critical import (
-    _critical_search_impl,
-    _symmetric_search_impl,
-    critical_range_search,
-    symmetric_critical_range_search,
-)
+from repro.kernels.critical import _critical_search_impl, critical_range_search
 from repro.kernels.geometry import PolarTables
 from repro.kernels.instrument import COUNTERS
 
@@ -76,8 +71,7 @@ __all__ = [
     "trial_critical",
     "covered_edge_arrays",
     "reverse_edge_permutation",
-    "strongly_connected_sparse",
-    "symmetric_connected_sparse",
+    "sparse_connected",
     "sparse_metrics",
     "required_cutoff",
     "default_instance_cutoff",
@@ -468,7 +462,6 @@ def trial_critical(
     pair the search can use (``0.0`` for at most one vertex, ``inf`` when
     deficient).  One ``critical_searches`` launch for the whole stack.
     """
-    search = _symmetric_search_impl if mode == "symmetric" else _critical_search_impl
     rev = (
         reverse_edge_permutation(tables)
         if mode == "symmetric" and fade is not None else None
@@ -488,7 +481,7 @@ def trial_critical(
                 dist = np.maximum(dist, tables.dist[rev[e]] / fade[t, dst])
         if relabel is not None:
             src, dst = relabel[t][src], relabel[t][dst]
-        out[t] = search(n, src, dst, dist, eps)
+        out[t] = _critical_search_impl(n, src, dst, dist, eps, mode)
     return out
 
 
@@ -502,15 +495,6 @@ def covered_edge_arrays(
     if src.shape[0] == 0:
         return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=float)
     return np.stack([src, dst], axis=1), tables.dist[mask]
-
-
-def strongly_connected_sparse(tables: SparsePolarTables, mask: np.ndarray) -> bool:
-    """Strong connectivity of the masked edge set (CSR, no graph object)."""
-    n = tables.n
-    src = tables.src[mask]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return strongly_connected_csr(n, indptr, tables.indices[mask])
 
 
 def reverse_edge_permutation(tables: SparsePolarTables) -> np.ndarray:
@@ -527,19 +511,25 @@ def reverse_edge_permutation(tables: SparsePolarTables) -> np.ndarray:
     return np.searchsorted(key, rkey)
 
 
-def symmetric_connected_sparse(tables: SparsePolarTables, mask: np.ndarray) -> bool:
-    """Symmetric connectivity of the masked edge set.
+def sparse_connected(
+    tables: SparsePolarTables, mask: np.ndarray, *, mode: str = "strong"
+) -> bool:
+    """Connectivity of the masked edge set under ``mode`` (CSR, no graph object).
 
-    Keeps only the mutual edges (mask true in both directions, via
-    :func:`reverse_edge_permutation`) and checks undirected connectivity
-    on the same CSR scaffold as the strong kernel.
+    Strong mode asks strong connectivity of the masked digraph; symmetric
+    mode keeps only the mutual edges (mask true in both directions, via
+    :func:`reverse_edge_permutation`) and asks undirected connectivity on
+    the same CSR scaffold.
     """
     n = tables.n
-    mutual = mask & mask[reverse_edge_permutation(tables)]
-    src = tables.src[mutual]
+    probe = strongly_connected_csr
+    if mode == "symmetric":
+        mask = mask & mask[reverse_edge_permutation(tables)]
+        probe = symmetric_connected_csr
+    src = tables.src[mask]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return symmetric_connected_csr(n, indptr, tables.indices[mutual])
+    return probe(n, indptr, tables.indices[mask])
 
 
 # -- cutoff policy ------------------------------------------------------------------
@@ -664,12 +654,6 @@ def sparse_metrics(
     if n <= 1:
         critical = 0.0 if compute_critical else float("nan")
         return 0, True, critical, tables
-    connected_of = (
-        strongly_connected_sparse if mode == "strong" else symmetric_connected_sparse
-    )
-    critical_of = (
-        critical_range_search if mode == "strong" else symmetric_critical_range_search
-    )
 
     factory = tables_factory or (lambda r: sparse_polar_tables(c, r))
     cap = complete_cutoff(c, eps)
@@ -691,11 +675,11 @@ def sparse_metrics(
             angular_mask=compute_critical,
         )
         edges = int(np.count_nonzero(cov[0]))
-        connected = connected_of(tables, cov[0])
+        connected = sparse_connected(tables, cov[0], mode=mode)
         if not compute_critical:
             return edges, connected, float("nan"), tables
         pairs, dists = covered_edge_arrays(tables, cov_ang[0])
-        critical = critical_of(n, pairs, dists, eps=eps)
+        critical = critical_range_search(n, pairs, dists, eps=eps, mode=mode)
         # a == 0 can never cover a pair at any cutoff: inf is genuine.
         if (
             tables.r_cut >= cap

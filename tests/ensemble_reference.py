@@ -16,8 +16,12 @@ from repro.ensemble.trials import (
     _realized_ranges,
     draw_trials,
 )
-from repro.kernels.backend import active_backend
-from repro.kernels.batch import PackedPolarTables
+from repro.kernels.batch import (
+    PackedPolarTables,
+    packed_connected,
+    packed_coverage,
+    packed_critical,
+)
 from repro.kernels.instrument import COUNTERS
 from repro.utils.rng import indexed_uniforms
 
@@ -96,7 +100,6 @@ def _measure_dense(
 ):
     count, n = start_t.shape[0], tables.dist.shape[0]
     antennae = sensor_idx.shape[0]
-    backend = active_backend()
     # Zero-copy trials-as-instances packing: every "instance" of the packed
     # chunk is a broadcast view of the same cached tables.
     packed = PackedPolarTables(
@@ -110,12 +113,12 @@ def _measure_dense(
     start_f = np.ascontiguousarray(start_t).ravel()
     radius_f = np.ascontiguousarray(radius_t).ravel()
 
-    cover = backend.packed_coverage(
+    cover = packed_coverage(
         packed, inst_idx, sensor_f, start_f, spread_f, radius_f, eps=eps
     )
     cover_ang = None
     if want_critical:
-        cover_ang = backend.packed_coverage(
+        cover_ang = packed_coverage(
             packed, inst_idx, sensor_f, start_f, spread_f, radius_f,
             eps=eps, ignore_radius=True,
         )
@@ -145,12 +148,7 @@ def _measure_dense(
     else:
         counts = packed.counts
 
-    if not want_connectivity:
-        connected = None
-    elif mode == "symmetric":
-        connected = backend.packed_symmetric_connected(cover, counts)
-    else:
-        connected = backend.packed_strongly_connected(cover, counts)
+    connected = packed_connected(cover, counts, mode=mode) if want_connectivity else None
     critical = None
     if want_critical:
         if draws.fade is not None:
@@ -168,8 +166,5 @@ def _measure_dense(
                 np.arange(count)[:, None, None], perm[:, :, None], perm[:, None, :]
             ]
         eff = PackedPolarTables(dist_eff, dist_eff, counts)
-        if mode == "symmetric":
-            critical = backend.packed_symmetric_critical(eff, cover_ang, eps=eps)
-        else:
-            critical = backend.packed_critical(eff, cover_ang, eps=eps)
+        critical = packed_critical(eff, cover_ang, eps=eps, mode=mode)
     return connected, critical

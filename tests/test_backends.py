@@ -1,9 +1,12 @@
-"""Backend seam tests: registry, selection precedence, cross-backend parity.
+"""Backend tests: routing names, selection precedence, parity of every route.
 
-Every registered backend must be *bit-exact* against the reference numpy
-kernels — including on degenerate inputs (single-point instances, collinear
-layouts, full-circle sectors, more antennae than sensors).  Backends whose
-dependencies are absent (numba) are skipped cleanly, never failed.
+``numpy``, ``sparse`` and ``auto`` share one implementation of every
+kernel and differ only in which instances they measure through the
+radius-bounded sparse path (``use_sparse``).  Under every name, each
+route must be bit-exact against the loop oracles in
+``tests/kernels_reference.py`` — including on degenerate inputs
+(single-point instances, collinear layouts, coincident points,
+full-circle sectors, more antennae than sensors).
 
 The batched multi-instance path is validated the repository's usual way:
 kernel *work counters* (one packed launch per chunk instead of one launch
@@ -13,33 +16,36 @@ per instance), never wall-clock.
 import numpy as np
 import pytest
 
+from repro.antenna.coverage import coverage_matrix, critical_range, graph_from_cover
+from repro.antenna.model import AntennaAssignment
 from repro.engine import GridCell, PlanRequest, Scenario, execute_plan
 from repro.engine._spec import FrontierRequest
+from repro.engine.cache import ArtifactCache
 from repro.errors import InvalidParameterError
+from repro.graph.connectivity import is_strongly_connected
 from repro.kernels import (
     KNOWN_BACKENDS,
     BackendUnavailable,
     active_backend,
-    available_backends,
     pack_instances,
+    packed_connected,
+    packed_coverage,
+    packed_critical,
+    polar_tables,
     resolve_backend,
+    sparse_metrics,
     use_backend,
 )
-from repro.kernels.coverage import batched_coverage
-from repro.kernels.critical import critical_range_search
-from repro.kernels.geometry import polar_tables
-from repro.kernels.connectivity import strongly_connected_csr
+from repro.kernels.backend import SPARSE_AUTO_ENV_VAR
 from repro.kernels.instrument import recording
 from repro.store import plan_fingerprint, request_to_dict
+from tests.kernels_reference import (
+    bfs_strongly_connected,
+    coverage_matrix_loop,
+    critical_range_rebuild,
+)
 
 TWO_PI = 2.0 * np.pi
-
-
-def backend_or_skip(name):
-    try:
-        return resolve_backend(name)
-    except BackendUnavailable as exc:
-        pytest.skip(str(exc))
 
 
 # -- degenerate + adversarial instances --------------------------------------------
@@ -71,7 +77,7 @@ def make_sectors(rng, n, per_sensor):
     """Random sectors, ``per_sensor`` antennae each: mixed degenerate cases.
 
     Includes zero spreads, full-circle (2π) spreads, zero / finite / infinite
-    radii — the boundary semantics every backend must reproduce exactly.
+    radii — the boundary semantics every route must reproduce exactly.
     """
     a = n * per_sensor
     idx = np.repeat(np.arange(n, dtype=np.int64), per_sensor)
@@ -82,113 +88,121 @@ def make_sectors(rng, n, per_sensor):
     radius = rng.uniform(0.5, 8.0, size=a)
     radius[rng.random(a) < 0.3] = np.inf
     radius[rng.random(a) < 0.1] = 0.0
-    return idx, start, spread, radius
+    return AntennaAssignment.from_columns(n, idx, start, spread, radius)
 
 
-def reference_outputs(coords, idx, start, spread, radius):
-    """The numpy reference results every backend is judged against."""
-    tables = polar_tables(coords)
-    n = coords.shape[0]
-    cover = batched_coverage(tables, idx, start, spread, radius)
-    cover_ang = batched_coverage(
-        tables, idx, start, spread, radius, ignore_radius=True
-    )
-    src, dst = np.nonzero(cover_ang)
-    critical = critical_range_search(n, np.stack([src, dst], axis=1),
-                                     tables.dist[src, dst])
-    indptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(src, minlength=n))]
-    ).astype(np.int64)
-    sc = strongly_connected_csr(n, indptr, dst.astype(np.int64))
-    return tables, cover, cover_ang, critical, sc
+def oracle_outputs(coords, assignment):
+    """The loop oracles' cover, angular cover, connectivity and critical range."""
+    cover = coverage_matrix_loop(coords, assignment)
+    cover_ang = coverage_matrix_loop(coords, assignment, ignore_radius=True)
+    connected = bfs_strongly_connected(graph_from_cover(cover))
+    return cover, cover_ang, connected, critical_range_rebuild(coords, assignment)
+
+
+def assert_same_float(got, want):
+    assert got == want or (got != got and want != want)
 
 
 @pytest.mark.parametrize("backend_name", KNOWN_BACKENDS)
 class TestBackendParity:
-    """Every backend, bit-exact against the reference kernels."""
+    """Every routing name, bit-exact against the loop oracles.
+
+    ``auto``'s threshold is pinned inside the cases' sizes, so its copy
+    measures some instances dense and the others sparse.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _auto_threshold(self, monkeypatch):
+        monkeypatch.setenv(SPARSE_AUTO_ENV_VAR, "8")
 
     @pytest.mark.parametrize("case", sorted(degenerate_instances()))
     @pytest.mark.parametrize("per_sensor", [1, 3])
     def test_per_instance_kernels_match_reference(
         self, backend_name, case, per_sensor
     ):
-        backend = backend_or_skip(backend_name)
         coords = degenerate_instances()[case]
         n = coords.shape[0]
         rng = np.random.default_rng(sum(map(ord, case)) * 31 + per_sensor)
-        idx, start, spread, radius = make_sectors(rng, n, per_sensor)
-        tables, cover, cover_ang, critical, sc = reference_outputs(
-            coords, idx, start, spread, radius
-        )
+        assignment = make_sectors(rng, n, per_sensor)
+        cover, cover_ang, connected, critical = oracle_outputs(coords, assignment)
 
-        bt = backend.polar_tables(coords)
-        assert np.array_equal(bt.dist, tables.dist)
-        assert np.array_equal(bt.ang, tables.ang)
-        assert np.array_equal(
-            backend.coverage(tables, idx, start, spread, radius), cover
-        )
-        assert np.array_equal(
-            backend.coverage(
-                tables, idx, start, spread, radius, ignore_radius=True
-            ),
-            cover_ang,
-        )
-        src, dst = np.nonzero(cover_ang)
-        got = backend.critical_range(
-            n, np.stack([src, dst], axis=1), tables.dist[src, dst]
-        )
-        assert got == critical or (got != got and critical != critical)
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(src, minlength=n))]
-        ).astype(np.int64)
-        assert backend.strongly_connected(n, indptr, dst.astype(np.int64)) == sc
+        with use_backend(backend_name) as backend:
+            if backend.use_sparse(n):
+                edges, got_connected, got_critical, _ = sparse_metrics(
+                    coords, *assignment.flattened()
+                )
+                assert edges == int(cover.sum())
+            else:
+                tables = polar_tables(coords)
+                assert np.array_equal(
+                    coverage_matrix(coords, assignment, tables=tables), cover
+                )
+                assert np.array_equal(
+                    coverage_matrix(
+                        coords, assignment, tables=tables, ignore_radius=True
+                    ),
+                    cover_ang,
+                )
+                got_connected = is_strongly_connected(graph_from_cover(cover))
+                got_critical = critical_range(coords, assignment, tables=tables)
+        assert got_connected == connected
+        assert_same_float(got_critical, critical)
 
     @pytest.mark.parametrize("per_sensor", [1, 2])
     def test_packed_kernels_match_per_instance(self, backend_name, per_sensor):
-        backend = backend_or_skip(backend_name)
+        """A chunk split as the engine splits it: dense-routed instances
+        through the packed kernels, one launch per kernel, the rest through
+        the sparse path."""
         coords_list = list(degenerate_instances().values())
-        batch = pack_instances(coords_list)
-        tables = backend.packed_polar(batch)
+        assignments = [
+            make_sectors(np.random.default_rng(1000 + 7 * i + per_sensor),
+                         coords.shape[0], per_sensor)
+            for i, coords in enumerate(coords_list)
+        ]
+        with use_backend(backend_name) as backend:
+            dense = [i for i, c in enumerate(coords_list)
+                     if not backend.use_sparse(c.shape[0])]
+            batch = pack_instances([coords_list[i] for i in dense])
+            tables = ArtifactCache().packed_polar(batch)
+            columns = [assignments[i].flattened() for i in dense]
+            inst_idx = np.concatenate([
+                np.full(c[0].shape[0], j, dtype=np.int64)
+                for j, c in enumerate(columns)
+            ])
+            sensor_idx, start, spread, radius = (
+                np.concatenate(col) for col in zip(*columns)
+            )
+            cover = packed_coverage(
+                tables, inst_idx, sensor_idx, start, spread, radius
+            )
+            cover_ang = packed_coverage(
+                tables, inst_idx, sensor_idx, start, spread, radius,
+                ignore_radius=True,
+            )
+            connected = packed_connected(cover, batch.counts)
+            critical = packed_critical(tables, cover_ang)
+            sparse = {
+                i: sparse_metrics(coords_list[i], *assignments[i].flattened())
+                for i in range(len(coords_list)) if i not in dense
+            }
+        assert bool(sparse) == (backend_name != "numpy")  # only numpy stays dense
 
-        inst_parts, idx_parts, st_parts, sp_parts, ra_parts = [], [], [], [], []
-        refs = []
         for i, coords in enumerate(coords_list):
             n = coords.shape[0]
-            rng = np.random.default_rng(1000 + 7 * i + per_sensor)
-            idx, start, spread, radius = make_sectors(rng, n, per_sensor)
-            refs.append(reference_outputs(coords, idx, start, spread, radius))
-            inst_parts.append(np.full(idx.shape[0], i, dtype=np.int64))
-            idx_parts.append(idx)
-            st_parts.append(start)
-            sp_parts.append(spread)
-            ra_parts.append(radius)
-        inst_idx = np.concatenate(inst_parts)
-        sensor_idx = np.concatenate(idx_parts)
-        start = np.concatenate(st_parts)
-        spread = np.concatenate(sp_parts)
-        radius = np.concatenate(ra_parts)
-
-        cover = backend.packed_coverage(
-            tables, inst_idx, sensor_idx, start, spread, radius
-        )
-        cover_ang = backend.packed_coverage(
-            tables, inst_idx, sensor_idx, start, spread, radius,
-            ignore_radius=True,
-        )
-        connected = backend.packed_strongly_connected(cover_ang, batch.counts)
-        critical = backend.packed_critical(tables, cover_ang)
-
-        for i, coords in enumerate(coords_list):
-            n = coords.shape[0]
-            ref_tables, ref_cover, ref_cover_ang, ref_cr, ref_sc = refs[i]
-            assert np.array_equal(tables.dist[i, :n, :n], ref_tables.dist)
-            assert np.array_equal(tables.ang[i, :n, :n], ref_tables.ang)
-            assert np.array_equal(cover[i, :n, :n], ref_cover)
-            assert not cover[i, n:, :].any() and not cover[i, :, n:].any()
-            assert np.array_equal(cover_ang[i, :n, :n], ref_cover_ang)
-            assert bool(connected[i]) == ref_sc
-            cr = float(critical[i])
-            assert cr == ref_cr or (cr != cr and ref_cr != ref_cr)
+            ref_cover, ref_cover_ang, ref_sc, ref_cr = oracle_outputs(
+                coords, assignments[i]
+            )
+            if i in sparse:
+                edges, sc, cr, _ = sparse[i]
+                assert edges == int(ref_cover.sum())
+            else:
+                j = dense.index(i)
+                assert np.array_equal(cover[j, :n, :n], ref_cover)
+                assert not cover[j, n:, :].any() and not cover[j, :, n:].any()
+                assert np.array_equal(cover_ang[j, :n, :n], ref_cover_ang)
+                sc, cr = bool(connected[j]), float(critical[j])
+            assert sc == ref_sc
+            assert_same_float(cr, ref_cr)
 
 
 # -- registry and selection precedence ---------------------------------------------
@@ -196,13 +210,14 @@ class TestBackendParity:
 
 class TestBackendSelection:
     def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
         assert resolve_backend(None).name == "numpy"
         assert resolve_backend("numpy") is resolve_backend("numpy")  # cached
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(BackendUnavailable, match="bogus"):
             resolve_backend("bogus")
+        with pytest.raises(BackendUnavailable, match="numba"):
+            resolve_backend("numba")
 
     def test_env_var_selects_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
@@ -305,8 +320,9 @@ class TestBatchedExecution:
 
 class TestSparseBackendSelection:
     def test_sparse_and_auto_always_available(self):
-        avail = available_backends()
-        assert "sparse" in avail and "auto" in avail
+        assert KNOWN_BACKENDS == ("numpy", "sparse", "auto")
+        for name in KNOWN_BACKENDS:
+            assert resolve_backend(name).name == name
 
     def test_use_sparse_rules(self):
         assert not resolve_backend("numpy").use_sparse(10**6)

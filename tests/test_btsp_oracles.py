@@ -1,6 +1,6 @@
 """The array bottleneck-tour search against two independent oracles.
 
-* :mod:`repro.btsp.reference` keeps the replaced pure-Python 2-opt loop and
+* ``tests/btsp_reference.py`` keeps the replaced pure-Python 2-opt loop and
   the dense Hopcroft–Tarjan bisection verbatim: the array versions must
   return the identical tour, bottleneck, lower bound and method.
 * networkx decides biconnectivity for the lower bound on small
@@ -22,7 +22,7 @@ from repro.btsp.heuristic import (
     nearest_neighbor_tour,
     two_opt_bottleneck,
 )
-from repro.btsp.reference import (
+from tests.btsp_reference import (
     best_tour_loop,
     bottleneck_lower_bound_dense,
     two_opt_bottleneck_loop,

@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments.ablations import run_ablations
 from repro.experiments.btsp_experiment import run_btsp
-from repro.experiments.fig1_lemma1 import run_fig1
+from repro.experiments.fig1_lemma1 import random_mst_star_angles, run_fig1
 from repro.experiments.fig2_facts import run_fig2
 from repro.experiments.fig34_theorem3 import run_fig4, theorem3_case_census
 from repro.experiments.fig56_chains import adversarial_gap_star, run_fig5, run_fig6
@@ -44,6 +44,35 @@ class TestFigureDrivers:
         rec = run_fig1(random_trials=20)
         assert all(row[4] for row in rec.rows)  # necessity tight
         assert all(row[6] for row in rec.rows)  # sufficiency ok
+
+    def test_fig1_sampler_matches_rejection_sampler(self):
+        """The direct draw has the distribution of F1's former rejection
+        sampler (uniform directions, redrawn until every gap is >= pi/3)."""
+        from scipy.stats import ks_2samp
+
+        def rejection(d, rng):
+            while True:
+                ang = np.sort(rng.uniform(0, 2 * np.pi, d))
+                gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
+                if gaps.min() >= np.pi / 3:
+                    return ang
+
+        def features(stars):
+            gaps = np.diff(
+                np.concatenate([stars, stars[:, :1] + 2 * np.pi], axis=1), axis=1
+            )
+            return gaps.min(axis=1), gaps.max(axis=1), stars[:, 0]
+
+        d, draws = 3, 2000
+        rng_direct, rng_rejection = np.random.default_rng(3), np.random.default_rng(4)
+        direct = np.array([random_mst_star_angles(d, rng_direct) for _ in range(draws)])
+        rejected = np.array([rejection(d, rng_rejection) for _ in range(draws)])
+        assert np.all(np.diff(direct, axis=1) >= 0)
+        assert np.all((direct >= 0) & (direct < 2 * np.pi))
+        min_gap, _, _ = features(direct)
+        assert min_gap.min() >= np.pi / 3 - 1e-12
+        for ours, theirs in zip(features(direct), features(rejected)):
+            assert ks_2samp(ours, theirs).pvalue > 0.01
 
     def test_fig2(self):
         rec = run_fig2(sizes=(24,), seeds=1, workloads=("uniform",))

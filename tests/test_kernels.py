@@ -4,7 +4,7 @@ Three concerns:
 
 * **Equivalence** — the batched coverage kernel and the rebuild-free
   critical-range search must be *bit-identical* to the original loop
-  kernels preserved in :mod:`repro.kernels.reference`, on randomized
+  kernels preserved in ``tests/kernels_reference.py``, on randomized
   instances mixing finite/infinite radii, full-circle sectors and
   zero-spread rays.
 * **Edge cases** — deficient orientations (``inf``), single candidate
@@ -39,7 +39,7 @@ from repro.kernels import (
     strongly_connected_edges,
 )
 from repro.kernels.connectivity import _bfs_covers_all
-from repro.kernels.reference import (
+from tests.kernels_reference import (
     bfs_strongly_connected,
     coverage_matrix_loop,
     critical_range_rebuild,

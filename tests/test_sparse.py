@@ -32,10 +32,10 @@ from repro.kernels.sparse import (
     complete_cutoff,
     covered_edge_arrays,
     required_cutoff,
+    sparse_connected,
     sparse_covered_edges,
     sparse_metrics,
     sparse_polar_tables,
-    strongly_connected_sparse,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -315,7 +315,7 @@ def test_covered_edge_arrays_shape_feeds_critical_search():
         n, np.stack([src, dst], axis=1), dense.dist[src, dst]
     )
     assert crit == ref
-    assert strongly_connected_sparse(tables, mask)
+    assert sparse_connected(tables, mask)
 
 
 def test_single_point_and_empty_antenna_edge_cases():

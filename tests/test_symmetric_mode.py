@@ -2,8 +2,8 @@
 
 Covers the bounded-angle MST construction on degenerate layouts (stars,
 spiders, near-collinear point sets, the φ=2π clamp), bit-identity of the
-symmetric objective across backends (dense vs sparse vs reference, numba
-when available), serial vs multi-process vs shard/resume determinism, and
+symmetric objective across backends (dense vs sparse vs reference),
+serial vs multi-process vs shard/resume determinism, and
 the identity rules of the seam itself: ``mode`` participates in the plan
 fingerprint while strong-mode specs keep their historical byte form.
 """
@@ -28,7 +28,6 @@ from repro.errors import InvalidParameterError
 from repro.frontier import execute_frontier
 from repro.graph.digraph import DiGraph
 from repro.graph.scc import undirected_component_count
-from repro.kernels import BackendUnavailable, resolve_backend
 from repro.kernels.connectivity import (
     CONNECTIVITY_MODES,
     mutual_mask,
@@ -39,13 +38,6 @@ from repro.store import RunStore, StoreError, merge_stores
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
-
-
-def backend_or_skip(name):
-    try:
-        return resolve_backend(name)
-    except BackendUnavailable as exc:
-        pytest.skip(str(exc))
 
 
 def star(m, radius=1.0):
@@ -219,10 +211,9 @@ def symmetric_plan(**overrides):
 
 
 class TestSymmetricEngine:
-    def test_dense_vs_sparse_vs_numba_bit_identical(self):
+    def test_dense_vs_sparse_bit_identical(self):
         reference = execute_plan(symmetric_plan(), backend="numpy")
-        for name in ("sparse", "auto", "numba"):
-            backend_or_skip(name)
+        for name in ("sparse", "auto"):
             batch = execute_plan(symmetric_plan(), backend=name)
             assert len(batch.records) == len(reference.records)
             for got, want in zip(batch.records, reference.records):
