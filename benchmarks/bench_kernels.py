@@ -233,8 +233,8 @@ def test_sparse_large_n_axis(n, capsys):
     critical range — in a fresh child process per size, and merges a
     ``sparse_large_n`` section into BENCH_kernels.json.  Asserted
     quantities are counters and the child's peak RSS, never wall-clock:
-    trig work must be ≥ 20× below the dense ``n²`` (the ISSUE-8
-    acceptance bar) and the whole run must fit in 4 GB.
+    trig work must be ≥ 20× below the dense ``n²`` and the whole run
+    must fit in 4 GB.
     """
     import json
     import multiprocessing
@@ -254,7 +254,7 @@ def test_sparse_large_n_axis(n, capsys):
     assert counters["trig_evals"] * 20 <= n * n, (
         f"trig reduction below 20x at n={n}: {counters['trig_evals']} vs {n * n}"
     )
-    # 4 GB is the ISSUE-8 acceptance budget.
+    # The sparse path's memory budget: CI caps it with ulimit -v 4 GB.
     assert peak_rss_kb < 4 * 1024 * 1024, f"peak RSS {peak_rss_kb} KB over 4 GB"
 
     out = "BENCH_kernels.json"
