@@ -4,38 +4,9 @@ Every benchmark both times its driver (pytest-benchmark) and asserts the
 paper-reproduction claims, so `pytest benchmarks/ --benchmark-only` is a
 correctness gate as well as a performance report.  Run with ``-s`` to see
 the reproduced tables.
-
-``--backend <name>`` runs the backend-aware benchmarks (bench_kernels)
-under that kernel routing name; an unknown name skips instead of failing.
 """
 
 from __future__ import annotations
-
-import pytest
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        action="store",
-        default="numpy",
-        help="kernel routing name for backend-aware benchmarks "
-             "(numpy, sparse, auto)",
-    )
-
-
-@pytest.fixture(scope="session")
-def kernel_backend(request):
-    """The selected kernel backend, active for the using test's duration."""
-    from repro.kernels import BackendUnavailable, resolve_backend, use_backend
-
-    name = request.config.getoption("--backend")
-    try:
-        backend = resolve_backend(name)
-    except BackendUnavailable as exc:
-        pytest.skip(str(exc))
-    with use_backend(backend):
-        yield backend
 
 
 def run_once(benchmark, fn, **kwargs):

@@ -197,6 +197,9 @@ class TestBackendParity:
                 assert edges == int(ref_cover.sum())
             else:
                 j = dense.index(i)
+                ref_tables = polar_tables(coords)
+                assert np.array_equal(tables.dist[j, :n, :n], ref_tables.dist)
+                assert np.array_equal(tables.ang[j, :n, :n], ref_tables.ang)
                 assert np.array_equal(cover[j, :n, :n], ref_cover)
                 assert not cover[j, n:, :].any() and not cover[j, :, n:].any()
                 assert np.array_equal(cover_ang[j, :n, :n], ref_cover_ang)
