@@ -15,17 +15,26 @@ Theorem 2 were not rewritten, so they have no copy here.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.btsp.heuristic import best_tour
-from repro.core.bounds import BTSP_RANGE, kone_pair_bound, thm2_phi_threshold
+from repro.core import theorem3_cases as cases
+from repro.core.bounds import (
+    BTSP_RANGE,
+    kone_pair_bound,
+    thm2_phi_threshold,
+    thm3_part1_bound,
+    thm3_part2_bound,
+)
 from repro.core.chains import best_chain_partition
 from repro.core.kone import saturating_matching
 from repro.core.lemma1 import lemma1_orientation
 from repro.core.planner import SYMMETRIC_ALGORITHM
 from repro.core.result import OrientationResult
+from repro.core.theorem3_cases import NodeCtx, _require
 from repro.errors import AlgorithmInvariantError, InvalidParameterError
 from repro.geometry.angles import (
     BUDGET_SLOP,
@@ -53,6 +62,11 @@ __all__ = [
     "orient_k1_tour",
     "orient_star_chain_tree",
     "orient_k2_zero_spread",
+    "orient_theorem3",
+    "Theorem3Engine",
+    "handle_leaf",
+    "handle_deg2",
+    "handle_deg3",
     "adjacency",
 ]
 
@@ -675,4 +689,220 @@ def orient_k2_zero_spread(
             "max_sibling_edge": max_sibling_edge,
             "max_sibling_edge_normalized": max_sibling_edge / lmax if lmax else 0.0,
         },
+    )
+
+
+# -- repro.core.theorem3 -------------------------------------------------------------
+_EPS = 1e-9
+
+
+@dataclass
+class Theorem3Engine:
+    """Shared state for one run of the Theorem-3 construction."""
+
+    rooted: RootedTree
+    phi_budget: float  # per-node angular budget actually used (π for part 1)
+    part: int  # 1 or 2
+    radius: float  # absolute antenna radius (bound · lmax)
+    assignment: AntennaAssignment = field(init=False)
+    intended: list[tuple[int, int]] = field(init=False, default_factory=list)
+    stats: dict[str, Any] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.assignment = AntennaAssignment(self.rooted.n)
+        self.stats = {"cases": {}}
+
+    # -- bookkeeping helpers used by the case handlers ---------------------------
+    def note_case(self, label: str) -> None:
+        c = self.stats["cases"]
+        c[label] = c.get(label, 0) + 1
+
+    def add_sector(self, u: int, sector: Sector) -> None:
+        self.assignment.add(u, sector)
+
+    def add_edge(self, u: int, v: int) -> None:
+        self.intended.append((int(u), int(v)))
+
+    def check_delegation(self, donor: int, receiver: int) -> None:
+        """Assert the proof's promise that a sibling delegation is in range."""
+        d = self.rooted.points.distance(donor, receiver)
+        if d > self.radius * (1.0 + 1e-7) + 1e-12:
+            raise AlgorithmInvariantError(
+                f"delegation {donor}->{receiver} at distance {d:.6f} exceeds "
+                f"radius {self.radius:.6f} (part {self.part})"
+            )
+
+    def check_spread(self, u: int) -> None:
+        used = sum(s.spread for s in self.assignment[u])
+        if used > self.phi_budget + 1e-9:
+            raise AlgorithmInvariantError(
+                f"vertex {u} uses spread {used:.6f} > budget {self.phi_budget:.6f}"
+            )
+
+    # -- main loop -------------------------------------------------------------
+    def run(self, root_cover: np.ndarray | None = None) -> None:
+        """Process the whole tree top-down.
+
+        ``root_cover`` is an optional *imaginary point* the root must cover
+        (Property-1 testing); by default the root covers its child.
+        """
+        rooted = self.rooted
+        root = rooted.root
+        if rooted.n == 1:
+            if root_cover is not None:
+                self.add_sector(
+                    root, sector_toward(rooted.points[root], root_cover, radius=self.radius)
+                )
+            return
+        if len(rooted.children[root]) != 1:
+            raise InvalidParameterError(
+                "Theorem 3 requires the tree to be rooted at a leaf (degree-1 vertex)"
+            )
+        child = rooted.children[root][0]
+        # Root RT: one zero-spread antenna per target (child, and the
+        # imaginary point if provided).  δ(RT)=1, so two antennae suffice.
+        self.add_sector(root, sector_toward(rooted.points[root], rooted.points[child], radius=self.radius))
+        self.add_edge(root, child)
+        if root_cover is not None:
+            self.add_sector(root, sector_toward(rooted.points[root], root_cover, radius=self.radius))
+        self.note_case("root")
+
+        # Stack of (vertex, index of the point it must cover).
+        stack: list[tuple[int, int]] = [(child, root)]
+        while stack:
+            u, p_idx = stack.pop()
+            ctx = NodeCtx.build(self, u, p_idx)
+            n_children = len(ctx.children)
+            if n_children == 0:
+                handle_leaf(ctx)
+            elif n_children == 1:
+                handle_deg2(ctx)
+            elif n_children == 2:
+                handle_deg3(ctx)
+            elif n_children == 3:
+                if self.part == 1:
+                    cases.handle_deg4_part1(ctx)
+                else:
+                    cases.handle_deg4_part2(ctx)
+            elif n_children == 4:
+                if self.part == 1:
+                    cases.handle_deg5_part1(ctx)
+                else:
+                    cases.handle_deg5_part2(ctx)
+            else:  # pragma: no cover - max degree 5 enforced upstream
+                raise AlgorithmInvariantError(
+                    f"vertex {u} has {n_children + 1} tree neighbours (> 5)"
+                )
+            self.check_spread(u)
+            pushed = {c for c, _ in ctx.pushes}
+            if pushed != set(ctx.children):
+                raise AlgorithmInvariantError(
+                    f"vertex {u}: children {set(ctx.children) - pushed} were never "
+                    f"scheduled (handler bug)"
+                )
+            stack.extend(ctx.pushes)
+
+
+# -- repro.core.theorem3_cases: degree 1-3 (shared by both parts) -------------------
+def handle_leaf(ctx: NodeCtx) -> None:
+    """δ(u) = 1: a single zero-spread antenna covering ``p``."""
+    ctx.zero_to_p()
+    ctx.engine.note_case("deg1.leaf")
+
+
+def handle_deg2(ctx: NodeCtx) -> None:
+    """δ(u) = 2: two zero-spread antennae, one at ``p`` and one at the child."""
+    ctx.zero_to_p()
+    ctx.zero_to_child(0)
+    ctx.push(0, ctx.u)
+    ctx.engine.note_case("deg2")
+
+
+def handle_deg3(ctx: NodeCtx) -> None:
+    """δ(u) = 3: close the smallest of the three gaps with one antenna.
+
+    min{∠puc1, ∠c1uc2, ∠c2up} ≤ 2π/3 ≤ φ, so one antenna spans the smallest
+    gap (covering its two bounding targets) and the zero antenna covers the
+    remaining target.
+    """
+    g = [ctx.gap_p_to_child(0), ctx.gap(0, 1), ctx.gap_child_to_p(1)]
+    i = int(np.argmin(g))
+    _require(
+        g[i] <= ctx.engine.phi_budget + _EPS,
+        f"deg3 at {ctx.u}: min gap {g[i]:.6f} exceeds budget",
+    )
+    if i == 0:
+        ctx.arc(ctx.pdir, ctx.cdir[0], [0], covers_p=True)
+        ctx.zero_to_child(1)
+    elif i == 1:
+        ctx.arc(ctx.cdir[0], ctx.cdir[1], [0, 1], covers_p=False)
+        ctx.zero_to_p()
+    else:
+        ctx.arc(ctx.cdir[1], ctx.pdir, [1], covers_p=True)
+        ctx.zero_to_child(0)
+    ctx.push_rest()
+    ctx.engine.note_case(f"deg3.gap{i}")
+
+
+def orient_theorem3(
+    points: PointSet | np.ndarray,
+    phi: float,
+    *,
+    tree: SpanningTree | None = None,
+    root: int | None = None,
+    part: int | str = "auto",
+) -> OrientationResult:
+    """Orient two antennae per sensor under angular-sum budget ``phi``."""
+    two_thirds_pi = 2.0 * np.pi / 3.0
+    if phi < two_thirds_pi - 1e-12:
+        raise InvalidParameterError(
+            f"Theorem 3 needs phi >= 2pi/3 = {two_thirds_pi:.6f}, got {phi:.6f}"
+        )
+    if part not in ("auto", 1, 2):
+        raise InvalidParameterError(f"part must be 'auto', 1 or 2, got {part!r}")
+    use_part = (1 if phi >= np.pi - 1e-12 else 2) if part == "auto" else int(part)
+    if use_part == 1 and phi < np.pi - 1e-12:
+        raise InvalidParameterError("part 1 requires phi >= pi")
+
+    ps = points if isinstance(points, PointSet) else PointSet(points)
+    n = len(ps)
+    if tree is None:
+        tree = euclidean_mst(ps)
+    if tree.max_degree() > 5:
+        raise InvalidParameterError("Theorem 3 requires a spanning tree of max degree 5")
+    lmax = tree.lmax if n > 1 else 0.0
+
+    if use_part == 1:
+        bound = thm3_part1_bound()
+        phi_eff = float(np.pi)
+    else:
+        phi_eff = float(min(phi, np.pi))
+        bound = thm3_part2_bound(phi_eff)
+
+    if n == 1:
+        return OrientationResult(
+            ps, AntennaAssignment(1), np.empty((0, 2), dtype=np.int64),
+            2, float(phi), bound, lmax, f"theorem3.part{use_part}",
+        )
+
+    rooted = (
+        RootedTree(tree, root) if root is not None else RootedTree.rooted_at_leaf(tree)
+    )
+    if len(rooted.children[rooted.root]) != 1:
+        raise InvalidParameterError("root must be a leaf of the spanning tree")
+
+    engine = Theorem3Engine(rooted, phi_eff, use_part, bound * lmax)
+    engine.run()
+    engine.stats["part"] = use_part
+    engine.stats["phi_effective"] = phi_eff
+    return OrientationResult(
+        ps,
+        engine.assignment,
+        np.asarray(engine.intended, dtype=np.int64),
+        2,
+        float(phi),
+        bound,
+        lmax,
+        f"theorem3.part{use_part}",
+        stats=engine.stats,
     )

@@ -28,12 +28,17 @@ from repro.core.ktwo_zero import orient_k2_zero_spread
 from repro.core.star_tree import orient_star_chain_tree
 from repro.core.symmetric import orient_bounded_angle_mst
 from repro.core.theorem2 import orient_theorem2
+from repro.core.theorem3 import orient_theorem3
 from repro.core.bounds import THM5_RANGE, THM6_RANGE
-from repro.experiments.workloads import make_workload, regular_polygon_star
+from repro.experiments.workloads import (
+    make_workload,
+    perturbed_star,
+    regular_polygon_star,
+)
 from repro.geometry.points import PointSet
 from repro.io import _jsonable
 from repro.spanning.bounded_angle import tree_spread_requirements
-from repro.spanning.emst import euclidean_mst
+from repro.spanning.emst import SpanningTree, euclidean_mst
 from tests import construction_reference as ref
 
 CONSTRUCTION_FIXTURE = Path(__file__).parent / "fixtures" / "construction_digests.json"
@@ -91,6 +96,16 @@ def _algorithms(module) -> dict:
                 lambda ps, t, k=k, phi=phi: module.orient_bounded_angle_mst(
                     ps, k, phi, tree=t)
             )
+    # Theorem 3: part 1, part 2 at both ends of its range and inside it,
+    # and part 2 forced at phi = pi (the ablation's setting).
+    for part, tag, phi in (
+        (1, "pi", np.pi), (2, "2pi/3", 2 * np.pi / 3), (2, "0.8pi", 0.8 * np.pi),
+        (2, "pi", np.pi),
+    ):
+        out[f"theorem3.part{part}@{tag}"] = (
+            lambda ps, t, phi=phi, part=part: module.orient_theorem3(
+                ps, phi, tree=t, part=part)
+        )
     return out
 
 
@@ -103,6 +118,7 @@ class _Library:
     orient_star_chain_tree = staticmethod(orient_star_chain_tree)
     orient_theorem2 = staticmethod(orient_theorem2)
     orient_bounded_angle_mst = staticmethod(orient_bounded_angle_mst)
+    orient_theorem3 = staticmethod(orient_theorem3)
 
 
 LIBRARY = _algorithms(_Library)
@@ -135,19 +151,26 @@ def construction_digest(outcome) -> str:
 
 
 def pinned_constructions() -> list[dict]:
-    rows = []
+    """One row per point set and algorithm.  Theorem 3's rows come after
+    all the others, in the order they were pinned."""
+    theorem3 = [algo for algo in LIBRARY if algo.startswith("theorem3")]
+    groups = ([algo for algo in LIBRARY if algo not in theorem3], theorem3)
+    inputs = {}
     for label, make in PINNED_POINTS.items():
         ps = PointSet(make())
-        tree = euclidean_mst(ps)
-        for algo, fn in LIBRARY.items():
-            out = _outcome(fn, ps, tree)
-            rows.append({
-                "points": label,
-                "algorithm": algo,
-                "antennae": None if isinstance(out, Exception)
-                else int(out.assignment.total_antennae()),
-                "digest": construction_digest(out),
-            })
+        inputs[label] = (ps, euclidean_mst(ps))
+    rows = []
+    for group in groups:
+        for label, (ps, tree) in inputs.items():
+            for algo in group:
+                out = _outcome(LIBRARY[algo], ps, tree)
+                rows.append({
+                    "points": label,
+                    "algorithm": algo,
+                    "antennae": None if isinstance(out, Exception)
+                    else int(out.assignment.total_antennae()),
+                    "digest": construction_digest(out),
+                })
     return rows
 
 
@@ -266,3 +289,178 @@ def test_pair_lemma_error_matches_loop_oracle():
         "pair lemma violated: neither 0 nor its partner covers 2"
     )
     assert _covering_endpoint(ps.coords, new, mate, src[:1], dst[:1]).tolist() == [2]
+
+
+# -- Theorem 3 on whole trees ----------------------------------------------------
+
+THEOREM3_PHIS = (2 * np.pi / 3, 0.7 * np.pi, 0.8 * np.pi, 0.9 * np.pi, np.pi)
+
+_PHI2 = 2 * np.pi / 3 + 0.02
+
+#: The recipes of ``tests/test_theorem3_handler_branches.py``, each of which
+#: fires its label with one handler call on a hub ``u``: the children's ccw
+#: offsets from the ray ``u -> p``, the direction of u's parent, and phi.
+HANDLER_BRANCH_RECIPES = {
+    "deg4.p1.forward": ((0.8, 2.0, 3.5), 0.0, np.pi),
+    "deg4.p1.backward": ((2.5, 4.2, 5.5), 0.0, np.pi),
+    "deg4.p2.a": ((0.5, 2.5, 5.5), 0.0, 0.95 * np.pi),
+    "deg4.p2.b": ((1.2, 2.2, 3.9), 0.0, 0.95 * np.pi),
+    "deg4.p2.c": ((1.3, 2.9, 4.7), 0.0, _PHI2),
+    "deg5.p1.inner": ((0.9, 2.0, 3.1, 5.3), 4.0, np.pi),
+    "deg5.p1.inner.mirror": ((0.8, 2.2, 4.0, 5.0), 1.5, np.pi),
+    "deg5.p2.first.wide": ((0.4, 1.2, 3.0, 4.6), 3.5, 0.95 * np.pi),
+    "deg5.p2.first.wide.mirror": ((0.4, 1.5, 4.0, 5.0), 0.9, 0.95 * np.pi),
+    "deg5.p2.first.delegate": ((0.5, 2.0, 3.2, 4.8), 3.9, _PHI2),
+    "deg5.p2.first.delegate.mirror": ((0.5, 2.1, 3.6, 5.1), 1.3, _PHI2),
+    "deg5.p2.second.c3p": ((1.6, 2.6, 4.3, 5.5), 6.2, _PHI2),
+    "deg5.p2.second.pc2": ((1.2, 2.0, 3.6, 5.2), 0.05, _PHI2),
+    "deg5.p2.second.e": ((1.4, 2.5, 3.6, 5.08), 6.2, _PHI2),
+    "deg5.p2.second.f": ((1.5, 2.6, 3.5, 5.48), 6.2, _PHI2),
+    "deg5.p2.second.f.mirror": ((0.8, 2.3, 3.2, 4.78), 6.2, _PHI2),
+    "deg5.p2.second.g": ((1.3, 2.2, 3.4, 5.38), 6.2, _PHI2),
+    "deg5.p2.second.g.mirror": ((0.9, 2.3, 3.5, 4.98), 6.2, _PHI2),
+}
+
+#: The handler-branch tests accept any big-gap label; trees must fire all three.
+BIGGAP_LABELS = {"deg5.biggap.i0", "deg5.biggap.i1", "deg5.biggap.i2"}
+
+
+def _unit(angle: float) -> np.ndarray:
+    return np.array([np.cos(angle), np.sin(angle)])
+
+
+def recipe_tree(child_pos, parent_pos, sibling_r: float = 0.9):
+    """A whole tree in which hub ``u`` meets a handler-branch recipe.
+
+    ``u`` sits at the origin with unit children at ``child_pos``.  When its
+    parent's direction lies in the gap that holds the ray ``u -> p`` (angle
+    0), the parent itself can be ``p``: the root leaf, at ``(1, 0)``.
+    Otherwise (the deg-5 "first case") ``p`` must be a sibling that ``u``
+    was delegated: the parent ``w`` sits at unit distance in direction
+    ``parent_pos`` and ``p`` at ``(sibling_r, 0)``, the handler-branch
+    geometry.  ``w`` has degree 5 below the root leaf, and its other two
+    children leave the ``u``–``p`` gap the smallest of its inner gaps, so
+    its big-gap case makes ``u`` cover ``p``.  The root is vertex 0.
+    Returns ``(points, tree)``.
+    """
+    m = len(child_pos)
+    kids = [_unit(a) for a in child_pos]
+    if parent_pos >= child_pos[-1] or parent_pos <= child_pos[0]:
+        ps = PointSet(np.asarray([_unit(0.0), np.zeros(2), *kids]))
+        return ps, SpanningTree(ps, np.asarray([[0, 1]] + [[1, 2 + i] for i in range(m)]))
+    w = _unit(parent_pos)
+    p = np.array([sibling_r, 0.0])
+    to_u, to_p = np.arctan2(-w[1], -w[0]), np.arctan2(p[1] - w[1], p[0] - w[0])
+    gap = (to_u - to_p) % TWO_PI
+    side = 1.0 if gap < np.pi else -1.0  # +1: p then u counterclockwise
+    gap = gap if side > 0 else TWO_PI - gap
+    rest = (TWO_PI - 2.0 - gap) / 2.0  # the two other inner gaps of w
+    # Turning away from p: the root, w's outer child, then its middle child.
+    root, outer, middle = (to_u + side * a for a in (1.0, 2.0, 2.0 + rest))
+    ps = PointSet(np.asarray(
+        [w + _unit(root), w, np.zeros(2), *kids, p, w + _unit(outer), w + _unit(middle)]
+    ))
+    edges = [[0, 1], [1, 2]] + [[2, 3 + i] for i in range(m)]
+    edges += [[1, 3 + m], [1, 4 + m], [1, 5 + m]]
+    return ps, SpanningTree(ps, np.asarray(edges))
+
+
+def _theorem3_instances():
+    """``(label, points, tree, root)`` with hubs of degree 4 and 5 everywhere."""
+    for d in (4, 5):
+        for leg in (2, 3):
+            for seed in range(12):
+                ps = PointSet(perturbed_star(d, leg=leg, seed=seed))
+                yield f"perturbed_star({d}, leg={leg}, seed={seed})", ps, euclidean_mst(ps), None
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        # Regular stars glued at small offsets (exact angle ties), and
+        # integer lattices (exact distance and angle ties).
+        parts = [
+            regular_polygon_star(int(rng.integers(3, 6))) + rng.integers(-3, 3, size=2) * 2.5
+            for _ in range(int(rng.integers(2, 5)))
+        ]
+        ps = PointSet(np.unique(np.vstack(parts), axis=0))
+        yield f"glued stars {seed}", ps, euclidean_mst(ps), None
+        lattice = rng.integers(0, 5, size=(int(rng.integers(10, 30)), 2)).astype(float)
+        ps = PointSet(np.unique(lattice, axis=0))
+        yield f"lattice {seed}", ps, euclidean_mst(ps), None
+    for label, (child_pos, parent_pos, _) in HANDLER_BRANCH_RECIPES.items():
+        yield f"recipe {label}", *recipe_tree(child_pos, parent_pos), 0
+
+
+def test_theorem3_whole_trees_match_loop_oracle():
+    """The whole construction, on trees full of degree-4 and -5 vertices,
+    is the loop's bit for bit, and between them these trees fire every
+    label that the handler-branch tests fire one handler call at a time."""
+    settings = [(phi, "auto") for phi in THEOREM3_PHIS] + [(np.pi, 2)]
+    reached: set[str] = set()
+
+    def compare(ps, tree, root, phi, part):
+        new, old = (
+            _outcome(lambda ps, t: m.orient_theorem3(ps, phi, tree=t, root=root, part=part),
+                     ps, tree)
+            for m in (_Library, ref)
+        )
+        assert_same_outcome(new, old)
+        if not isinstance(new, Exception):
+            reached.update(new.stats["cases"])
+        return new
+
+    for _, ps, tree, root in _theorem3_instances():
+        for phi, part in settings:
+            compare(ps, tree, root, phi, part)
+    for label, (child_pos, parent_pos, phi) in HANDLER_BRANCH_RECIPES.items():
+        new = compare(*recipe_tree(child_pos, parent_pos), 0, phi, "auto")
+        assert label in new.stats["cases"], (label, new.stats["cases"])
+    wanted = set(HANDLER_BRANCH_RECIPES) | BIGGAP_LABELS
+    assert wanted <= reached, wanted - reached
+
+
+def _random_tree(seed: int) -> tuple[PointSet, SpanningTree]:
+    """Random points joined by a random tree of max degree 5 (not the MST,
+    so the proof's angle and distance promises fail here and there)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    ps = PointSet(rng.uniform(0.0, 10.0, size=(n, 2)))
+    degree = np.zeros(n, dtype=np.int64)
+    edges = []
+    for v in range(1, n):
+        u = int(rng.choice(np.flatnonzero(degree[:v] < 5)))
+        edges.append([u, v])
+        degree[[u, v]] += 1
+    return ps, SpanningTree(ps, np.asarray(edges).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("part", [1, 2])
+def test_theorem3_engine_errors_match_loop_oracle(part):
+    """On arbitrary trees and budgets the engine raises the loop's error,
+    from the vertex the loop reaches first, or builds the loop's output."""
+    from repro.core.theorem3 import Theorem3Engine
+    from repro.spanning.rooted import RootedTree
+
+    raised = 0
+    for seed in range(60):
+        ps, tree = _random_tree(seed)
+        rooted = RootedTree.rooted_at_leaf(tree)
+        for budget, scale in ((1.2, 1.3), (1.8, 1.3), (2.4, 0.8), (np.pi, 1.3)):
+            outcomes = []
+            for engine_cls in (Theorem3Engine, ref.Theorem3Engine):
+                engine = engine_cls(rooted, budget, part, scale * tree.lmax)
+                try:
+                    engine.run(root_cover=ps[rooted.root] + 0.5)
+                except Exception as exc:
+                    outcomes.append(exc)
+                else:
+                    outcomes.append(engine)
+            new, old = outcomes
+            if isinstance(old, Exception):
+                raised += 1
+                assert type(new) is type(old) and str(new) == str(old), (new, old)
+                continue
+            assert not isinstance(new, Exception), new
+            for a, b in zip(new.assignment.flattened(), old.assignment.flattened()):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert np.array_equal(np.asarray(new.intended), np.asarray(old.intended))
+            assert json.dumps(new.stats) == json.dumps(old.stats)
+    assert raised > 0
