@@ -1,22 +1,33 @@
 """Case handlers for the Theorem-3 induction (Figures 3 and 4 of the paper).
 
-Each handler orients the (at most two) antennae of one vertex ``u`` given
-the point ``p`` it must cover, decides which point each child subtree must
-cover (its parent ``u``, or a sibling in the delegation cases), and records
-the case label for the Figure-3/4 benchmarks.
+Each handler orients the (at most two) antennae of one vertex ``u`` with
+three or four children, given the point ``p`` it must cover, decides which
+point each child subtree must cover (its parent ``u``, or a sibling in the
+delegation cases), and records the case label for the Figure-3/4
+benchmarks.  Leaves and vertices with one or two children cannot delegate;
+:meth:`repro.core.theorem3.Theorem3Engine.run` decides all of them in one
+array pass.
 
 Notation: children ``c1..c_m`` are ccw-sorted starting from the ray
 ``u → p`` (the paper's ``u(1)..u(δ(u)-1)``); ``pos[i]`` is the ccw offset of
 child ``i+1`` from that ray; the paper's ``∠xuy`` is ``ccw(dir_x, dir_y)``.
 
-Two deliberate corrections to the paper's text (both confirmed by its own
-figures; see DESIGN.md §4):
+Two deliberate corrections to the paper's text, both confirmed by its
+Figure 4:
 
 * deg-5, part 2, first case, fallback (Fig. 4(d)): the feasible sibling pair
   is ``min{∠u(2)uu(3), ∠u(3)uu(4)} < π − φ/2`` (the text's
-  ``∠u(1)uu(2)`` is a typo — it is ``u(3)`` that must be delegated);
+  ``∠u(1)uu(2)`` is a typo — it is ``u(3)`` that must be delegated).  The
+  sweep ``u(4) → p → u(1)`` and the zero-spread antenna at ``u(2)`` already
+  reach ``u(1)``, ``u(2)`` and ``u(4)``; only ``u(3)`` is left, so the
+  sibling that covers it is one of its neighbours ``u(2)``, ``u(4)``, and
+  the angle that bounds that delegation is one of the two next to ``u(3)``.
 * deg-5, part 2, second case (b)ii: the bound on ``∠u(3)uu(4)`` follows
   from Fact 2(2) applied to ``∠u(2)uu(4) ≤ π``, not from the text's chain.
+  Fact 2 (:mod:`repro.spanning.facts`) puts each angle between neighbours
+  two apart at a degree-5 vertex in ``[2π/3, π]``; with ``∠u(2)uu(3) > φ/2``
+  in this sub-case, ``∠u(3)uu(4) = ∠u(2)uu(4) − ∠u(2)uu(3) < π − φ/2``,
+  the bound under which ``u(4)`` covers ``u(3)`` within range.
 """
 
 from __future__ import annotations
@@ -31,9 +42,6 @@ from repro.geometry.sectors import Sector, sector_toward
 
 __all__ = [
     "NodeCtx",
-    "handle_leaf",
-    "handle_deg2",
-    "handle_deg3",
     "handle_deg4_part1",
     "handle_deg4_part2",
     "handle_deg5_part1",
@@ -161,50 +169,6 @@ class NodeCtx:
 
     def gap_p_to_child(self, i: int) -> float:
         return float(self.pos[i])
-
-
-# ---------------------------------------------------------------------------
-# degree 1-3 (shared by both parts)
-# ---------------------------------------------------------------------------
-
-def handle_leaf(ctx: NodeCtx) -> None:
-    """δ(u) = 1: a single zero-spread antenna covering ``p``."""
-    ctx.zero_to_p()
-    ctx.engine.note_case("deg1.leaf")
-
-
-def handle_deg2(ctx: NodeCtx) -> None:
-    """δ(u) = 2: two zero-spread antennae, one at ``p`` and one at the child."""
-    ctx.zero_to_p()
-    ctx.zero_to_child(0)
-    ctx.push(0, ctx.u)
-    ctx.engine.note_case("deg2")
-
-
-def handle_deg3(ctx: NodeCtx) -> None:
-    """δ(u) = 3: close the smallest of the three gaps with one antenna.
-
-    min{∠puc1, ∠c1uc2, ∠c2up} ≤ 2π/3 ≤ φ, so one antenna spans the smallest
-    gap (covering its two bounding targets) and the zero antenna covers the
-    remaining target.
-    """
-    g = [ctx.gap_p_to_child(0), ctx.gap(0, 1), ctx.gap_child_to_p(1)]
-    i = int(np.argmin(g))
-    _require(
-        g[i] <= ctx.engine.phi_budget + _EPS,
-        f"deg3 at {ctx.u}: min gap {g[i]:.6f} exceeds budget",
-    )
-    if i == 0:
-        ctx.arc(ctx.pdir, ctx.cdir[0], [0], covers_p=True)
-        ctx.zero_to_child(1)
-    elif i == 1:
-        ctx.arc(ctx.cdir[0], ctx.cdir[1], [0, 1], covers_p=False)
-        ctx.zero_to_p()
-    else:
-        ctx.arc(ctx.cdir[1], ctx.pdir, [1], covers_p=True)
-        ctx.zero_to_child(0)
-    ctx.push_rest()
-    ctx.engine.note_case(f"deg3.gap{i}")
 
 
 # ---------------------------------------------------------------------------
