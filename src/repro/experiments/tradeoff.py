@@ -26,12 +26,16 @@ def k2_bound_curve(phis: np.ndarray) -> np.ndarray:
 def crossover_phi(target_bound: float) -> float:
     """Smallest φ at which the k = 2 bound drops to ``target_bound``.
 
-    Closed-form inversion per regime: part 2 gives
-    φ = 4·(π/2 − arcsin(target/2)) for √2 < target ≤ √3; part 1's constant
-    2·sin(2π/9) holds from π; range 1 from 6π/5.
+    Closed-form inversion per regime: the bound is 2 below 2π/3, where
+    part 2 starts at √3, so every target in [√3, 2) is first met at 2π/3
+    (as every target in [2·sin(2π/9), √2] is at part 1's start π); inside
+    part 2, φ = 4·(π/2 − arcsin(target/2)) for √2 < target < √3; range 1
+    from 6π/5.
     """
     if target_bound >= 2.0:
         return 0.0
+    if target_bound >= np.sqrt(3.0):
+        return float(2.0 * np.pi / 3.0)
     if target_bound > np.sqrt(2.0):
         return float(4.0 * (np.pi / 2.0 - np.arcsin(target_bound / 2.0)))
     if target_bound >= 2.0 * np.sin(2.0 * np.pi / 9.0):

@@ -111,6 +111,17 @@ class TestExtensionDrivers:
         assert crossover_phi(1.0) == pytest.approx(6 * np.pi / 5)
         assert crossover_phi(0.5) == np.inf
 
+    def test_crossover_meets_target_in_its_regime(self):
+        """The bound at the returned phi is within the target, and targets
+        the part-2 regime starts below get its first angle, 2pi/3."""
+        targets = np.linspace(1.0, 2.0, 401)[:-1]
+        targets = np.sort(np.append(targets, [np.sqrt(2.0), np.sqrt(3.0), 1.75, 1.9]))
+        phis = np.asarray([crossover_phi(t) for t in targets])
+        assert np.all(k2_bound_curve(phis) <= targets * (1.0 + 1e-12))
+        assert np.all(phis[targets >= np.sqrt(3.0)] == 2 * np.pi / 3)
+        assert np.all(phis[targets < np.sqrt(3.0)] > 2 * np.pi / 3)
+        assert np.all(np.diff(phis) <= 0.0)
+
     def test_bound_curve_monotone(self):
         phis = np.linspace(0, 1.9 * np.pi, 40)
         curve = k2_bound_curve(phis)
