@@ -30,12 +30,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kone import orient_k1_pairs
 from repro.core.symmetric import orient_for_mode
 from repro.engine.cache import ArtifactCache
 from repro.ensemble import Perturbation
-from repro.ensemble.trials import measure_trials
+from repro.ensemble.trials import draw_trials, measure_trials
 from repro.experiments.workloads import make_workload
 from repro.geometry.points import PointSet
+from repro.geometry.sectors import radius_tolerance
 from repro.kernels.geometry import polar_tables
 from repro.kernels.instrument import recording
 from repro.kernels.sparse import (
@@ -319,3 +321,37 @@ class TestTrialKernels:
         # Unblocked, one (trials, entries) float temporary alone would be
         # ~25 * 2 * 5000 * deg * 8 bytes, over 10x this budget.
         assert peak < masks + 16 * _EDGE_BLOCK_ELEMS * 8
+
+
+class TestRotationOracle:
+    @pytest.mark.parametrize("phi", [PI, 1.5 * PI])
+    def test_link_cover_rate_is_spread_over_two_pi(self, phi):
+        """Under rotation each sensor's beam turns by one uniform angle per
+        trial, so a k = 1 sensor ``u`` covers an in-range point with
+        probability ``spread_u / 2pi`` (plus the kernel's ``2 eps`` boundary
+        slack): every in-range pair's cover count over 2,000 trials lies in
+        its two-sided binomial interval at ``alpha = 1e-3`` over the number
+        of pairs, and no out-of-range pair is ever covered."""
+        from scipy.stats import binom
+
+        eps, trials = 1e-9, 2000
+        ps = PointSet(make_workload("uniform", 40, 6))
+        result = orient_k1_pairs(ps, phi)
+        sensor, start, spread, radius = result.assignment.flattened()
+        assert np.array_equal(sensor, np.arange(len(ps)))  # one beam per sensor
+        draws = draw_trials("rotation-oracle", 0, range(trials), len(ps),
+                            Perturbation(rotate=True))
+        rotated = np.mod(start[None, :] + draws.rotation[:, sensor], 2 * PI)
+        cand = sparse_polar_tables(ps.coords, 2.0 * float(ps.coords.max()) + 1.0)
+        assert cand.m == len(ps) * (len(ps) - 1)  # every directed pair
+        cover, _ = trial_coverage(cand, sensor, rotated, spread, radius, trials=trials,
+                                  eps=eps)
+        counts = cover.sum(axis=0)
+        in_range = cand.dist <= radius[cand.src] + radius_tolerance(radius[cand.src], eps)
+        assert in_range.sum() > 100 and not counts[~in_range].any()
+        alpha = 1e-3 / in_range.sum()
+        p = spread[cand.src[in_range]] / (2 * PI)
+        lo = binom.ppf(alpha / 2, trials, p)
+        hi = binom.ppf(1 - alpha / 2, trials, p + 2 * eps / (2 * PI))
+        got = counts[in_range]
+        assert np.all((lo <= got) & (got <= hi)), (got.min(), got.max(), lo.min(), hi.max())
