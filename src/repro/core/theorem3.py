@@ -108,7 +108,7 @@ class Theorem3Engine:
                 f"vertex {u} uses spread {used:.6f} > budget {self.phi_budget:.6f}"
             )
 
-    # -- main loop -------------------------------------------------------------
+    # -- the two passes --------------------------------------------------------
     def run(self, root_cover: np.ndarray | None = None) -> None:
         """Process the whole tree top-down.
 
@@ -141,12 +141,12 @@ class Theorem3Engine:
         blocks = rooted.child_blocks()
         n_children = np.zeros(n, dtype=np.int64)
         n_children[blocks.owner] = blocks.size
-        # The loop pops a vertex's scheduled children last-first: ``rank``
-        # is each child's place in that visit order among its siblings.
+        # A vertex's children are visited in reverse of the order it
+        # scheduled them: ``rank`` is each child's place among its siblings.
         cover = rooted.parent.copy()
         rank = np.zeros(n, dtype=np.int64)
         case = np.zeros(n, dtype=np.int64)
-        names = ["root", *_ARRAY_CASES]
+        case_id = {label: i for i, label in enumerate(("root", *_ARRAY_CASES))}
         failed: dict[int, ReproError] = {}
 
         # Cover-point pass: the handlers of the vertices that can delegate.
@@ -170,16 +170,14 @@ class Theorem3Engine:
                         f"scheduled (handler bug)"
                     )
             except ReproError as exc:
-                # The loop raises this only if no vertex it visits earlier
-                # fails; the order is known once every vertex is decided.
+                # Raised only if no vertex earlier in the visit order fails;
+                # that order is known once every vertex is decided.
                 failed[u] = exc
                 continue
             for r, (c, target) in enumerate(reversed(ctx.pushes)):
                 cover[c] = target
                 rank[c] = r
-            if self.last_case not in names:
-                names.append(self.last_case)
-            case[u] = names.index(self.last_case)
+            case[u] = case_id.setdefault(self.last_case, len(case_id))
 
         # Array pass: every vertex with at most two children.
         coords = rooted.points.coords
@@ -227,8 +225,9 @@ class Theorem3Engine:
         rank[c1], rank[c0] = 0, 1
         case[deg3] = 3 + gap
 
-        # Every vertex's children in visit order; the loop's order is the
-        # depth-first preorder of that tree.
+        # Every vertex's children in visit order; the visit order is the
+        # depth-first preorder of that tree (scipy walks each row in the
+        # order stored).
         parent = rooted.parent[kids]
         by_parent = kids[np.lexsort((rank[kids], parent))]
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -240,7 +239,7 @@ class Theorem3Engine:
         visit = np.empty(n, dtype=np.int64)
         visit[order] = np.arange(n)
 
-        # The loop raises at the first failing vertex it visits: a handler's
+        # Raise at the first failing vertex in visit order: a handler's
         # error, the degree-3 gap check, or the spread check after each vertex.
         too_wide = np.zeros(n, dtype=bool)
         too_wide[deg3] = ~(min_gap <= self.phi_budget + _EPS)
@@ -269,13 +268,16 @@ class Theorem3Engine:
         start = np.concatenate(
             [start0, pdir[leaf], pdir[deg2], only_dir, arc_start, zero_dir]
         )
-        spread = np.concatenate([spread0, np.zeros(leaf.size + 2 * deg2.size), arc, np.zeros(deg3.size)])
+        spread = np.concatenate(
+            [spread0, np.zeros(leaf.size + 2 * deg2.size), arc, np.zeros(deg3.size)]
+        )
         self.assignment = AntennaAssignment.from_columns(n, sensor, start, spread, self.radius)
         src = np.concatenate([src0, leaf, deg2, deg2, deg3, deg3, deg3])
         dst = np.concatenate([dst0, cover[leaf], cover[deg2], only, *edges3])
         by_visit = np.argsort(visit[src], kind="stable")
         self.intended = np.stack([src[by_visit], dst[by_visit]], axis=1)
 
+        names = list(case_id)
         seen = case[order]
         labels, first_seen = np.unique(seen, return_index=True)
         counts = np.bincount(seen, minlength=len(names))
