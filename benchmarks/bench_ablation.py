@@ -1,4 +1,4 @@
-"""Benchmark X6 — ablations of the design choices (DESIGN.md §4)."""
+"""Benchmark X6 — ablations of the design choices (:mod:`repro.experiments.ablations`)."""
 
 from __future__ import annotations
 

@@ -72,7 +72,7 @@ def hexagon_demo() -> None:
 
 def gap_star_demo() -> None:
     print("=" * 72)
-    print("4. Adversarial gap star (DESIGN.md 4): 2+2 chains rescue Theorem 5")
+    print("4. Adversarial gap star: 2+2 chains rescue Theorem 5")
     pts = adversarial_gap_star()
     ps = PointSet(pts)
     hub, kids = ps.coords[0], ps.coords[1:]

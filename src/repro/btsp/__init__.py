@@ -5,7 +5,9 @@ orientation is exactly a directed Hamiltonian cycle, and minimizing the
 range is the Euclidean bottleneck TSP.  This package provides an exact
 solver for small instances, heuristics with a certified lower bound for
 larger ones, and tree-square utilities backing the paper's "range ≤ 2" row
-(and our demonstration that the row is loose for k = 1; see DESIGN.md).
+(and our demonstration that the row is loose for k = 1: every Hamiltonian
+cycle on the spider of :func:`repro.experiments.workloads.spider_points`
+has an edge longer than 2·lmax; ``benchmarks/bench_btsp.py`` asserts it).
 """
 
 from repro.btsp.exact import held_karp_bottleneck

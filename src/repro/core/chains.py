@@ -17,7 +17,8 @@ We implement:
   partitions (d ≤ 5, ≤ a few thousand candidates), used by the algorithms;
 * :func:`arc_chains` — the paper's "split at big gaps" heuristic, kept for
   the Figure-5/6 benches and the ablation (it can be forced above budget by
-  adversarial gap patterns that the 2+2 split handles; see DESIGN.md §4).
+  adversarial gap patterns that the 2+2 split handles; see
+  :func:`repro.experiments.fig56_chains.adversarial_gap_star`).
 """
 
 from __future__ import annotations

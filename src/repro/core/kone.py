@@ -6,7 +6,8 @@ Three regimes:
   ``2π − (largest neighbour gap) ≤ 8π/5`` covers every MST neighbour, so the
   bidirected MST survives and the range is the optimal ``lmax``.
 * ``π ≤ φ < 8π/5`` — range ``2·sin(π − φ/2)·lmax`` via a **matched-pair**
-  construction (our provable substitute for [4]'s algorithm, see DESIGN.md):
+  construction (our provable substitute for [4]'s algorithm; the argument
+  follows):
   an MST matching saturating every internal vertex pairs sensors along tree
   edges; each partner starts its sector on the ray towards the other and
   sweeps ``φ`` ccw.  The two uncovered wedges (each ``β = 2π − φ ≤ π``) face

@@ -139,7 +139,7 @@ def orient_antennae(
     Guarantees the resulting transmission graph is strongly connected with
     range at most ``paper_range_bound(k, phi)`` times the longest MST edge
     (except the k = 1, φ < π regime, where the paper's own row is loose and
-    the result carries the measured bottleneck — see DESIGN.md).
+    the result carries the measured bottleneck — see :mod:`repro.btsp`).
 
     Parameters
     ----------

@@ -6,7 +6,8 @@ the root never exceeds 2."  At every vertex the children are partitioned
 into ≤ 2 chains whose consecutive distances are ≤ √3·lmax (the paper pairs
 children subtending angles ≤ 2π/3; we search the exact minimax partition,
 which also handles gap patterns where the paper's adjacent-angles claim is
-too strong — see DESIGN.md §4).
+too strong — :func:`repro.experiments.fig56_chains.adversarial_gap_star`
+is a witness).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Experiment X6 — ablations of the design choices called out in DESIGN.md.
+"""Experiment X6 — ablations of this reproduction's design choices.
 
 * Lemma-1 window construction vs exact minimal star cover (Theorem 2's
   per-node spread usage);

@@ -81,7 +81,8 @@ def run_btsp(*, seeds: int = 3) -> ExperimentRecord:
             bn <= 2 * tree.lmax + 1e-9)
     rec.note(
         "The spider row shows measured OPT > 2: the paper's k=1 'range 2' entry "
-        "cannot hold in lmax units for all instances (soundness caveat, DESIGN.md)."
+        "cannot hold in lmax units for all instances (every tour of the spider has "
+        "an edge > 2 lmax)."
     )
     return rec
 

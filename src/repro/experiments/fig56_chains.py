@@ -6,7 +6,7 @@ out-degree ≤ 2 (k = 3) or ≤ 3 (k = 4) while chain edges stay within √3 /
 worst chain edge (vs the bound), and a comparison between the paper's
 arc-split construction and the exact minimax search — including the gap
 pattern for which the paper's "two adjacent small angles" claim fails but a
-2+2 split succeeds (DESIGN.md §4).
+2+2 split succeeds (:func:`adversarial_gap_star`).
 """
 
 from __future__ import annotations

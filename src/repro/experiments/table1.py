@@ -8,7 +8,8 @@ strongly connected, in lmax units) does not exceed the row's bound.
 
 The k = 1, φ < π row is reported with the measured tour bottleneck and the
 certified lower bound instead of a hard pass/fail — the paper's "2" is loose
-there (see DESIGN.md and bench_btsp.py).
+there: every tour of :func:`repro.experiments.workloads.spider_points`'s
+spider has an edge > 2·lmax (``benchmarks/bench_btsp.py``).
 """
 
 from __future__ import annotations

@@ -258,7 +258,9 @@ def euclidean_mst(
         A :class:`PointSet` or raw ``(n, 2)`` coordinates.
     max_degree:
         If not None, repair distance ties so no vertex exceeds this degree
-        (5 always suffices for MSTs of distinct points; see DESIGN.md).
+        (5 always suffices for MSTs of distinct points; the module
+        docstring gives the reason and :mod:`repro.spanning.degree_repair`
+        the repair).
 
     Returns
     -------

@@ -100,7 +100,8 @@ class TestArcChains:
 
 
 class TestTheoryGuarantees:
-    """The counting arguments from DESIGN.md §4 hold on random MST stars."""
+    """Theorems 5 and 6's chain bounds (two chains within √3, three within
+    √2) hold on random MST stars."""
 
     def test_five_children_two_chains_sqrt3(self, rng):
         for _ in range(60):
