@@ -9,8 +9,13 @@ asserts identical ``flattened()`` columns, intended edges, stats and
 raised errors.  Do not "optimize" this module; its value is being the
 unchanged original.
 
-Theorem 3 and the paper-faithful ``construction="lemma1"`` variant of
-Theorem 2 were not rewritten, so they have no copy here.
+Theorem 3's copy is its per-vertex loop (``Theorem3Engine.run``), the
+leaf, degree-2 and degree-3 handlers and ``orient_theorem3``.  The
+library still runs the degree-4 and degree-5 handlers and their
+``NodeCtx`` one vertex at a time, so the copy imports those from
+:mod:`repro.core.theorem3_cases`.  The paper-faithful
+``construction="lemma1"`` variant of Theorem 2 was not rewritten, so it
+has no copy here.
 """
 
 from __future__ import annotations
