@@ -419,10 +419,16 @@ def test_theorem3_whole_trees_match_loop_oracle():
 
 def _random_tree(seed: int) -> tuple[PointSet, SpanningTree]:
     """Random points joined by a random tree of max degree 5 (not the MST,
-    so the proof's angle and distance promises fail here and there)."""
+    so the proof's angle and distance promises fail here and there).  Odd
+    seeds take integer lattice points, where a vertex can see two children
+    in exactly the same direction."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 60))
-    ps = PointSet(rng.uniform(0.0, 10.0, size=(n, 2)))
+    if seed % 2:
+        ps = PointSet(np.unique(rng.integers(0, 6, size=(n, 2)).astype(float), axis=0))
+        n = len(ps)
+    else:
+        ps = PointSet(rng.uniform(0.0, 10.0, size=(n, 2)))
     degree = np.zeros(n, dtype=np.int64)
     edges = []
     for v in range(1, n):
