@@ -113,9 +113,10 @@ class Theorem3Engine:
         """Process the whole tree top-down.
 
         ``root_cover`` is an optional *imaginary point* the root must cover
-        (Property-1 testing); by default the root covers its child.  On
-        return ``assignment`` holds every beam, ``intended`` is an
-        ``(m, 2)`` int64 array and ``stats['cases']`` counts the labels.
+        (Property-1 testing); by default the root covers its child.  On a
+        tree of two or more vertices, ``assignment`` then holds every beam,
+        ``intended`` is an ``(m, 2)`` int64 array and ``stats['cases']``
+        counts the labels.
         """
         rooted = self.rooted
         root = rooted.root
