@@ -21,6 +21,7 @@ from repro.spanning.emst import euclidean_mst
 from repro.store import RunStore
 from repro.utils.tables import format_ascii_table
 from repro.utils.timing import measure
+from tests.kernels_reference import per_instance_sweep
 
 GRID = (
     GridCell(1, np.pi),
@@ -109,12 +110,10 @@ def test_batched_launches_beat_per_instance_loop(capsys):
     with recording() as rec_batched:
         t_batched, batched = measure(lambda: execute_plan(request))
     with recording() as rec_loop:
-        t_loop, loop = measure(
-            lambda: execute_plan(request, batch_instances=False)
-        )
+        t_loop, (loop, _, _) = measure(lambda: per_instance_sweep(request))
     assert all(
         a.metrics.identical(b.metrics)
-        for a, b in zip(batched.records, loop.records)
+        for a, b in zip(batched.records, loop)
     ), "batching changed the results"
     assert rec_batched.batched_instances == SCENARIO.seeds
     assert rec_loop.coverage_calls >= 10 * rec_batched.coverage_calls

@@ -31,7 +31,11 @@ from repro.kernels import kernel_counters, polar_tables, recording, use_backend
 from repro.spanning.emst import euclidean_mst
 from repro.utils.tables import format_ascii_table
 from repro.utils.timing import measure
-from tests.kernels_reference import coverage_matrix_loop, critical_range_rebuild
+from tests.kernels_reference import (
+    coverage_matrix_loop,
+    critical_range_rebuild,
+    per_instance_sweep,
+)
 
 SIZES = (200, 1000, 5000)
 #: Largest size at which the reference kernels are run for comparison.
@@ -160,9 +164,7 @@ def test_kernels_emit_machine_readable_report(instances, capsys):
         )
     with recording() as rec_loop:
         t_loop, _ = measure(
-            lambda: execute_plan(
-                batch_req, backend="numpy", batch_instances=False
-            )
+            lambda: per_instance_sweep(batch_req, backend="numpy")
         )
     report = {
         "backend": "numpy",

@@ -42,7 +42,7 @@ exit codes:
 """
 
 
-#: Mirror of :data:`repro.engine.spec.FRONTIER_METRICS`, kept literal so
+#: Mirror of :data:`repro.engine._spec.FRONTIER_METRICS`, kept literal so
 #: ``repro --help`` does not pay the numpy/workloads import; the lockstep
 #: is asserted by ``test_metric_choices_track_the_spec``.
 _FRONTIER_METRIC_CHOICES = ("critical_range", "realized_range", "range_bound")
@@ -286,13 +286,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             backend=args.backend,
         )
 
-    def execute(request, **kw):
-        return execute_plan(
-            request, batch_instances=not args.per_instance, **kw
-        )
-
     return _run_batch_command(
-        "sweep", args, build_request, execute,
+        "sweep", args, build_request, execute_plan,
         unit="cells", unit_count=lambda req: len(req.grid),
         rows_of=lambda b: _batch_rows(b, args.aggregate),
     )
@@ -570,8 +565,7 @@ def _output_options() -> argparse.ArgumentParser:
 
     ``sweep``/``frontier``/``ensemble``/``merge`` all spell table emission
     the same way; defining the group once makes that a structural
-    guarantee instead of a convention.  ``--out`` survives as a deprecated
-    alias of ``--output`` from the pre-1.8 per-command spellings.
+    guarantee instead of a convention.
     """
     parent = argparse.ArgumentParser(add_help=False)
     g = parent.add_argument_group(
@@ -583,9 +577,6 @@ def _output_options() -> argparse.ArgumentParser:
                    help="table format (default: markdown)")
     g.add_argument("--output", default=None,
                    help="write the table/JSON here instead of stdout")
-    g.add_argument("--out", dest="output", default=None,
-                   metavar="OUTPUT",
-                   help="deprecated alias for --output")
     return parent
 
 
@@ -642,9 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed namespace for the scenario instances")
     p.add_argument("--no-critical", action="store_true",
                    help="skip the (expensive) critical-range measurement")
-    p.add_argument("--per-instance", action="store_true",
-                   help="evaluate instances one at a time instead of the "
-                        "packed multi-instance batch path (bit-identical)")
     p.add_argument("--aggregate", choices=("cell", "scenario"), default="cell",
                    help="one row per grid cell, or per (scenario, cell)")
     p.set_defaults(fn=cmd_sweep)

@@ -7,32 +7,28 @@ routes through this façade, and user code should import *from here*:
 >>> from repro.api import submit, PlanRequest           # doctest: +SKIP
 >>> result = submit(request, store=store, resume=True)  # doctest: +SKIP
 
-Dispatch is a kind-keyed executor registry, not an isinstance chain:
-every request kind (``"sweep"``, ``"frontier"``, ``"ensemble"``) derives
-from :class:`~repro.engine._spec.RequestBase` — which owns
-fingerprinting, versioned wire serialization
-(:meth:`~repro.engine._spec.RequestBase.to_wire` /
-:func:`~repro.engine._spec.request_from_wire`) and backend validation —
-and registers its executor triple (execute / load rows / assemble) under
-its ``KIND`` via :func:`register_executor`.  A request that round-trips
-the service's wire format therefore executes identically to one
-constructed in-process, for every kind, without this module enumerating
-them.
+Every request kind (``"sweep"``, ``"frontier"``, ``"ensemble"``) derives
+from :class:`~repro.engine._spec.RequestBase`, which owns fingerprinting,
+versioned wire serialization (:meth:`~repro.engine._spec.RequestBase.to_wire`
+/ :func:`~repro.engine._spec.request_from_wire`) and backend validation.
+Dispatch is one literal table from ``request.KIND`` to the kind's
+:class:`~repro.engine.executor.Kind` record, which the one durable
+executor (:func:`repro.engine.executor.execute`) and the one reassembly
+path (:func:`repro.engine.executor.assemble`) both run from.  A request
+that round-trips the service's wire format therefore executes identically
+to one constructed in-process, for every kind.
 
-Deep imports of the implementation modules (``repro.engine.spec``,
-``repro.frontier.solver``, ``repro.service.wire``) keep working through
-thin shims that emit :class:`DeprecationWarning`; the test suite treats
-those warnings as errors internally, so nothing inside the library leans
-on the deprecated paths.
+The implementation modules are not a public surface; there are no
+deep-import shims.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Union
 
 from repro.engine.cache import ArtifactCache
-from repro.engine.executor import BatchResult, InstanceReport, execute_plan
+from repro.engine import executor as _executor
+from repro.engine.executor import SWEEP, BatchResult, InstanceReport
 from repro.engine._spec import (
     WIRE_VERSION,
     FrontierRequest,
@@ -46,25 +42,16 @@ from repro.engine._spec import (
     WireFormatError,
     request_from_wire,
 )
-from repro.ensemble.executor import (
-    EnsembleBatch,
-    assemble_ensemble,
-    execute_ensemble,
-)
+from repro.ensemble.executor import ENSEMBLE, EnsembleBatch
 from repro.ensemble.spec import EnsembleRequest, Perturbation
 from repro.errors import InvalidParameterError, PlanCancelled, ReproError
-from repro.frontier.executor import (
-    FrontierBatch,
-    assemble_frontier,
-    execute_frontier,
-)
+from repro.frontier.executor import FRONTIER, FrontierBatch
 
 __all__ = [
     # entry points
     "submit",
     "assemble",
     "assemble_rows",
-    "register_executor",
     # request model
     "RequestBase",
     "PlanRequest",
@@ -94,85 +81,21 @@ __all__ = [
 #: What :func:`submit` returns: the result type of the request's kind.
 SubmitResult = Union[BatchResult, FrontierBatch, EnsembleBatch]
 
-
-@dataclass(frozen=True)
-class _ExecutorEntry:
-    """One request kind's executor triple."""
-
-    execute: Callable[..., Any]
-    load_rows: Callable[[Any, str], dict[int, Any]]
-    assemble: Callable[..., Any]
+_KINDS = {
+    PlanRequest.KIND: SWEEP,
+    FrontierRequest.KIND: FRONTIER,
+    EnsembleRequest.KIND: ENSEMBLE,
+}
 
 
-_EXECUTORS: dict[str, _ExecutorEntry] = {}
-
-
-def register_executor(
-    kind: str,
-    *,
-    execute: Callable[..., Any],
-    load_rows: Callable[[Any, str], dict[int, Any]],
-    assemble: Callable[..., Any],
-) -> None:
-    """Register a request kind's executor triple.
-
-    ``execute(request, **durable_kwargs)`` runs the request;
-    ``load_rows(store, plan_key)`` fetches its ledgered rows;
-    ``assemble(request, rows, allow_partial=...)`` rebuilds the result
-    purely from those rows.  :func:`submit` and :func:`assemble` dispatch
-    on ``request.KIND`` through this registry.
-    """
-    _EXECUTORS[kind] = _ExecutorEntry(execute, load_rows, assemble)
-
-
-def _entry(request: RequestBase) -> _ExecutorEntry:
+def _kind(request: RequestBase) -> _executor.Kind:
     kind = getattr(type(request), "KIND", None)
-    entry = _EXECUTORS.get(kind)
-    if entry is None:
+    if kind not in _KINDS:
         raise InvalidParameterError(
-            f"no executor registered for request kind {kind!r} "
-            f"(got {type(request).__name__}); known kinds: "
-            f"{sorted(_EXECUTORS)}"
+            f"no executor for request kind {kind!r} "
+            f"(got {type(request).__name__}); known kinds: {sorted(_KINDS)}"
         )
-    return entry
-
-
-def _load_sweep_rows(store: Any, key: str) -> dict[int, Any]:
-    return store.load_rows(key)
-
-
-def _load_frontier_rows(store: Any, key: str) -> dict[int, Any]:
-    return store.load_frontier_rows(key)
-
-
-def _load_ensemble_rows(store: Any, key: str) -> dict[int, Any]:
-    return store.load_ensemble_rows(key)
-
-
-def _assemble_sweep(request: Any, rows: Any, *, allow_partial: bool = False):
-    from repro.store.ledger import assemble_batch  # lazy: avoids cycle
-
-    return assemble_batch(request, rows, allow_partial=allow_partial)
-
-
-register_executor(
-    PlanRequest.KIND,
-    execute=execute_plan,
-    load_rows=_load_sweep_rows,
-    assemble=_assemble_sweep,
-)
-register_executor(
-    FrontierRequest.KIND,
-    execute=execute_frontier,
-    load_rows=_load_frontier_rows,
-    assemble=assemble_frontier,
-)
-register_executor(
-    EnsembleRequest.KIND,
-    execute=execute_ensemble,
-    load_rows=_load_ensemble_rows,
-    assemble=assemble_ensemble,
-)
+    return _KINDS[kind]
 
 
 def submit(
@@ -213,7 +136,8 @@ def submit(
     :meth:`~repro.store.RunStore.clear_cancel` and resubmit with
     ``resume=True`` to continue).
     """
-    return _entry(request).execute(
+    return _executor.execute(
+        _kind(request),
         request,
         jobs=jobs,
         cache=cache,
@@ -234,13 +158,14 @@ def assemble(
     """Rebuild the full result of ``request`` purely from ledger rows.
 
     The read-side twin of :func:`submit`: loads the kind's ledgered rows
-    and reassembles through the registry.  No kernel work runs; with
-    ``allow_partial=False`` every plan slot must be ledgered (across any
-    shard files in the run directory).
+    and reassembles them through the kind's ``build`` function.  No kernel
+    work runs; with ``allow_partial=False`` every plan slot must be
+    ledgered (across any shard files in the run directory).
     """
-    entry = _entry(request)
-    rows = entry.load_rows(store, request.fingerprint())
-    return entry.assemble(request, rows, allow_partial=allow_partial)
+    kind = _kind(request)
+    return _executor.assemble(
+        kind, request, store.rows_for(request), allow_partial=allow_partial
+    )
 
 
 def assemble_rows(
@@ -255,4 +180,6 @@ def assemble_rows(
     after :func:`~repro.store.merge_stores` pooled shard ledgers from
     several run directories.
     """
-    return _entry(request).assemble(request, rows, allow_partial=allow_partial)
+    return _executor.assemble(
+        _kind(request), request, rows, allow_partial=allow_partial
+    )

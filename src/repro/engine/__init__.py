@@ -1,19 +1,19 @@
-"""Batch planning engine: scenario specs, artifact caching, parallel execution.
+"""Batch planning engine: request specs, artifact caching, durable execution.
 
-The engine is the one way to run *batches* of planner configurations:
-
-* :mod:`repro.engine.spec` — declarative descriptions of a workload ensemble
-  (:class:`Scenario`) and of the ``(k, φ)`` grid to evaluate over it
-  (:class:`PlanRequest`);
+* :mod:`repro.engine._spec` — declarative descriptions of a workload
+  ensemble (:class:`Scenario`), of the ``(k, φ)`` grid to evaluate over it
+  (:class:`PlanRequest`) and of the other request kinds' shared base
+  (:class:`RequestBase`); public through :mod:`repro.api`;
 * :mod:`repro.engine.cache` — a content-addressed :class:`ArtifactCache`
-  sharing point sets, pairwise-distance matrices and spanning trees across
-  every grid cell of an instance;
-* :mod:`repro.engine.executor` — :func:`execute_plan`, a chunked
-  process-pool executor with a serial fallback, deterministic result
-  ordering and incremental aggregation.
+  sharing point sets, polar tables and spanning trees across every grid
+  cell of an instance;
+* :mod:`repro.engine.executor` — the one durable executor every request
+  kind runs on (chunked process-pool fan-out with a serial fallback,
+  ledger checkpointing, resume, shards, deterministic result order) and
+  the sweep kind, whose entry point is :func:`execute_plan`.
 
 Experiment drivers (:mod:`repro.experiments`), the ``repro sweep`` CLI and
-the benchmarks all route through :func:`execute_plan`.
+the benchmarks run sweeps through :func:`execute_plan`.
 """
 
 from repro.engine.cache import ArtifactCache, CacheStats, content_hash

@@ -1,19 +1,28 @@
-"""Parallel batch executor: the one way to run a :class:`PlanRequest`.
+"""The one durable executor, and the sweep kind it runs.
 
-Work is chunked by *instance* (each unit of work plans one instance at every
-grid cell, reusing the instance's spanning tree through the
-:class:`~repro.engine.cache.ArtifactCache`, and measuring each φ-free
-dispatch regime once), dispatched to a ``ProcessPoolExecutor`` when
-``jobs > 1`` and run inline otherwise.  Results
-are reassembled in plan order, so serial and parallel execution return
-bit-identical :class:`~repro.analysis.metrics.OrientationMetrics`.
+:func:`execute` runs every request kind — sweeps here,
+:mod:`repro.frontier.executor` and :mod:`repro.ensemble.executor` — from a
+:class:`Kind` record that says what is the kind's own: its slot layout, a
+module-level chunk generator that yields one ledger row per completed slot,
+the payload width a row must carry, and a ``build`` function that turns
+rows in slot order into the kind's result type.  Everything else is
+shared: chunks are dispatched to a ``ProcessPoolExecutor`` when
+``jobs > 1`` and run inline otherwise, and the result is built from the
+rows in slot order, so serial and parallel execution are bit-identical.
 
-With a :class:`~repro.store.RunStore` the executor becomes durable: every
-completed instance chunk is checkpointed into the store's append-only
-ledger, ``resume=True`` replays ledgered chunks instead of re-executing
+The ledger row is the only payload.  With a :class:`~repro.store.RunStore`
+every completed row is checkpointed into the store's append-only ledger as
+it lands, ``resume=True`` replays ledgered rows instead of re-executing
 them, and ``shard=(i, m)`` restricts execution to one of ``m`` disjoint,
-deterministic partitions of the plan's instances — the merged shards are
-bit-identical to an unsharded run.
+deterministic partitions of the slots — the merged shards are bit-identical
+to an unsharded run.  :func:`assemble` rebuilds the same result from rows
+alone, through the same row check and the same ``build``.
+
+The sweep's unit of work plans one instance at every grid cell, reusing the
+instance's spanning tree through the
+:class:`~repro.engine.cache.ArtifactCache` and measuring each φ-free
+dispatch regime once; a chunk's dense-routed instances share one packed
+kernel launch per grid cell.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -148,20 +157,270 @@ def _relabel(m: OrientationMetrics, cell: GridCell) -> OrientationMetrics:
     return replace(m, k=k, phi=phi)
 
 
-# -- parallel plumbing ------------------------------------------------------------
+# -- the durable executor ---------------------------------------------------------
 
-#: One unit of work shipped to a worker: (slot, scenario_index, instance_index,
-#: coords).  ``slot`` is the task's position in plan order.
+#: One slot of a request: (slot, scenario_index, instance_index, coords).
+#: ``slot`` is the task's position in slot order.
 _Task = tuple[int, int, int, np.ndarray]
 
-#: One completed unit of work: (per-cell metrics, instance facts, elapsed
-#: seconds, per-instance CacheStats delta, backend name).  The delta is what
-#: makes cache accounting independent of chunking/sharding: totals are sums
-#: of deltas.  The backend name records which kernel backend produced the
-#: metrics (provenance for the ledger row).
-_Payload = tuple[
-    list[OrientationMetrics], dict[str, float], float, dict[str, int], str
-]
+
+@dataclass(frozen=True)
+class Kind:
+    """What one request kind supplies to :func:`execute` and :func:`assemble`.
+
+    ``slots(request)`` lays the request out as tasks in slot order.
+    ``chunk(tasks, request, backend_name, cache)`` runs a list of tasks and
+    yields ``(slot, row)`` per completed slot; it must be a module-level
+    function, because pool workers pickle it.  ``width(request)`` is the
+    payload length every row must carry.  ``build(request, rows, **facts)``
+    turns rows in slot order into the kind's result type.
+    """
+
+    slots: Callable[[Any], list[_Task]]
+    chunk: Callable[..., Iterator[tuple[int, Any]]]
+    width: Callable[[Any], int]
+    build: Callable[..., Any]
+
+
+def instance_slots(request: Any) -> list[_Task]:
+    """One slot per instance, in plan order (sweeps and frontiers)."""
+    return [
+        (slot, si, ii, coords)
+        for slot, (si, ii, coords) in enumerate(request.instances())
+    ]
+
+
+def _ledger_row(request, task, backend_name, payload, facts, elapsed, cache_delta):
+    """``(slot, row)`` for one completed task, as the request kind's row type.
+
+    The row class comes from the store's one kind→row-type map.  The cache
+    delta is what makes cache accounting independent of chunking and
+    sharding (totals are sums of deltas); the backend name records which
+    kernel backend produced the payload.
+    """
+    from repro.store.ledger import _KIND_ROW_TYPES, _ROW_TYPES  # lazy: avoids cycle
+
+    row_cls = _ROW_TYPES[_KIND_ROW_TYPES[request.KIND]]
+    slot, si, ii, _coords = task
+    return slot, row_cls(
+        slot=slot,
+        scenario_index=si,
+        instance_index=ii,
+        elapsed=elapsed,
+        facts=facts,
+        cache=cache_delta,
+        backend=backend_name,
+        mode=request.mode,
+        **{row_cls.PAYLOAD: payload},
+    )
+
+
+def _timed(cache: ArtifactCache, work, /, *args, **kwargs):
+    """``(work(*args, **kwargs), seconds, cache-stats delta)``."""
+    before = cache.stats.as_dict()
+    t0 = time.perf_counter()
+    out = work(*args, **kwargs)
+    dt = time.perf_counter() - t0
+    after = cache.stats.as_dict()
+    return out, dt, {k: after[k] - before[k] for k in after}
+
+
+def _pool_chunk(run_chunk, tasks, request, backend_name) -> list[tuple[int, Any]]:
+    """Pool-worker entry point: run one chunk with a worker-local cache."""
+    return list(run_chunk(tasks, request, backend_name, ArtifactCache()))
+
+
+def _chunk_tasks(tasks: list[_Task], jobs: int) -> list[list[_Task]]:
+    """Split tasks into contiguous chunks, ~4 per worker for load balance."""
+    target = max(1, -(-len(tasks) // (jobs * 4)))
+    return [tasks[i : i + target] for i in range(0, len(tasks), target)]
+
+
+def _check_row(kind: Kind, request: Any, row: Any) -> None:
+    """Refuse a ledgered row that cannot belong to ``request``: a slot
+    outside the plan, or a payload of the wrong width.  Resume and
+    :func:`assemble` both apply it, so they refuse the same rows."""
+    from repro.store.ledger import StoreError  # lazy: avoids cycle
+
+    if not 0 <= row.slot < request.total_slots:
+        raise StoreError(f"ledger row slot {row.slot} outside the plan")
+    got, want = len(getattr(row, row.PAYLOAD)), kind.width(request)
+    if got != want:
+        raise StoreError(
+            f"ledger row for slot {row.slot} carries {got} {row.PAYLOAD} "
+            f"entries, the request expects {want}"
+        )
+
+
+def _build(kind: Kind, request: Any, rows: list, stats: CacheStats, **facts):
+    return kind.build(
+        request,
+        rows,
+        instance_reports=[row.report() for row in rows],
+        cache_stats=stats,
+        **facts,
+    )
+
+
+def _cache_total(rows: list) -> CacheStats:
+    """The sum of the rows' cache deltas: replayed rows contribute their
+    ledgered deltas, so a resumed run reports an uninterrupted one's totals."""
+    stats = CacheStats()
+    for row in rows:
+        stats.merge(CacheStats.from_dict(row.cache))
+    return stats
+
+
+def execute(
+    kind: Kind,
+    request: Any,
+    *,
+    jobs: int = 1,
+    cache: ArtifactCache | None = None,
+    on_instance: Callable[[InstanceReport], None] | None = None,
+    store: Any = None,
+    shard: "Shard | tuple[int, int] | None" = None,
+    resume: bool = False,
+    backend: str | None = None,
+) -> Any:
+    """Run every slot of ``request`` the shard owns; build ``kind``'s result.
+
+    The parameters are :func:`execute_plan`'s.  Every completed slot is one
+    ledger row: it is appended to the shard's ledger as it lands, and with
+    ``resume`` the plan's ledgered rows are checked (see :func:`_check_row`)
+    and replayed instead of re-executed.  The store's cancellation
+    tombstone is polled before execution and between chunks; when set, the
+    ledger is closed (completed chunks stay checkpointed, no ``shard_done``
+    summary is written) and :class:`~repro.errors.PlanCancelled` is raised,
+    so a later resume continues exactly where the cancel landed.
+    """
+    t_start = time.perf_counter()
+    backend_name = resolve_backend(backend or request.backend).name
+    shard = Shard.of(shard)
+    tasks = [task for task in kind.slots(request) if shard.owns(task[0])]
+    rows: dict[int, Any] = {}
+    ledger = None
+    if store is not None:
+        from repro.store.ledger import StoreError  # lazy: avoids cycle
+
+        key = store.write_plan(request)
+        if not resume and store.shard_rows(request, shard):
+            raise StoreError(
+                f"{store.ledger_path(key, shard)} already records completed "
+                "instances for this plan; pass resume=True (or --resume) to "
+                "continue it, or use a fresh run directory"
+            )
+        if resume:
+            for slot, row in store.rows_for(request).items():
+                _check_row(kind, request, row)
+                if shard.owns(slot):
+                    rows[slot] = row
+    replayed = len(rows)
+    todo = [task for task in tasks if task[0] not in rows]
+
+    def stop_check() -> None:
+        if store is None or not store.is_cancelled(key):
+            return
+        from repro.errors import PlanCancelled
+
+        if ledger is not None:
+            ledger.close()  # checkpointed chunks survive; no shard_done
+        raise PlanCancelled(
+            f"plan execution cancelled (shard {shard.label}); completed "
+            "chunks are ledgered — clear the cancel marker and resume to "
+            "continue"
+        )
+
+    def complete(slot: int, row: Any) -> None:
+        nonlocal ledger
+        rows[slot] = row
+        if store is not None:
+            if ledger is None:
+                ledger = store.open_shard(request, shard)
+            ledger.append(row)
+        if on_instance is not None:
+            on_instance(row.report())
+
+    stop_check()
+    fallback_reason = None
+    jobs_used = 1
+    pool = None
+    if jobs > 1 and len(todo) > 1:
+        try:
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
+        except (OSError, ValueError, PermissionError) as exc:
+            fallback_reason = f"process pool unavailable ({exc}); ran serially"
+
+    if pool is not None:
+        try:
+            futures = [
+                pool.submit(_pool_chunk, kind.chunk, chunk, request, backend_name)
+                for chunk in _chunk_tasks(todo, min(jobs, len(todo)))
+            ]
+            jobs_used = min(jobs, len(todo))
+            for future in as_completed(futures):
+                for slot, row in future.result():
+                    complete(slot, row)
+                stop_check()
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    else:
+        local_cache = cache if cache is not None else ArtifactCache()
+        for chunk in _chunk_tasks(todo, 1):
+            for slot, row in kind.chunk(chunk, request, backend_name, local_cache):
+                complete(slot, row)
+            stop_check()
+
+    ordered = [rows[task[0]] for task in tasks]
+    stats = _cache_total(ordered)
+    elapsed = time.perf_counter() - t_start
+    if ledger is not None:
+        ledger.finish(stats, elapsed)
+        ledger.close()
+    return _build(
+        kind, request, ordered, stats,
+        jobs_used=jobs_used,
+        elapsed=elapsed,
+        fallback_reason=fallback_reason,
+        replayed_instances=replayed,
+        shard=shard,
+        backend=backend_name,
+    )
+
+
+def assemble(
+    kind: Kind, request: Any, rows: dict[int, Any], *, allow_partial: bool = False
+) -> Any:
+    """Rebuild ``kind``'s result for ``request`` purely from ledger rows.
+
+    The rows go through :func:`execute`'s row check and ``kind.build`` in
+    slot order, so the result's tables are bit-identical to an in-process
+    run of the same request.  Unless ``allow_partial``, every slot must be
+    present.
+    """
+    from repro.store.ledger import StoreError  # lazy: avoids cycle
+
+    expected = request.total_slots
+    missing = [slot for slot in range(expected) if slot not in rows]
+    if missing and not allow_partial:
+        unit = "instances" if expected == request.total_instances else "slots"
+        raise StoreError(
+            f"ledger covers {expected - len(missing)}/{expected} {unit} "
+            f"(first missing plan slot: {missing[0]}); run the remaining "
+            "shards or pass allow_partial"
+        )
+    ordered = [rows[slot] for slot in sorted(rows)]
+    for row in ordered:
+        _check_row(kind, request, row)
+    return _build(
+        kind, request, ordered, _cache_total(ordered),
+        jobs_used=1,
+        elapsed=sum((row.elapsed for row in ordered), 0.0),
+        replayed_instances=len(ordered),
+    )
+
+
+# -- the sweep kind ----------------------------------------------------------------
 
 #: Cap on ``m * n_max**2`` elements per packed batch: a sub-batch of this
 #: size costs ~64 MB in float64 polar tables, so huge-n chunks degrade to
@@ -171,78 +430,45 @@ _Payload = tuple[
 _BATCH_MAX_ELEMS = 4_000_000
 
 
-def _run_chunk(
-    chunk: list[_Task],
-    grid: tuple[GridCell, ...],
-    compute_critical: bool,
+def _sweep_chunk(
+    tasks: list[_Task],
+    request: PlanRequest,
     backend_name: str,
-    batched: bool,
-    cache: ArtifactCache | None = None,
-    mode: str = "strong",
-) -> list[tuple[int, _Payload]]:
-    """Worker entry point: process a chunk of instances with a local cache.
-
-    All kernel work (per-instance or batched) runs under ``backend_name``,
-    planning and measuring under connectivity ``mode``.
-    """
-    cache = cache if cache is not None else ArtifactCache()
-    with use_backend(backend_name) as backend:
-        if batched:
-            # Sparse-routed instances cannot take the packed dense path
-            # (it materializes (m, n_max, n_max) tables); split the chunk
-            # and measure them per-instance, everything else packed.
-            dense = [t for t in chunk if not backend.use_sparse(t[3].shape[0])]
-            sparse = [t for t in chunk if backend.use_sparse(t[3].shape[0])]
-            out: list[tuple[int, _Payload]] = []
-            if dense:
-                out.extend(
-                    _run_chunk_batched(
-                        dense, grid, compute_critical, cache, backend_name, mode
-                    )
-                )
-            out.extend(
-                (
-                    slot,
-                    _run_task(
-                        coords, grid, compute_critical, cache, backend_name, mode
-                    ),
-                )
-                for slot, _si, _ii, coords in sparse
-            )
-            return out
-        return [
-            (
-                slot,
-                _run_task(coords, grid, compute_critical, cache, backend_name, mode),
-            )
-            for slot, _si, _ii, coords in chunk
-        ]
-
-
-def _run_task(
-    coords, grid, compute_critical, cache, backend_name, mode="strong"
-) -> _Payload:
-    """Run one instance, measuring wall time and its cache-stats delta."""
-    before = cache.stats.as_dict()
-    t0 = time.perf_counter()
-    metrics, facts = run_instance_grid(
-        coords, grid, compute_critical=compute_critical, cache=cache, mode=mode
-    )
-    dt = time.perf_counter() - t0
-    after = cache.stats.as_dict()
-    delta = {k: after[k] - before[k] for k in after}
-    return metrics, facts, dt, delta, backend_name
-
-
-def _run_chunk_batched(
-    chunk: list[_Task],
-    grid: tuple[GridCell, ...],
-    compute_critical: bool,
     cache: ArtifactCache,
+) -> Iterator[tuple[int, Any]]:
+    """The sweep's unit of work: every grid cell of each instance.
+
+    Dense-routed instances are measured together through the packed
+    multi-instance kernels (:func:`_packed_rows`) and yielded first.
+    Sparse-routed instances cannot take the packed path (it materializes
+    ``(m, n_max, n_max)`` tables); each is measured on its own by
+    :func:`run_instance_grid`, after the packed ones.
+    """
+    with use_backend(backend_name) as backend:
+        dense = [t for t in tasks if not backend.use_sparse(t[3].shape[0])]
+        if dense:
+            yield from _packed_rows(dense, request, backend_name, cache)
+        for task in tasks:
+            if not backend.use_sparse(task[3].shape[0]):
+                continue
+            (metrics, facts), dt, delta = _timed(
+                cache, run_instance_grid, task[3], request.grid,
+                compute_critical=request.compute_critical, cache=cache,
+                mode=request.mode,
+            )
+            yield _ledger_row(
+                request, task, backend_name, [m.as_dict() for m in metrics],
+                facts, dt, delta,
+            )
+
+
+def _packed_rows(
+    tasks: list[_Task],
+    request: PlanRequest,
     backend_name: str,
-    mode: str = "strong",
-) -> list[tuple[int, _Payload]]:
-    """Process a chunk through the packed multi-instance kernels.
+    cache: ArtifactCache,
+) -> list[tuple[int, Any]]:
+    """Measure a chunk's instances through the packed multi-instance kernels.
 
     Per-instance artifacts (pointset, spanning tree) are still built one at
     a time inside per-instance cache-stat delta windows — so ledgered cache
@@ -256,23 +482,22 @@ def _run_chunk_batched(
     of the fused remainder (packing, packed kernels, facts), so the
     chunk's instances still sum to its wall time.
     """
-    t0 = time.perf_counter()
-    own = [0.0] * len(chunk)  # per-instance artifact + construction seconds
-    entries = []  # (slot, pointset, tree, cache-stats delta)
-    for j, (slot, _si, _ii, coords) in enumerate(chunk):
-        t = time.perf_counter()
-        before = cache.stats.as_dict()
+    grid, mode = request.grid, request.mode
+
+    def artifacts(coords):
         ps = cache.pointset(coords)
-        tree = cache.tree(ps)
-        after = cache.stats.as_dict()
-        entries.append(
-            (slot, ps, tree, {k: after[k] - before[k] for k in after})
-        )
-        own[j] += time.perf_counter() - t
+        return ps, cache.tree(ps)
+
+    t0 = time.perf_counter()
+    own = [0.0] * len(tasks)  # per-instance artifact + construction seconds
+    entries = []  # (task, pointset, tree, cache-stats delta)
+    for j, task in enumerate(tasks):
+        (ps, tree), own[j], delta = _timed(cache, artifacts, task[3])
+        entries.append((task, ps, tree, delta))
 
     n_max = max(len(ps) for _, ps, _, _ in entries)
     per = max(1, _BATCH_MAX_ELEMS // max(n_max * n_max, 1))
-    payload_parts: list[tuple[int, list[OrientationMetrics], dict, dict]] = []
+    parts: list[tuple[_Task, list[OrientationMetrics], dict, dict]] = []
     for base in range(0, len(entries), per):
         sub = entries[base : base + per]
         batch = pack_instances([ps.coords for _, ps, _, _ in sub])
@@ -295,11 +520,11 @@ def _run_chunk_batched(
             for j, m in enumerate(
                 batched_orientation_metrics(
                     results, batch, tables,
-                    compute_critical=compute_critical, mode=mode,
+                    compute_critical=request.compute_critical, mode=mode,
                 )
             ):
                 cell_metrics[j].append(m)
-        for j, (slot, ps, tree, delta) in enumerate(sub):
+        for j, (task, ps, tree, delta) in enumerate(sub):
             n = len(ps)
             facts = {
                 "n": float(n),
@@ -307,12 +532,15 @@ def _run_chunk_batched(
                 "mst_weight": tree.total_weight,
                 "diameter": float(tables.dist[j, :n, :n].max()) if n else 0.0,
             }
-            payload_parts.append((slot, cell_metrics[j], facts, delta))
+            parts.append((task, cell_metrics[j], facts, delta))
 
-    shared = (time.perf_counter() - t0 - sum(own)) / max(len(chunk), 1)
+    shared = (time.perf_counter() - t0 - sum(own)) / max(len(tasks), 1)
     return [
-        (slot, (metrics, facts, own[j] + shared, delta, backend_name))
-        for j, (slot, metrics, facts, delta) in enumerate(payload_parts)
+        _ledger_row(
+            request, task, backend_name, [m.as_dict() for m in metrics],
+            facts, own[j] + shared, delta,
+        )
+        for j, (task, metrics, facts, delta) in enumerate(parts)
     ]
 
 
@@ -405,144 +633,24 @@ class BatchResult:
         return f"{'; '.join(parts)} ({mode}, {self.elapsed:.2f}s)"
 
 
-def _chunk_tasks(tasks: list[_Task], jobs: int) -> list[list[_Task]]:
-    """Split tasks into contiguous chunks, ~4 per worker for load balance."""
-    target = max(1, -(-len(tasks) // (jobs * 4)))
-    return [tasks[i : i + target] for i in range(0, len(tasks), target)]
-
-
-def _tombstone_check(store: Any, request: Any) -> "Callable[[], bool] | None":
-    """``should_stop`` hook polling the plan's cancel marker in ``store``."""
-    if store is None or not hasattr(store, "is_cancelled"):
-        return None
-    key = request.fingerprint()
-    return lambda: store.is_cancelled(key)
-
-
-def _execute_durable(
-    request: Any,
-    all_tasks: list[_Task],
-    shard: Shard,
-    *,
-    jobs: int,
-    cache: "ArtifactCache | None",
-    on_instance: "Callable[[InstanceReport], None] | None",
-    store: Any,
-    resume: bool,
-    run_chunk_serial: Callable[[list[_Task], ArtifactCache], Any],
-    submit_chunk: Callable[[Any, list[_Task]], Any],
-    rows_for_resume: Callable[[Any, str], dict[int, Any]],
-    payload_of_row: Callable[[int, Any], Any],
-    row_of_payload: Callable[[int, int, int, Any], Any],
-    should_stop: "Callable[[], bool] | None" = None,
-) -> tuple[dict[int, Any], int, int, "str | None", Any]:
-    """The durable-execution skeleton shared by the sweep and frontier
-    executors: resume-guarded store handling, per-completion checkpointing,
-    process-pool fan-out with serial fallback, payloads keyed by plan slot.
-
-    Payloads are ``(result, facts, elapsed, cache_delta, backend)`` tuples;
-    only the ``result`` element differs between executors, which is what the
-    ``run_chunk_serial`` / ``submit_chunk`` / ``payload_of_row`` /
-    ``row_of_payload`` hooks parameterize (``submit_chunk`` exists because
-    pool workers must be module-level picklable functions;
-    ``run_chunk_serial`` yields completed ``(slot, payload)`` pairs for one
-    chunk inline, so a batched executor can fuse kernel launches across the
-    chunk while a per-instance one checkpoints as each instance lands).
-    ``rows_for_resume`` loads the plan's ledgered rows; ``payload_of_row``
-    validates one against the request shape (raising ``StoreError``) and
-    converts it.
-
-    ``should_stop`` is the cancellation hook: polled before execution
-    starts and between completed chunks.  When it reports ``True`` the
-    ledger is closed (completed chunks stay checkpointed, no ``shard_done``
-    summary is written) and :class:`~repro.errors.PlanCancelled` is raised,
-    so a later resume continues exactly where the cancel landed.
-
-    Returns ``(payloads, replayed, jobs_used, fallback_reason, ledger)``;
-    the caller reassembles its result type in plan order and must
-    ``finish``/``close`` the ledger (if any) once its stats are summed —
-    any change to this orchestration (fallback policy, refusal rules,
-    checkpoint timing) applies to both executors by construction.
-    """
-    payloads: dict[int, Any] = {}
-    ledger = None
-    replayed = 0
-    if store is not None:
-        from repro.store.ledger import StoreError  # lazy: avoids cycle
-
-        key = store.write_plan(request)
-        if not resume and store.shard_rows(request, shard):
-            raise StoreError(
-                f"{store.ledger_path(key, shard)} already records completed "
-                "instances for this plan; pass resume=True (or --resume) to "
-                "continue it, or use a fresh run directory"
-            )
-        if resume:
-            for slot, row in rows_for_resume(store, key).items():
-                if not shard.owns(slot) or not 0 <= slot < len(all_tasks):
-                    continue
-                payloads[slot] = payload_of_row(slot, row)
-            replayed = len(payloads)
-
-    todo = [t for t in all_tasks if shard.owns(t[0]) and t[0] not in payloads]
-
-    def stop_check() -> None:
-        if should_stop is None or not should_stop():
-            return
-        from repro.errors import PlanCancelled
-
-        if ledger is not None:
-            ledger.close()  # checkpointed chunks survive; no shard_done
-        raise PlanCancelled(
-            f"plan execution cancelled (shard {shard.label}); completed "
-            "chunks are ledgered — clear the cancel marker and resume to "
-            "continue"
+def _build_batch(request: PlanRequest, rows: list, **facts) -> BatchResult:
+    records = [
+        RunRecord(
+            request.scenarios[row.scenario_index], row.instance_index, cell, m,
+            scenario_index=row.scenario_index,
         )
+        for row in rows
+        for cell, m in zip(request.grid, row.cell_metrics())
+    ]
+    return BatchResult(request=request, records=records, **facts)
 
-    def checkpoint(slot: int, payload: Any) -> None:
-        nonlocal ledger
-        if store is None:
-            return
-        if ledger is None:
-            ledger = store.open_shard(request, shard)
-        _, si, ii, _ = all_tasks[slot]
-        ledger.append(row_of_payload(slot, si, ii, payload))
 
-    def complete(slot: int, payload: Any) -> None:
-        payloads[slot] = payload
-        checkpoint(slot, payload)
-        if on_instance is not None:
-            _, si, ii, _ = all_tasks[slot]
-            on_instance(_report(si, ii, payload[1], payload[2]))
-
-    stop_check()
-    fallback_reason = None
-    jobs_used = 1
-    pool = None
-    if jobs > 1 and len(todo) > 1:
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)))
-        except (OSError, ValueError, PermissionError) as exc:
-            fallback_reason = f"process pool unavailable ({exc}); ran serially"
-
-    if pool is not None:
-        chunks = _chunk_tasks(todo, min(jobs, len(todo)))
-        try:
-            futures = [submit_chunk(pool, chunk) for chunk in chunks]
-            jobs_used = min(jobs, len(todo))
-            for future in as_completed(futures):
-                for slot, payload in future.result():
-                    complete(slot, payload)
-                stop_check()
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-    else:
-        local_cache = cache if cache is not None else ArtifactCache()
-        for serial_chunk in _chunk_tasks(todo, 1):
-            for slot, payload in run_chunk_serial(serial_chunk, local_cache):
-                complete(slot, payload)
-            stop_check()
-    return payloads, replayed, jobs_used, fallback_reason, ledger
+SWEEP = Kind(
+    slots=instance_slots,
+    chunk=_sweep_chunk,
+    width=lambda request: len(request.grid),
+    build=_build_batch,
+)
 
 
 def execute_plan(
@@ -555,7 +663,6 @@ def execute_plan(
     shard: "Shard | tuple[int, int] | None" = None,
     resume: bool = False,
     backend: str | None = None,
-    batch_instances: bool = True,
 ) -> BatchResult:
     """Run every (instance × cell) of ``request`` and collect the metrics.
 
@@ -580,13 +687,15 @@ def execute_plan(
         appended to the plan's shard ledger as it finishes, so a killed run
         can be resumed without losing completed work.
     shard:
-        A :class:`~repro.engine.spec.Shard` (or ``(i, m)`` tuple): execute
+        A :class:`~repro.engine._spec.Shard` (or ``(i, m)`` tuple): execute
         only the instances with plan slot ``slot % m == i``.  The returned
         records cover exactly those instances; the union over all shards is
         bit-identical to an unsharded run.
     resume:
         With a ``store``: replay already-ledgered instance chunks (from any
         shard's ledger in the run directory) instead of re-executing them.
+        A ledgered row outside the plan or of the wrong width raises
+        :class:`~repro.store.StoreError`, as assembly does.
         Without ``resume``, a ledger that already has rows for this plan's
         shard is an error — appending twice would corrupt the run.  With a
         ``store`` the plan's cancellation tombstone (see
@@ -599,114 +708,9 @@ def execute_plan(
         ``request.backend``, then the ``REPRO_BACKEND`` environment
         variable, then the numpy default.  Unknown backend names
         raise :class:`~repro.kernels.backend.BackendUnavailable` up front.
-    batch_instances:
-        Evaluate each chunk of instances through the packed multi-instance
-        kernels (one launch per grid cell per chunk) instead of a Python
-        loop of per-instance launches.  Metrics are bit-identical either
-        way; ``False`` is the per-instance escape hatch.
     """
-    t_start = time.perf_counter()
-    backend_name = resolve_backend(backend or request.backend).name
-    shard = Shard.of(shard)
-    all_tasks: list[_Task] = [
-        (slot, si, ii, coords)
-        for slot, (si, ii, coords) in enumerate(request.instances())
-    ]
-    grid = request.grid
-
-    def payload_of_row(slot: int, row: Any) -> _Payload:
-        from repro.store.ledger import StoreError  # lazy: avoids cycle
-
-        if len(row.metrics) != len(grid):
-            raise StoreError(
-                f"ledger row for slot {slot} has {len(row.metrics)} "
-                f"cell metrics, plan has {len(grid)} grid cells"
-            )
-        return (
-            row.cell_metrics(),
-            dict(row.facts),
-            row.elapsed,
-            row.cache,
-            getattr(row, "backend", "numpy"),
-        )
-
-    def row_of_payload(slot: int, si: int, ii: int, payload: _Payload) -> Any:
-        from repro.store.ledger import LedgerRow  # lazy: avoids cycle
-
-        metrics, facts, dt, delta, row_backend = payload
-        return LedgerRow(
-            slot=slot,
-            scenario_index=si,
-            instance_index=ii,
-            elapsed=dt,
-            facts=facts,
-            metrics=[m.as_dict() for m in metrics],
-            cache=delta,
-            backend=row_backend,
-            mode=request.mode,
-        )
-
-    payloads, replayed, jobs_used, fallback_reason, ledger = _execute_durable(
-        request, all_tasks, shard,
+    return execute(
+        SWEEP, request,
         jobs=jobs, cache=cache, on_instance=on_instance,
-        store=store, resume=resume,
-        run_chunk_serial=lambda chunk, c: _run_chunk(
-            chunk, grid, request.compute_critical,
-            backend_name, batch_instances, cache=c, mode=request.mode,
-        ),
-        submit_chunk=lambda pool, chunk: pool.submit(
-            _run_chunk, chunk, grid, request.compute_critical,
-            backend_name, batch_instances, mode=request.mode,
-        ),
-        rows_for_resume=lambda s, key: s.load_rows(key),
-        payload_of_row=payload_of_row,
-        row_of_payload=row_of_payload,
-        should_stop=_tombstone_check(store, request),
-    )
-
-    # Reassemble in plan order (restricted to the shard).  Cache stats are
-    # the sum of per-instance deltas — replayed instances contribute their
-    # ledgered deltas, so a resumed run reports the same totals as an
-    # uninterrupted one.
-    records: list[RunRecord] = []
-    reports: list[InstanceReport] = []
-    stats = CacheStats()
-    for slot, si, ii, _coords in all_tasks:
-        if not shard.owns(slot):
-            continue
-        payload = payloads.get(slot)
-        assert payload is not None, f"missing result for task slot {slot}"
-        metrics, facts, dt, delta, _row_backend = payload
-        scenario = request.scenarios[si]
-        reports.append(_report(si, ii, facts, dt))
-        stats.merge(CacheStats.from_dict(delta))
-        for cell, m in zip(grid, metrics):
-            records.append(RunRecord(scenario, ii, cell, m, scenario_index=si))
-    elapsed = time.perf_counter() - t_start
-    if ledger is not None:
-        ledger.finish(stats, elapsed)
-        ledger.close()
-    return BatchResult(
-        request=request,
-        records=records,
-        instance_reports=reports,
-        cache_stats=stats,
-        jobs_used=jobs_used,
-        elapsed=elapsed,
-        fallback_reason=fallback_reason,
-        replayed_instances=replayed,
-        shard=shard,
-        backend=backend_name,
-    )
-
-
-def _report(si: int, ii: int, facts: dict[str, float], dt: float) -> InstanceReport:
-    return InstanceReport(
-        scenario_index=si,
-        instance_index=ii,
-        n=int(facts["n"]),
-        lmax=facts["lmax"],
-        mst_weight=facts["mst_weight"],
-        diameter=facts["diameter"],
-        elapsed=dt,
+        store=store, shard=shard, resume=resume, backend=backend,
     )

@@ -11,7 +11,6 @@ Importing this package registers the ``"ensemble"`` request kind.
 from repro.ensemble.executor import (
     EnsembleBatch,
     EnsembleOutcome,
-    assemble_ensemble,
     execute_ensemble,
 )
 from repro.ensemble.solver import (
@@ -29,7 +28,6 @@ __all__ = [
     "EnsembleBatch",
     "EnsembleOutcome",
     "execute_ensemble",
-    "assemble_ensemble",
     "EnsembleProbe",
     "KEnsembleFrontier",
     "monotonicity_audit",

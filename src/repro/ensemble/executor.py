@@ -1,8 +1,9 @@
-"""Durable, shardable executor for :class:`~repro.ensemble.spec.EnsembleRequest`.
+"""Durable, shardable execution of :class:`~repro.ensemble.spec.EnsembleRequest`.
 
-Runs on the same durable skeleton as the sweep and frontier executors
-(:func:`repro.engine.executor._execute_durable`), with the ensemble's own
-slot layout:
+The shared executor (:func:`repro.engine.executor.execute`) does the
+chunking, process-pool fan-out, checkpointing, resume, sharding and
+reassembly.  What is the ensemble's own is its slot layout and unit of
+work:
 
 * **curve mode** — one slot per ``(instance, trial chunk)``
   (``slot = instance_slot · n_chunks + chunk_index``), so a kill lands
@@ -15,25 +16,26 @@ slot layout:
 
 Trial randomness is keyed by ``(plan fingerprint, instance slot, trial
 index)``, so serial, parallel, sharded-and-merged and resumed runs are
-all bit-identical — the same guarantee the deterministic executors make,
+all bit-identical — the same guarantee the deterministic kinds make,
 extended to Monte-Carlo draws.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.core.symmetric import orient_for_mode
 from repro.engine.cache import ArtifactCache, CacheStats
 from repro.engine.executor import (
     InstanceReport,
-    _execute_durable,
-    _report,
-    _tombstone_check,
+    Kind,
+    _ledger_row,
+    _timed,
+    execute,
     instance_artifacts,
+    instance_slots,
 )
 from repro.engine._spec import Shard
 from repro.ensemble.solver import (
@@ -43,13 +45,12 @@ from repro.ensemble.solver import (
 )
 from repro.ensemble.spec import EnsembleRequest
 from repro.ensemble.trials import measure_trials
-from repro.kernels.backend import resolve_backend, use_backend
+from repro.kernels.backend import use_backend
 
 __all__ = [
     "EnsembleOutcome",
     "EnsembleBatch",
     "execute_ensemble",
-    "assemble_ensemble",
 ]
 
 
@@ -68,103 +69,74 @@ class EnsembleOutcome:
     results: list[dict[str, Any]]
 
 
-#: One unit of work: (slot, scenario_index, instance_index, coords).
-_Task = tuple[int, int, int, Any]
-
-#: One completed unit: (per-cell or per-k result dicts, facts, elapsed,
-#: cache delta, backend name).
-_Payload = tuple[list[dict], dict[str, float], float, dict[str, int], str]
-
-
-def _run_task(
-    slot: int,
-    coords,
-    request: EnsembleRequest,
-    key: str,
-    cache: ArtifactCache,
-    backend_name: str,
-    orient_memo: dict,
-) -> _Payload:
-    before = cache.stats.as_dict()
-    t0 = time.perf_counter()
+def _ensemble_slots(request: EnsembleRequest) -> list:
     if request.objective == "threshold":
-        frontiers, facts = solve_instance_ensemble(
-            coords, request, key, slot, cache=cache
-        )
-        results = [f.as_dict() for f in frontiers]
-    else:
-        instance_slot, chunk_index = divmod(slot, request.n_chunks)
-        ps, tree, tables, facts = instance_artifacts(cache, coords)
-        trial_indices = request.chunk_trials(chunk_index)
-        results = []
-        for ci, cell in enumerate(request.grid):
-            memo_key = (instance_slot, ci)
-            result = orient_memo.get(memo_key)
-            if result is None:
-                result = orient_for_mode(
-                    ps, cell.k, cell.phi, mode=request.mode, tree=tree
-                )
-                orient_memo[memo_key] = result
-            m = measure_trials(
-                ps, tables, result, request.perturbation, key, instance_slot,
-                trial_indices, cache=cache, want_connectivity=True,
-                want_critical=request.compute_critical, mode=request.mode,
-            )
-            results.append(
-                {
-                    "successes": int(m.connected.sum()),
-                    "trials": len(trial_indices),
-                    "critical": (
-                        None
-                        if m.critical is None
-                        else [float(x) for x in m.critical]
-                    ),
-                }
-            )
-    dt = time.perf_counter() - t0
-    after = cache.stats.as_dict()
-    delta = {k: after[k] - before[k] for k in after}
-    return results, facts, dt, delta, backend_name
+        return instance_slots(request)
+    n_chunks = request.n_chunks
+    return [
+        (islot * n_chunks + c, si, ii, coords)
+        for islot, (si, ii, coords) in enumerate(request.instances())
+        for c in range(n_chunks)
+    ]
 
 
-def _run_chunk(
-    chunk: list[_Task],
-    request: EnsembleRequest,
-    key: str,
-    backend_name: str,
-    cache: ArtifactCache | None = None,
-) -> list[tuple[int, _Payload]]:
-    """Worker entry point: run a chunk of slots with a local cache.
+def _ensemble_chunk(
+    tasks: list, request: EnsembleRequest, backend_name: str, cache: ArtifactCache
+) -> Iterator[tuple[int, Any]]:
+    """The ensemble's unit of work, one row per slot as it completes.
 
     The orientation memo is chunk-scoped: consecutive slots of the same
     instance (its trial chunks are adjacent in slot space) reuse the
     deterministic orientation instead of re-running the planner.
     """
-    cache = cache if cache is not None else ArtifactCache()
+    key = request.fingerprint()
     orient_memo: dict = {}
     with use_backend(backend_name):
-        return [
-            (slot, _run_task(slot, coords, request, key, cache, backend_name,
-                             orient_memo))
-            for slot, _si, _ii, coords in chunk
-        ]
-
-
-def _iter_chunk_serial(
-    chunk: list[_Task],
-    request: EnsembleRequest,
-    key: str,
-    backend_name: str,
-    cache: ArtifactCache,
-):
-    """Serial twin of :func:`_run_chunk`, yielding per slot so the durable
-    skeleton checkpoints every trial chunk as it completes."""
-    orient_memo: dict = {}
-    with use_backend(backend_name):
-        for slot, _si, _ii, coords in chunk:
-            yield slot, _run_task(
-                slot, coords, request, key, cache, backend_name, orient_memo
+        for task in tasks:
+            (results, facts), dt, delta = _timed(
+                cache, _run_slot, task, request, key, cache, orient_memo
             )
+            yield _ledger_row(request, task, backend_name, results, facts, dt, delta)
+
+
+def _run_slot(task, request: EnsembleRequest, key: str, cache, orient_memo: dict):
+    """``(results, facts)`` of one slot: per-k frontier dicts (threshold)
+    or per-cell trial tallies over the slot's trial chunk (curve)."""
+    slot, _si, _ii, coords = task
+    if request.objective == "threshold":
+        frontiers, facts = solve_instance_ensemble(
+            coords, request, key, slot, cache=cache
+        )
+        return [f.as_dict() for f in frontiers], facts
+    instance_slot, chunk_index = divmod(slot, request.n_chunks)
+    ps, tree, tables, facts = instance_artifacts(cache, coords)
+    trial_indices = request.chunk_trials(chunk_index)
+    results = []
+    for ci, cell in enumerate(request.grid):
+        memo_key = (instance_slot, ci)
+        result = orient_memo.get(memo_key)
+        if result is None:
+            result = orient_for_mode(
+                ps, cell.k, cell.phi, mode=request.mode, tree=tree
+            )
+            orient_memo[memo_key] = result
+        m = measure_trials(
+            ps, tables, result, request.perturbation, key, instance_slot,
+            trial_indices, cache=cache, want_connectivity=True,
+            want_critical=request.compute_critical, mode=request.mode,
+        )
+        results.append(
+            {
+                "successes": int(m.connected.sum()),
+                "trials": len(trial_indices),
+                "critical": (
+                    None
+                    if m.critical is None
+                    else [float(x) for x in m.critical]
+                ),
+            }
+        )
+    return results, facts
 
 
 def _chunk_quantile(values: list[float], q: float) -> float:
@@ -320,8 +292,26 @@ class EnsembleBatch:
         return f"{'; '.join(parts)} ({mode}, {self.elapsed:.2f}s)"
 
 
-def _expected_payload(request: EnsembleRequest) -> int:
-    return len(request.grid) if request.objective == "curve" else len(request.ks)
+def _build_ensemble_batch(
+    request: EnsembleRequest, rows: list, **facts
+) -> EnsembleBatch:
+    outcomes = [
+        EnsembleOutcome(
+            row.slot, row.scenario_index, row.instance_index, list(row.results)
+        )
+        for row in rows
+    ]
+    return EnsembleBatch(request=request, outcomes=outcomes, **facts)
+
+
+ENSEMBLE = Kind(
+    slots=_ensemble_slots,
+    chunk=_ensemble_chunk,
+    width=lambda request: (
+        len(request.grid) if request.objective == "curve" else len(request.ks)
+    ),
+    build=_build_ensemble_batch,
+)
 
 
 def execute_ensemble(
@@ -345,154 +335,8 @@ def execute_ensemble(
     slot order, so serial, parallel, sharded-and-merged and resumed runs
     are all bit-identical — including every Monte-Carlo draw.
     """
-    t_start = time.perf_counter()
-    backend_name = resolve_backend(backend or request.backend).name
-    shard = Shard.of(shard)
-    key = request.fingerprint()
-    if request.objective == "curve":
-        n_chunks = request.n_chunks
-        all_tasks: list[_Task] = [
-            (islot * n_chunks + c, si, ii, coords)
-            for islot, (si, ii, coords) in enumerate(request.instances())
-            for c in range(n_chunks)
-        ]
-    else:
-        all_tasks = [
-            (islot, si, ii, coords)
-            for islot, (si, ii, coords) in enumerate(request.instances())
-        ]
-    expected = _expected_payload(request)
-
-    def payload_of_row(slot: int, row: Any) -> _Payload:
-        from repro.store.ledger import StoreError  # lazy: avoids cycle
-
-        if len(row.results) != expected:
-            raise StoreError(
-                f"ledger row for slot {slot} has {len(row.results)} result "
-                f"payloads, request expects {expected}"
-            )
-        return (
-            list(row.results),
-            dict(row.facts),
-            row.elapsed,
-            row.cache,
-            getattr(row, "backend", "numpy"),
-        )
-
-    def row_of_payload(slot: int, si: int, ii: int, payload: _Payload) -> Any:
-        from repro.store.ledger import EnsembleRow  # lazy: avoids cycle
-
-        results, facts, dt, delta, row_backend = payload
-        return EnsembleRow(
-            slot=slot,
-            scenario_index=si,
-            instance_index=ii,
-            elapsed=dt,
-            facts=facts,
-            results=results,
-            cache=delta,
-            backend=row_backend,
-            mode=request.mode,
-        )
-
-    payloads, replayed, jobs_used, fallback_reason, ledger = _execute_durable(
-        request, all_tasks, shard,
+    return execute(
+        ENSEMBLE, request,
         jobs=jobs, cache=cache, on_instance=on_instance,
-        store=store, resume=resume,
-        run_chunk_serial=lambda chunk, c: _iter_chunk_serial(
-            chunk, request, key, backend_name, c
-        ),
-        submit_chunk=lambda pool, chunk: pool.submit(
-            _run_chunk, chunk, request, key, backend_name
-        ),
-        rows_for_resume=lambda s, k: s.load_ensemble_rows(k),
-        payload_of_row=payload_of_row,
-        row_of_payload=row_of_payload,
-        should_stop=_tombstone_check(store, request),
-    )
-
-    outcomes: list[EnsembleOutcome] = []
-    reports: list[InstanceReport] = []
-    stats = CacheStats()
-    for slot, si, ii, _coords in all_tasks:
-        if not shard.owns(slot):
-            continue
-        payload = payloads.get(slot)
-        assert payload is not None, f"missing result for task slot {slot}"
-        results, facts, dt, delta, _row_backend = payload
-        outcomes.append(EnsembleOutcome(slot, si, ii, results))
-        reports.append(_report(si, ii, facts, dt))
-        stats.merge(CacheStats.from_dict(delta))
-    elapsed = time.perf_counter() - t_start
-    if ledger is not None:
-        ledger.finish(stats, elapsed)
-        ledger.close()
-    return EnsembleBatch(
-        request=request,
-        outcomes=outcomes,
-        instance_reports=reports,
-        cache_stats=stats,
-        jobs_used=jobs_used,
-        elapsed=elapsed,
-        fallback_reason=fallback_reason,
-        replayed_instances=replayed,
-        shard=shard,
-        backend=backend_name,
-    )
-
-
-def assemble_ensemble(
-    request: EnsembleRequest,
-    rows: dict[int, Any],
-    *,
-    allow_partial: bool = False,
-) -> EnsembleBatch:
-    """Reconstruct an :class:`EnsembleBatch` purely from ledger rows.
-
-    The ensemble twin of :func:`repro.store.assemble_batch` /
-    :func:`repro.frontier.assemble_frontier`: outcomes come back in slot
-    order, so aggregate tables are bit-identical to an in-process
-    :func:`execute_ensemble` of the same request.
-    """
-    from repro.store.ledger import StoreError  # lazy: avoids cycle
-
-    expected_slots = request.total_slots
-    expected = _expected_payload(request)
-    missing = [slot for slot in range(expected_slots) if slot not in rows]
-    if missing and not allow_partial:
-        raise StoreError(
-            f"ledger covers {expected_slots - len(missing)}/{expected_slots} "
-            f"slots (first missing plan slot: {missing[0]}); run the "
-            "remaining shards or pass allow_partial"
-        )
-    outcomes: list[EnsembleOutcome] = []
-    reports: list[InstanceReport] = []
-    stats = CacheStats()
-    elapsed = 0.0
-    for slot in sorted(rows):
-        row = rows[slot]
-        if not 0 <= row.slot < expected_slots:
-            raise StoreError(f"ledger row slot {row.slot} outside the plan")
-        if len(row.results) != expected:
-            raise StoreError(
-                f"ledger row for slot {row.slot} has {len(row.results)} "
-                f"result payloads, request expects {expected}"
-            )
-        outcomes.append(
-            EnsembleOutcome(
-                row.slot, row.scenario_index, row.instance_index,
-                list(row.results),
-            )
-        )
-        reports.append(row.report())
-        stats.merge(CacheStats.from_dict(row.cache))
-        elapsed += row.elapsed
-    return EnsembleBatch(
-        request=request,
-        outcomes=outcomes,
-        instance_reports=reports,
-        cache_stats=stats,
-        jobs_used=1,
-        elapsed=elapsed,
-        replayed_instances=len(rows),
+        store=store, shard=shard, resume=resume, backend=backend,
     )

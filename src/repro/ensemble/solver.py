@@ -24,9 +24,12 @@ any probe pair whose Wilson intervals order the wrong way (lower φ's lo
 above higher φ's hi) is reported as a violation — a bisection-soundness
 alarm, not a silent assumption.
 
-Like the deterministic solver, exact-φ re-probes and φ-free dispatch
-regimes (:func:`repro.core.planner.phi_free_regime`) are memoised: a
-φ-free regime yields the identical orientation, hence the identical trial
+The deterministic solver's memo and bisection
+(:class:`~repro.frontier._solver.ProbeMemo`,
+:func:`~repro.frontier._solver.bisect_threshold`) serve here too:
+exact-φ re-probes and φ-free dispatch regimes
+(:func:`repro.core.planner.phi_free_regime`) are memoised, and a φ-free
+regime yields the identical orientation, hence the identical trial
 outcomes, at zero kernel and zero trial cost.
 """
 
@@ -34,14 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from repro.core.planner import phi_free_regime
 from repro.core.symmetric import orient_for_mode
 from repro.engine.cache import ArtifactCache
 from repro.engine.executor import instance_artifacts
+from repro.frontier._solver import ProbeMemo, bisect_threshold
 from repro.kernels.instrument import COUNTERS
 from repro.ensemble.trials import measure_trials
 
@@ -211,12 +214,13 @@ class KEnsembleFrontier:
 class EnsembleProbeEngine:
     """Sequential Bernoulli prober for one ``(instance, k)``.
 
-    Mirrors :class:`repro.frontier._solver.ProbeEngine`: an exact-φ memo
-    plus a regime memo shared across the instance's ks.  The regime memo
-    is sound for trial outcomes, not just metric values: a φ-free regime
-    produces the identical orientation, and trial draws never depend on
-    φ, so the whole success sequence — and with it the sequential
-    decision — is identical.
+    Probes go through the deterministic solver's
+    :class:`~repro.frontier._solver.ProbeMemo`: an exact-φ memo plus a
+    regime memo shared across the instance's ks.  The regime memo is sound
+    for trial outcomes, not just metric values: a φ-free regime produces
+    the identical orientation, and trial draws never depend on φ, so the
+    whole success sequence — and with it the sequential decision — is
+    identical.
     """
 
     def __init__(self, ps, tree, tables, k: int, request, key: str,
@@ -230,11 +234,8 @@ class EnsembleProbeEngine:
         self.request = request
         self.key = key
         self.instance_slot = int(instance_slot)
-        self._by_phi: dict[float, EnsembleProbe] = {}
-        self._by_regime: dict[tuple[str, int], EnsembleProbe] = (
-            regime_memo if regime_memo is not None else {}
-        )
-        self.probes: list[EnsembleProbe] = []
+        self._memo = ProbeMemo(k, request.mode, regime_memo)
+        self.probes: list[EnsembleProbe] = self._memo.probes
         self.trials_used = 0
         self.trials_saved = 0
 
@@ -290,68 +291,20 @@ class EnsembleProbeEngine:
         return successes, used, successes / used >= bound
 
     def __call__(self, phi: float) -> EnsembleProbe:
-        phi = float(phi)
-        hit = self._by_phi.get(phi)
-        if hit is not None:
-            probe = EnsembleProbe(
-                phi, hit.successes, hit.trials_used, hit.budget, hit.met,
-                hit.algorithm, True,
-            )
-        else:
-            algo, regime = phi_free_regime(self.k, phi, self.request.mode)
-            memo = self._by_regime.get(regime)
-            if memo is not None:
-                probe = EnsembleProbe(
-                    phi, memo.successes, memo.trials_used, memo.budget,
-                    memo.met, algo, True,
-                )
-            else:
-                result = orient_for_mode(
-                    self._ps, self.k, phi, mode=self.request.mode,
-                    tree=self._tree,
-                )
-                successes, used, met = self._sequential(result)
-                saved = self.request.trials - used
-                self.trials_used += used
-                self.trials_saved += saved
-                COUNTERS.ensemble_trials_saved += saved
-                probe = EnsembleProbe(
-                    phi, successes, used, self.request.trials, met, algo, False
-                )
-                if regime is not None:
-                    self._by_regime[regime] = probe
-            self._by_phi[phi] = probe
-        self.probes.append(probe)
-        return probe
+        return self._memo(phi, self._evaluate)
 
-
-def _solve_prob_threshold(
-    probe: Callable[[float], EnsembleProbe],
-    lo: float,
-    hi: float,
-    tol: float,
-) -> tuple[str, float | None, EnsembleProbe, EnsembleProbe]:
-    """Bisect for the smallest φ whose probe meets the probability bound.
-
-    The exact shape of the deterministic ``_solve_threshold``, with the
-    Bernoulli decision in place of the metric comparison.  Invariant:
-    ``lo`` fails, ``hi`` meets.
-    """
-    p_lo = probe(lo)
-    if p_lo.met:
-        return "below_lo", lo, p_lo, p_lo
-    p_hi = probe(hi)
-    if not p_hi.met:
-        return "unattained", None, p_lo, p_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # tol below float resolution of the interval
-            break
-        if probe(mid).met:
-            hi = mid
-        else:
-            lo = mid
-    return "located", hi, p_lo, p_hi
+    def _evaluate(self, phi: float, algorithm: str) -> EnsembleProbe:
+        result = orient_for_mode(
+            self._ps, self.k, phi, mode=self.request.mode, tree=self._tree,
+        )
+        successes, used, met = self._sequential(result)
+        saved = self.request.trials - used
+        self.trials_used += used
+        self.trials_saved += saved
+        COUNTERS.ensemble_trials_saved += saved
+        return EnsembleProbe(
+            phi, successes, used, self.request.trials, met, algorithm, False
+        )
 
 
 def monotonicity_audit(
@@ -410,8 +363,9 @@ def solve_instance_ensemble(
             ps, tree, tables, k, request, key, instance_slot, cache,
             regime_memo=regime_memo,
         )
-        status, phi_star, p_lo, p_hi = _solve_prob_threshold(
-            engine, request.phi_lo, request.phi_hi, request.tol
+        status, phi_star, p_lo, p_hi = bisect_threshold(
+            engine, request.phi_lo, request.phi_hi, request.tol,
+            lambda p: p.met,
         )
         frontiers.append(
             KEnsembleFrontier(

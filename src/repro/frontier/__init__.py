@@ -6,17 +6,20 @@ on a hand-picked grid — wasting kernel work far from the transition and
 missing the transition between grid lines.  This package resolves the curve
 adaptively:
 
-* :mod:`repro.frontier.solver` — per-(instance, k) bisection of φ, with
+* :mod:`repro.frontier._solver` — per-(instance, k) bisection of φ, with
   probes warm-started across the dispatch regimes of
   :func:`repro.core.planner.choose_algorithm` (constructions that ignore φ
   within their regime are evaluated once per regime, not once per probe);
-* :mod:`repro.frontier.executor` — :func:`execute_frontier`, the chunked /
-  process-pool / store-checkpointed runner mirroring
-  :func:`repro.engine.execute_plan`: frontier runs are durable, resumable
-  with zero kernel re-execution, and shardable bit-identically.
+  the probe memo and the bisection are shared with the ensemble's
+  probabilistic frontier;
+* :mod:`repro.frontier.executor` — :func:`execute_frontier`, the
+  frontier's slot layout, unit of work and result type on the one durable
+  executor (:func:`repro.engine.executor.execute`): frontier runs are
+  durable, resumable with zero kernel re-execution, and shardable
+  bit-identically.
 
 Specs live alongside the sweep specs:
-:class:`repro.engine.spec.FrontierRequest`.  The CLI surface is
+:class:`repro.engine._spec.FrontierRequest`.  The CLI surface is
 ``repro frontier`` (and ``repro merge``, which recognises frontier ledgers).
 """
 
@@ -24,7 +27,6 @@ from repro.engine._spec import FrontierRequest
 from repro.frontier.executor import (
     FrontierBatch,
     InstanceOutcome,
-    assemble_frontier,
     execute_frontier,
 )
 from repro.frontier._solver import (
@@ -44,7 +46,6 @@ __all__ = [
     "KFrontier",
     "PHI_FREE_ALGORITHMS",
     "ProbeEngine",
-    "assemble_frontier",
     "dispatch_regime",
     "execute_frontier",
     "solve_instance_frontier",

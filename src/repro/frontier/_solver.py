@@ -16,12 +16,14 @@ lives, so the solver avoids it three ways:
 
 The bisection assumes the metric is weakly non-increasing in φ (more
 angular budget never hurts), which holds for every field admitted by
-:data:`repro.engine.spec.FRONTIER_METRICS`.
+:data:`repro.engine._spec.FRONTIER_METRICS`.  The memo (:class:`ProbeMemo`)
+and the bisection (:func:`bisect_threshold`) also serve the ensemble's
+probabilistic frontier (:mod:`repro.ensemble.solver`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -38,7 +40,9 @@ __all__ = [
     "dispatch_regime",
     "FrontierProbe",
     "KFrontier",
+    "ProbeMemo",
     "ProbeEngine",
+    "bisect_threshold",
     "solve_instance_frontier",
 ]
 
@@ -141,21 +145,62 @@ class KFrontier:
         )
 
 
+class ProbeMemo:
+    """The exact-φ memo and the φ-free regime memo of one ``(instance, k)``.
+
+    ``memo(φ, evaluate)`` returns the memoised probe, relabelled with
+    ``dataclasses.replace(hit, phi=φ, algorithm=…, reused=True)``, when φ
+    was probed before or lands in a φ-free dispatch regime
+    (:func:`~repro.core.planner.phi_free_regime`) already evaluated;
+    otherwise it returns ``evaluate(φ, algorithm)``.  In a φ-free regime
+    the orientation is literally the same assignment, so the memoised
+    probe is what a fresh evaluation would report, up to the relabelled
+    fields.  The regime key ``(algorithm, k_used)`` identifies the
+    construction regardless of the caller's k budget, so ``regime_memo``
+    may be shared by every k of one instance — e.g. k = 5 and k = 7 clamp
+    to identical dispatches.  Symmetric probes have no φ-free regime.
+
+    ``evaluate`` is passed per call rather than stored: a memo holding its
+    engine's bound method would form a reference cycle that keeps the
+    instance's tables alive until the cyclic garbage collector runs.
+    """
+
+    def __init__(self, k: int, mode: str,
+                 regime_memo: "dict[tuple[str, int], Any] | None" = None):
+        self.k = int(k)
+        self.mode = mode
+        self._by_phi: dict[float, Any] = {}
+        self._by_regime = regime_memo if regime_memo is not None else {}
+        self.probes: list = []
+
+    def __call__(self, phi: float, evaluate: Callable[[float, str], Any]):
+        phi = float(phi)
+        algo, regime = phi_free_regime(self.k, phi, self.mode)
+        hit = self._by_phi.get(phi) or self._by_regime.get(regime)
+        if hit is not None:
+            probe = replace(hit, phi=phi, algorithm=algo, reused=True)
+        else:
+            probe = evaluate(phi, algo)
+            if regime is not None:
+                self._by_regime[regime] = probe
+        self._by_phi[phi] = probe
+        self.probes.append(probe)
+        return probe
+
+
 class ProbeEngine:
     """Warm-started metric evaluator for one ``(instance, k)``.
 
-    Layers two memos over the shared per-instance artifacts: an exact-φ memo
-    (bit-pattern keyed) and a regime memo keyed by
-    :func:`~repro.core.planner.phi_free_regime`.  Both return the value a
-    fresh evaluation would — for φ-free regimes the orientation is literally
-    the same assignment, so every metric field except the recorded k budget
-    and φ is unchanged (asserted in ``tests/test_frontier``).  The exact-φ
-    memo applies in both modes; symmetric probes have no φ-free regime.
+    Evaluates over the shared per-instance artifacts behind a
+    :class:`ProbeMemo`, so every probe returns the value a fresh
+    evaluation would: for φ-free regimes every metric field except the
+    recorded k budget and φ is unchanged (asserted in
+    ``tests/test_frontier``).
     """
 
     def __init__(self, pointset, tree, tables, k: int, metric: str,
                  compute_critical: bool,
-                 regime_memo: "dict[tuple[str, int], float] | None" = None,
+                 regime_memo: "dict[tuple[str, int], FrontierProbe] | None" = None,
                  mode: str = "strong"):
         self._ps = pointset
         self._tree = tree
@@ -164,71 +209,53 @@ class ProbeEngine:
         self.metric = metric
         self.compute_critical = compute_critical
         self.mode = mode
-        self._by_phi: dict[float, FrontierProbe] = {}
-        # The regime key (algorithm, k_used) identifies the construction
-        # regardless of the caller's k budget, so the memo may be shared by
-        # every k of one instance (``solve_instance_frontier`` does) — e.g.
-        # k = 5 and k = 7 clamp to identical dispatches.
-        self._by_regime: dict[tuple[str, int], float] = (
-            regime_memo if regime_memo is not None else {}
-        )
-        self.probes: list[FrontierProbe] = []
+        self._memo = ProbeMemo(k, mode, regime_memo)
+        self.probes: list[FrontierProbe] = self._memo.probes
 
     def __call__(self, phi: float) -> FrontierProbe:
-        phi = float(phi)
-        hit = self._by_phi.get(phi)
-        if hit is not None:
-            probe = FrontierProbe(phi, hit.value, hit.algorithm, True)
-        else:
-            algo, regime = phi_free_regime(self.k, phi, self.mode)
-            if regime in self._by_regime:
-                probe = FrontierProbe(phi, self._by_regime[regime], algo, True)
-            else:
-                result = orient_for_mode(
-                    self._ps, self.k, phi, mode=self.mode, tree=self._tree
-                )
-                m = orientation_metrics(
-                    result,
-                    compute_critical=self.compute_critical,
-                    tables=self._tables,
-                    mode=self.mode,
-                )
-                value = float(getattr(m, self.metric))
-                probe = FrontierProbe(phi, value, algo, False)
-                if regime is not None:
-                    self._by_regime[regime] = value
-            self._by_phi[phi] = probe
-        self.probes.append(probe)
-        return probe
+        return self._memo(phi, self._evaluate)
+
+    def _evaluate(self, phi: float, algorithm: str) -> FrontierProbe:
+        result = orient_for_mode(
+            self._ps, self.k, phi, mode=self.mode, tree=self._tree
+        )
+        m = orientation_metrics(
+            result,
+            compute_critical=self.compute_critical,
+            tables=self._tables,
+            mode=self.mode,
+        )
+        return FrontierProbe(phi, float(getattr(m, self.metric)), algorithm, False)
 
 
-def _solve_threshold(
-    probe: Callable[[float], FrontierProbe],
+def bisect_threshold(
+    probe: Callable[[float], Any],
     lo: float,
     hi: float,
     tol: float,
-    target: float,
-) -> tuple[str, float | None, float, float]:
-    """Bisect for the smallest φ with ``metric(φ) ≤ target``.
+    met: Callable[[Any], bool],
+) -> tuple[str, float | None, Any, Any]:
+    """Bisect for the smallest φ whose probe is ``met``.
 
-    Invariant: ``lo`` fails the target, ``hi`` meets it.  Returns
-    ``(status, phi_star, value_lo, value_hi)``.
+    Invariant: ``lo`` fails, ``hi`` meets.  Returns ``(status, phi_star,
+    probe at lo, probe at hi)`` with status ``"below_lo"`` (met at ``lo``),
+    ``"unattained"`` (not met at ``hi``) or ``"located"``.
     """
     p_lo = probe(lo)
-    if p_lo.value <= target:
-        return "below_lo", lo, p_lo.value, p_lo.value
+    if met(p_lo):
+        return "below_lo", lo, p_lo, p_lo
     p_hi = probe(hi)
-    if p_hi.value > target:
-        return "unattained", None, p_lo.value, p_hi.value
+    if not met(p_hi):
+        return "unattained", None, p_lo, p_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # tol below float resolution of the interval
             break
-        if probe(mid).value <= target:
+        if met(probe(mid)):
             hi = mid
         else:
             lo = mid
-    return "located", hi, p_lo.value, p_hi.value
+    return "located", hi, p_lo, p_hi
 
 
 def _solve_staircase(
@@ -288,18 +315,20 @@ def solve_instance_frontier(
     cache = cache if cache is not None else ArtifactCache()
     ps, tree, tables, facts = instance_artifacts(cache, coords)
     frontiers: list[KFrontier] = []
-    regime_memo: dict[tuple[str, int], float] = {}  # shared across the ks
+    regime_memo: dict[tuple[str, int], FrontierProbe] = {}  # shared across the ks
     for k in request.ks:
         engine = ProbeEngine(
             ps, tree, tables, k, request.metric, request.compute_critical,
             regime_memo=regime_memo, mode=request.mode,
         )
         if request.search_mode == "threshold":
-            assert request.target is not None
-            status, phi_star, v_lo, v_hi = _solve_threshold(
+            target = request.target
+            assert target is not None
+            status, phi_star, p_lo, p_hi = bisect_threshold(
                 engine, request.phi_lo, request.phi_hi, request.tol,
-                request.target,
+                lambda p: p.value <= target,
             )
+            v_lo, v_hi = p_lo.value, p_hi.value
             steps: list[dict[str, float]] = []
         else:
             steps, v_lo, v_hi = _solve_staircase(

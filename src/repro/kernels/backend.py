@@ -18,7 +18,7 @@ Selection precedence (first match wins):
 
 1. an explicit name handed to :func:`use_backend` / :func:`resolve_backend`
    (the CLI ``--backend`` flag and the engine executors land here);
-2. the ``backend`` field on a :class:`~repro.engine.spec.PlanRequest` /
+2. the ``backend`` field on a :class:`~repro.engine._spec.PlanRequest` /
    ``FrontierRequest`` (the executor resolves it and wraps execution in
    :func:`use_backend`);
 3. the ``REPRO_BACKEND`` environment variable;

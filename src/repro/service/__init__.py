@@ -19,7 +19,7 @@ execution.  This package puts a network seam on it:
     Claim-and-drain loops for external worker processes
     (``repro worker``); atomic claim files make N workers on one
     directory exactly-once, bit-identical to serial.
-:mod:`repro.service.wire`
+:mod:`repro.service._wire`
     The JSON wire format (kind-tagged request payloads).
 :mod:`repro.service.http`
     A minimal asyncio HTTP/1.1 bridge (``repro serve``) — the

@@ -1,7 +1,7 @@
 """Wire format for the planning service: submit payloads and responses.
 
 The body of ``POST /plans`` is the request's kind-tagged wire form (see
-:meth:`repro.engine.spec.RequestBase.to_wire`) plus optional execution
+:meth:`repro.engine._spec.RequestBase.to_wire`) plus optional execution
 hints:
 
 .. code-block:: json

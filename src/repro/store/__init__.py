@@ -4,14 +4,13 @@
 holding one ``plan-<key>.json`` spec per plan (keyed by the
 :func:`plan_fingerprint` content hash) and one append-only
 ``ledger-<key>-s<i>of<m>.jsonl`` file per executed
-:class:`~repro.engine.spec.Shard`.  :func:`repro.engine.execute_plan`
-checkpoints each completed instance chunk into the store and replays
-ledgered rows on resume; :func:`merge_stores` + :func:`assemble_batch`
-rebuild the full :class:`~repro.engine.executor.BatchResult` from shard
-ledgers produced on different machines.  Frontier runs
-(:func:`repro.frontier.execute_frontier`) share the same directory
-layout and fingerprint scheme with ``"type": "frontier"`` ledger rows;
-:func:`repro.frontier.assemble_frontier` is their reassembler.
+:class:`~repro.engine._spec.Shard`.  Every request kind — sweeps,
+frontiers (``"type": "frontier"`` rows) and ensembles (``"type":
+"ensemble"`` rows) — checkpoints each completed slot into the store as one
+ledger row and replays ledgered rows on resume, through the one durable
+executor (:func:`repro.engine.executor.execute`); :func:`merge_stores`
+plus :func:`repro.api.assemble_rows` rebuild the full result from shard
+ledgers produced on different machines.
 
 :mod:`repro.store.lifecycle` adds maintenance: :func:`compact_plan`
 archives a finished plan's shard ledgers into one file (row bytes and
@@ -52,7 +51,6 @@ from repro.store.ledger import (
     RunStore,
     ShardLedger,
     StoreError,
-    assemble_batch,
     frontier_from_dict,
     frontier_to_dict,
     hit_rate,
@@ -78,7 +76,6 @@ __all__ = [
     "ShardLedger",
     "ShardProgress",
     "StoreError",
-    "assemble_batch",
     "break_stale_claim",
     "cancel_plan",
     "claim_shard",

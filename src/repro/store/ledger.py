@@ -1,20 +1,24 @@
-"""On-disk, content-addressed run ledger for plan execution.
+"""On-disk, content-addressed run ledger for every request kind.
 
-A *run directory* holds the durable record of one or more
-:class:`~repro.engine.spec.PlanRequest` executions:
+A *run directory* holds the durable record of one or more request
+executions (sweeps, frontiers, ensembles):
 
 ``plan-<key12>.json``
-    The full plan specification plus its content fingerprint (written once,
-    idempotently).  ``<key12>`` is the first 12 hex digits of the
+    The full request specification plus its content fingerprint (written
+    once, idempotently).  ``<key12>`` is the first 12 hex digits of the
     fingerprint, so several distinct plans can share one run directory.
 
 ``ledger-<key12>-s<i>of<m>.jsonl``
-    Append-only JSONL, one file per :class:`~repro.engine.spec.Shard` of the
-    plan.  Each ``instance`` row checkpoints one completed instance chunk:
-    its plan-order ``slot``, the per-instance facts
-    (:class:`~repro.engine.executor.InstanceReport`), one metrics dict per
-    grid cell (the :class:`~repro.engine.executor.RunRecord` payloads) and
-    the instance's :class:`~repro.engine.cache.CacheStats` delta.
+    Append-only JSONL, one file per :class:`~repro.engine._spec.Shard` of
+    the plan.  Each row checkpoints one completed slot: its ``slot``, the
+    per-instance facts (:class:`~repro.engine.executor.InstanceReport`),
+    the instance's :class:`~repro.engine.cache.CacheStats` delta and the
+    kind's payload list — one metrics dict per grid cell (``instance``
+    rows, sweeps), one frontier per ``k`` (``frontier`` rows) or one
+    result per cell or ``k`` (``ensemble`` rows).  The row is the only
+    payload the executor produces: in-process results and
+    :func:`repro.api.assemble` are built from the same rows by the same
+    ``build`` function.
 
 Rows are flushed as they are appended, so a killed run loses at most the
 row being written; the loader tolerates a torn trailing line.  Floats
@@ -27,8 +31,10 @@ Readers are *forward compatible*: unknown keys in a row, its metrics
 dicts, its cache-stats delta or a recorded scenario are ignored rather
 than rejected, so a ledger written by a newer version (with, say, a new
 per-row tag or counter) still replays here.  Unknown *row types* are
-likewise skipped.  Only structural damage — a corrupt line in the middle
-of a file, a slot outside the plan, a cell-count mismatch — is an error.
+likewise skipped.  Only structural damage is an error: a corrupt line in
+the middle of a file here, and a slot outside the plan or a payload of the
+wrong width in the executor's row check, which resume and assembly both
+apply.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from typing import Any, ClassVar, Iterable, Sequence
 
 from repro.analysis.metrics import OrientationMetrics
 from repro.engine.cache import CacheStats
-from repro.engine.executor import BatchResult, InstanceReport, RunRecord
+from repro.engine.executor import InstanceReport
 from repro.engine._spec import (
     LEDGER_VERSION,
     FrontierRequest,
@@ -68,7 +74,6 @@ __all__ = [
     "ShardLedger",
     "RunStore",
     "merge_stores",
-    "assemble_batch",
 ]
 
 
@@ -84,7 +89,7 @@ _METRIC_FIELDS = frozenset(f.name for f in fields(OrientationMetrics))
 # -- plan identity -----------------------------------------------------------------
 #
 # Serialization and fingerprinting live on the request classes themselves
-# (:class:`repro.engine.spec.RequestBase`); these wrappers are the store's
+# (:class:`repro.engine._spec.RequestBase`); these wrappers are the store's
 # historical public spellings and must stay byte-compatible.
 
 
@@ -116,7 +121,7 @@ def plan_kind(request: PlanRequest | FrontierRequest) -> str:
 def plan_fingerprint(request: PlanRequest | FrontierRequest) -> str:
     """SHA-256 content hash of a plan or frontier spec (the ledger key).
 
-    Delegates to :meth:`repro.engine.spec.RequestBase.fingerprint`; the
+    Delegates to :meth:`repro.engine._spec.RequestBase.fingerprint`; the
     scheme is frozen (see the fixture regression test), so every historical
     fingerprint remains valid.
     """
@@ -218,7 +223,7 @@ class LedgerRow(_InstanceRowBase):
 class FrontierRow(_InstanceRowBase):
     """One checkpointed frontier chunk: every ``k`` of one instance.
 
-    ``frontiers`` holds one :meth:`repro.frontier.solver.KFrontier.as_dict`
+    ``frontiers`` holds one :meth:`repro.frontier._solver.KFrontier.as_dict`
     payload per requested ``k`` (request order); probe φ values and solved
     φ* round-trip exactly through JSON, which is what makes a resumed or
     merged frontier run bit-identical to an uninterrupted one.
@@ -252,9 +257,10 @@ class EnsembleRow(_InstanceRowBase):
 #: with distinct tags (``shard_done`` summaries ride along untyped).
 _ROW_TYPES = {cls.ROW_TYPE: cls for cls in (LedgerRow, FrontierRow, EnsembleRow)}
 
-#: Plan kind -> row type tag.  The single request→rows mapping: a new plan
-#: kind must be registered here (and in :func:`plan_kind`) or resume would
-#: silently parse zero rows and re-execute everything.
+#: Plan kind -> row type tag.  The single request→rows mapping: the
+#: executor builds each kind's rows through it, and resume, assembly, merge
+#: and progress read them through it, so a new plan kind must be registered
+#: here (and in :func:`plan_kind`).
 _KIND_ROW_TYPES = {
     "sweep": LedgerRow.ROW_TYPE,
     "frontier": FrontierRow.ROW_TYPE,
@@ -543,23 +549,11 @@ class RunStore:
                 rows[slot] = row
         return rows
 
-    def load_frontier_rows(self, plan_key: str) -> dict[int, FrontierRow]:
-        """All ledgered frontier rows of the spec, across every shard file."""
-        return self.load_typed_rows(plan_key, FrontierRow.ROW_TYPE)
-
-    def load_ensemble_rows(self, plan_key: str) -> dict[int, EnsembleRow]:
-        """All ledgered ensemble rows of the spec, across every shard file."""
-        return self.load_typed_rows(plan_key, EnsembleRow.ROW_TYPE)
-
     def rows_for(self, request: "RequestBase") -> dict[int, Any]:
         """Ledgered rows of ``request``, with the row type keyed off its kind."""
         return self.load_typed_rows(
             plan_fingerprint(request), _row_type_for(request)
         )
-
-    def completed_for(self, request: PlanRequest) -> dict[int, LedgerRow]:
-        """Ledgered rows for ``request`` (empty if never run here)."""
-        return self.load_rows(plan_fingerprint(request))
 
     def shard_rows(
         self, request: PlanRequest | FrontierRequest, shard: Shard
@@ -618,7 +612,7 @@ class RunStore:
         return clear_cancel(self, plan_key)
 
 
-# -- merge / reassembly ------------------------------------------------------------
+# -- merge -------------------------------------------------------------------------
 
 
 def merge_stores(
@@ -659,60 +653,6 @@ def merge_stores(
         rows.update(store.load_typed_rows(key, _row_type_for(request)))
     assert key is not None and request is not None
     return key, request, rows
-
-
-def assemble_batch(
-    request: PlanRequest,
-    rows: dict[int, LedgerRow],
-    *,
-    allow_partial: bool = False,
-) -> BatchResult:
-    """Reconstruct a :class:`BatchResult` purely from ledger rows.
-
-    The records come back in plan order, so the aggregate tables are
-    bit-identical to the ones an in-process :func:`execute_plan` of the
-    same plan would produce.
-    """
-    expected = request.total_instances
-    missing = [slot for slot in range(expected) if slot not in rows]
-    if missing and not allow_partial:
-        raise StoreError(
-            f"ledger covers {expected - len(missing)}/{expected} instances "
-            f"(first missing plan slot: {missing[0]}); run the remaining "
-            "shards or pass allow_partial"
-        )
-    ncells = len(request.grid)
-    records: list[RunRecord] = []
-    reports: list[InstanceReport] = []
-    stats = CacheStats()
-    elapsed = 0.0
-    for slot in sorted(rows):
-        row = rows[slot]
-        if not 0 <= row.slot < expected:
-            raise StoreError(f"ledger row slot {row.slot} outside the plan")
-        if len(row.metrics) != ncells:
-            raise StoreError(
-                f"ledger row for slot {row.slot} has {len(row.metrics)} cell "
-                f"metrics, plan has {ncells} grid cells"
-            )
-        scenario = request.scenarios[row.scenario_index]
-        reports.append(row.report())
-        for cell, m in zip(request.grid, row.cell_metrics()):
-            records.append(
-                RunRecord(scenario, row.instance_index, cell, m,
-                          scenario_index=row.scenario_index)
-            )
-        stats.merge(CacheStats.from_dict(row.cache))
-        elapsed += row.elapsed
-    return BatchResult(
-        request=request,
-        records=records,
-        instance_reports=reports,
-        cache_stats=stats,
-        jobs_used=1,
-        elapsed=elapsed,
-        replayed_instances=len(rows),
-    )
 
 
 def hit_rate(stats: CacheStats) -> float:

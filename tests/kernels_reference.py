@@ -7,6 +7,10 @@ for the critical-range search.  The randomized equivalence suite
 against the vectorized kernels and assert bit-identical results — do not
 "optimize" this module; its value is being the unchanged original.
 
+:func:`per_instance_sweep` is the reference for the packed multi-instance
+sweep path: every instance measured on its own through
+:func:`repro.engine.run_instance_grid`.
+
 Not imported by the library itself (tests/benchmarks only), so the import
 direction kernels → graph here does not create a cycle with
 ``repro.graph.digraph``'s counter instrumentation.
@@ -17,9 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.antenna.model import AntennaAssignment
+from repro.engine import ArtifactCache, RunRecord, run_instance_grid
 from repro.geometry.angles import TWO_PI, angle_of, ccw_angle
 from repro.geometry.points import PointSet
 from repro.graph.digraph import DiGraph
+from repro.kernels.backend import use_backend
 from repro.kernels.instrument import COUNTERS
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "critical_range_rebuild_symmetric",
     "bfs_strongly_connected",
     "symmetric_connected_loop",
+    "per_instance_sweep",
 ]
 
 
@@ -195,3 +202,31 @@ def critical_range_rebuild(
         else:
             lo = mid + 1
     return float(candidates[hi])
+
+
+def per_instance_sweep(request, backend=None):
+    """A sweep measured one instance at a time: the packed path's reference.
+
+    Runs :func:`~repro.engine.run_instance_grid` over every instance of
+    ``request`` in plan order, under ``backend`` (``None``: the request's,
+    then the environment's, then numpy), with one
+    :class:`~repro.engine.ArtifactCache` shared by all instances.  Returns
+    ``(records, facts, backend_name)``: the records in plan order, each
+    instance's facts, and the backend that ran.
+    """
+    cache = ArtifactCache()
+    records: list[RunRecord] = []
+    facts: list[dict] = []
+    with use_backend(backend or request.backend) as active:
+        for si, ii, coords in request.instances():
+            metrics, instance_facts = run_instance_grid(
+                coords, request.grid, compute_critical=request.compute_critical,
+                cache=cache, mode=request.mode,
+            )
+            scenario = request.scenarios[si]
+            records.extend(
+                RunRecord(scenario, ii, cell, m, scenario_index=si)
+                for cell, m in zip(request.grid, metrics)
+            )
+            facts.append(instance_facts)
+    return records, facts, active.name

@@ -10,7 +10,6 @@ and require byte-equality.
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import pytest
@@ -32,7 +31,7 @@ from repro.api import (
 )
 from repro.engine import GridCell, Scenario
 from repro.errors import InvalidParameterError
-from repro.store import RunStore
+from repro.store import RunStore, StoreError
 
 FIXTURES = Path(__file__).parent / "fixtures" / "plan_fingerprints.json"
 
@@ -248,34 +247,57 @@ class TestSubmitFacade:
             assemble(42, None)  # type: ignore[arg-type]
 
 
-class TestDeprecatedDeepImports:
-    """The pre-redesign deep modules survive as warning shims."""
+def row_check_requests() -> dict[str, RequestBase]:
+    """One small request per kind (and ensemble objective), two slots each."""
+    scenarios = (Scenario("uniform", 12, seeds=2, tag="row-check"),)
+    grid = (GridCell(1, math.pi), GridCell(2, math.pi))
+    ensemble = dict(
+        scenarios=scenarios, trials=4, chunk=4, compute_critical=False,
+        perturbation=Perturbation(rotate=True, edge_fail=0.1),
+    )
+    return {
+        "sweep": PlanRequest(scenarios, grid, compute_critical=False),
+        "frontier": FrontierRequest(
+            scenarios=scenarios, ks=(2, 3), metric="range_bound",
+            target=1.5, phi_lo=2.0, phi_hi=3.5, tol=0.1,
+        ),
+        "ensemble-curve": EnsembleRequest(grid=grid, **ensemble),
+        "ensemble-threshold": EnsembleRequest(
+            ks=(1, 2), p_target=0.5, phi_lo=2.0, phi_hi=5.0, tol=0.5,
+            **ensemble,
+        ),
+    }
 
-    @pytest.mark.parametrize("module, name", [
-        ("repro.engine.spec", "PlanRequest"),
-        ("repro.engine.spec", "FrontierRequest"),
-        ("repro.frontier.solver", "solve_instance_frontier"),
-        ("repro.service.wire", "parse_submit"),
-    ])
-    def test_shim_warns_and_resolves(self, module, name):
-        import importlib
 
-        shim = importlib.import_module(module)
-        impl = importlib.import_module(
-            module.rsplit(".", 1)[0] + "._" + module.rsplit(".", 1)[1]
+class TestLedgerRowCheck:
+    """Resume and assembly refuse the same damaged ledger rows."""
+
+    @pytest.mark.parametrize("damage", ["slot-outside-plan", "payload-too-short"])
+    @pytest.mark.parametrize("name", list(row_check_requests()))
+    def test_resume_and_assemble_refuse_the_same_row(self, tmp_path, name, damage):
+        request = row_check_requests()[name]
+        store = RunStore(tmp_path)
+        submit(request, store=store)
+        [path] = store.ledger_paths(request.fingerprint())
+        row = next(
+            obj for obj in map(json.loads, path.read_text().splitlines())
+            if obj["type"] != "shard_done"
         )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            value = getattr(shim, name)
-        assert value is getattr(impl, name)
+        if damage == "slot-outside-plan":
+            row["slot"] = request.total_slots + 5
+        else:
+            payload = next(k for k in ("metrics", "frontiers", "results") if k in row)
+            row[payload] = row[payload][:-1]
+        with path.open("a") as fh:
+            fh.write(json.dumps(row) + "\n")
+        with pytest.raises(StoreError, match="outside the plan|expects"):
+            submit(request, store=store, resume=True)
+        with pytest.raises(StoreError, match="outside the plan|expects"):
+            assemble(request, store)
 
-    def test_shim_does_not_warn_on_dunders(self):
-        """Import machinery probes __path__ etc. — those must stay silent."""
-        import repro.engine.spec as shim
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(AttributeError):
-                shim.__path__
+class TestDeprecatedDeepImports:
+    """The deep-import shims are gone since 2.0; the façade is the surface."""
 
     def test_public_surface_matches_all(self):
         import repro.api as api

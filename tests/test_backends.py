@@ -43,6 +43,7 @@ from tests.kernels_reference import (
     bfs_strongly_connected,
     coverage_matrix_loop,
     critical_range_rebuild,
+    per_instance_sweep,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -283,24 +284,22 @@ class TestBatchedExecution:
     def test_batched_matches_per_instance_bit_exactly(self):
         request = many_instance_request(seeds=24)
         batched = execute_plan(request)
-        loop = execute_plan(request, batch_instances=False)
-        assert len(batched.records) == len(loop.records)
-        for ra, rb in zip(batched.records, loop.records):
+        records, facts, loop_backend = per_instance_sweep(request)
+        assert len(batched.records) == len(records)
+        for ra, rb in zip(batched.records, records):
             assert ra.metrics.identical(rb.metrics)
-        assert batched.backend == loop.backend == "numpy"
-        for rep_a, rep_b in zip(
-            batched.instance_reports, loop.instance_reports
-        ):
-            assert rep_a.lmax == rep_b.lmax
-            assert rep_a.diameter == rep_b.diameter
-            assert rep_a.mst_weight == rep_b.mst_weight
+        assert batched.backend == loop_backend == "numpy"
+        for rep_a, fact_b in zip(batched.instance_reports, facts):
+            assert rep_a.lmax == fact_b["lmax"]
+            assert rep_a.diameter == fact_b["diameter"]
+            assert rep_a.mst_weight == fact_b["mst_weight"]
 
     def test_batched_path_needs_10x_fewer_kernel_launches(self):
         request = many_instance_request(seeds=200)
         with recording() as rec_batched:
             execute_plan(request)
         with recording() as rec_loop:
-            execute_plan(request, batch_instances=False)
+            per_instance_sweep(request)
         batched_c, loop_c = rec_batched.as_dict(), rec_loop.as_dict()
         assert batched_c["batched_instances"] == 200
         assert batched_c["packed_polar_builds"] >= 1

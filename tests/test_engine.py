@@ -17,6 +17,7 @@ from repro.engine import (
 from repro.errors import InvalidParameterError
 from repro.experiments.workloads import uniform_points
 from repro.geometry.points import PointSet
+from tests.kernels_reference import per_instance_sweep
 
 
 def small_request(**kwargs) -> PlanRequest:
@@ -214,6 +215,13 @@ class TestPhiFreeRegimeReuse:
         )
 
     @staticmethod
+    def records(request, batched):
+        """The packed executor's records, or the per-instance reference's."""
+        if batched:
+            return execute_plan(request).records
+        return per_instance_sweep(request)[0]
+
+    @staticmethod
     def count_calls(monkeypatch, module, name) -> list:
         calls: list = []
         real = getattr(module, name)
@@ -231,13 +239,13 @@ class TestPhiFreeRegimeReuse:
 
         tours = self.count_calls(monkeypatch, repro.core.kone, "best_tour")
         request = self.request(self.GRID)
-        batch = execute_plan(request, batch_instances=batched)
+        records = self.records(request, batched)
         # (1, 0), (1, 2pi/3) and (1, 1.0) share the k1-tour regime.
         assert len(tours) == request.total_instances
-        assert [rec.metrics.algorithm for rec in batch.records[:4]] == [
+        assert [rec.metrics.algorithm for rec in records[:4]] == [
             "k1-tour", "k1-tour", "k1-tour", "theorem3.part1",
         ]
-        for rec in batch.records:
+        for rec in records:
             coords = rec.scenario.instance(rec.instance_index)
             fresh = orientation_metrics(orient_antennae(coords, rec.cell.k, rec.cell.phi))
             assert rec.metrics.identical(fresh), rec.cell
@@ -251,7 +259,7 @@ class TestPhiFreeRegimeReuse:
             (GridCell(2, 4.0), GridCell(2, 6.0), GridCell(3, 0.5), GridCell(3, 1.0)),
             mode="symmetric",
         )
-        execute_plan(request, batch_instances=batched)
+        self.records(request, batched)
         assert len(built) == request.total_instances * len(request.grid)
 
 
@@ -265,26 +273,31 @@ class TestPackedChunkTiming:
         (one point set and one tree per instance, packed tables excluded)."""
         import time
 
-        from repro.engine.executor import _run_chunk
+        from repro.engine.executor import _sweep_chunk
 
-        chunk = [(0, 0, 0, uniform_points(16, seed=3)), (1, 0, 1, uniform_points(512, seed=4))]
-        grid = (GridCell(1, 0.0),)
-        _run_chunk(chunk, grid, True, "numpy", batched=True)  # imports and first calls
+        coords = [uniform_points(16, seed=3), uniform_points(512, seed=4)]
+        chunk = [(0, 0, 0, coords[0]), (1, 0, 1, coords[1])]
+        request = PlanRequest(
+            (Scenario("uniform", 16, seeds=2, tag="test-timing"),),
+            (GridCell(1, 0.0),),
+        )
+        list(_sweep_chunk(chunk, request, "numpy", ArtifactCache()))  # imports and first calls
         t0 = time.perf_counter()
-        packed = _run_chunk(chunk, grid, True, "numpy", batched=True)
+        packed = list(_sweep_chunk(chunk, request, "numpy", ArtifactCache()))
         wall = time.perf_counter() - t0
-        single = _run_chunk(chunk, grid, True, "numpy", batched=False)
+        cache = ArtifactCache()
+        single = [run_instance_grid(c, request.grid, cache=cache) for c in coords]
 
         (_, small), (_, large) = packed
-        assert large[2] > small[2] > 0.0
-        assert small[2] + large[2] <= wall
+        assert large.elapsed > small.elapsed > 0.0
+        assert small.elapsed + large.elapsed <= wall
         delta = {"hits": 1, "misses": 1, "pointset_builds": 1, "tree_builds": 1,
                  "distance_builds": 0, "polar_builds": 0, "sparse_polar_builds": 0,
                  "evictions": 0}
-        for (slot_p, p), (slot_s, q) in zip(packed, single):
+        for (slot_p, p), (slot_s, (metrics, facts)) in zip(packed, enumerate(single)):
             assert slot_p == slot_s
-            assert [m.identical(r) for m, r in zip(p[0], q[0])] == [True]
-            assert p[1] == q[1] and p[3] == delta and p[4] == q[4]
+            assert [m.identical(r) for m, r in zip(p.cell_metrics(), metrics)] == [True]
+            assert p.facts == facts and p.cache == delta and p.backend == "numpy"
 
 
 class TestExecutePlan:

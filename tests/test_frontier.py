@@ -12,12 +12,12 @@ import pytest
 
 from repro.__main__ import main
 from repro.analysis.metrics import orientation_metrics
+from repro.api import assemble_rows
 from repro.core.planner import choose_algorithm, orient_antennae
 from repro.engine import FrontierRequest, GridCell, PlanRequest, Scenario
 from repro.errors import InvalidParameterError
 from repro.frontier import (
     PHI_FREE_ALGORITHMS,
-    assemble_frontier,
     dispatch_regime,
     execute_frontier,
     solve_instance_frontier,
@@ -332,7 +332,7 @@ class TestStore:
             execute_frontier(req, store=store, shard=(i, 2))
         key, loaded, rows = merge_stores([tmp_path / "runs"])
         assert isinstance(loaded, FrontierRequest) and loaded == req
-        assembled = assemble_frontier(loaded, rows)
+        assembled = assemble_rows(loaded, rows)
         assert assembled.aggregate_rows() == reference.aggregate_rows()
         for a, b in zip(assembled.outcomes, reference.outcomes):
             assert [f.as_dict() for f in a.frontiers] == [
@@ -345,8 +345,8 @@ class TestStore:
         execute_frontier(req, store=store, shard=(0, 2))
         key, loaded, rows = merge_stores([tmp_path / "runs"])
         with pytest.raises(StoreError, match="run the remaining"):
-            assemble_frontier(loaded, rows)
-        partial = assemble_frontier(loaded, rows, allow_partial=True)
+            assemble_rows(loaded, rows)
+        partial = assemble_rows(loaded, rows, allow_partial=True)
         assert len(partial.outcomes) == 2  # slots 0 and 2 of 3
 
     def test_sweep_and_frontier_share_a_run_dir(self, tmp_path):

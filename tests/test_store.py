@@ -10,13 +10,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import assemble_rows
 from repro.engine import GridCell, PlanRequest, Scenario, Shard, execute_plan
 from repro.errors import InvalidParameterError
 from repro.kernels.instrument import recording
 from repro.store import (
     RunStore,
     StoreError,
-    assemble_batch,
     merge_stores,
     plan_fingerprint,
     request_from_dict,
@@ -137,7 +137,7 @@ class TestCheckpointAndResume:
         # Resuming over a torn tail must not glue the next row onto the
         # fragment: the run directory stays fully readable afterwards.
         _, request, rows = merge_stores([run_dir])
-        assert_batches_identical(uninterrupted, assemble_batch(request, rows))
+        assert_batches_identical(uninterrupted, assemble_rows(request, rows))
         replay = execute_plan(req, store=RunStore(run_dir), resume=True)
         assert replay.replayed_instances == req.total_instances
 
@@ -206,7 +206,7 @@ class TestSharding:
 
         key, request, rows = merge_stores([run_dir])
         assert request == req
-        merged = assemble_batch(request, rows)
+        merged = assemble_rows(request, rows)
         assert_batches_identical(unsharded, merged)
         assert merged.cache_stats.as_dict() == unsharded.cache_stats.as_dict()
 
@@ -217,7 +217,7 @@ class TestSharding:
         for i, d in enumerate(dirs):
             execute_plan(req, store=RunStore(d), shard=Shard(i, 2))
         _, request, rows = merge_stores(dirs)
-        assert_batches_identical(unsharded, assemble_batch(request, rows))
+        assert_batches_identical(unsharded, assemble_rows(request, rows))
 
     def test_sharded_result_covers_only_its_instances(self):
         req = one_scenario_request(seeds=5, compute_critical=False)
@@ -240,8 +240,8 @@ class TestSharding:
         execute_plan(req, store=RunStore(run_dir), shard=(0, 2))
         _, request, rows = merge_stores([run_dir])
         with pytest.raises(StoreError, match="2/4"):
-            assemble_batch(request, rows)
-        partial = assemble_batch(request, rows, allow_partial=True)
+            assemble_rows(request, rows)
+        partial = assemble_rows(request, rows, allow_partial=True)
         assert [r.instance_index for r in partial.instance_reports] == [0, 2]
 
 
@@ -253,7 +253,7 @@ class TestLedgerRobustness:
         (ledger,) = run_dir.glob("ledger-*.jsonl")
         with open(ledger, "a", encoding="utf8") as fh:
             fh.write('{"type": "instance", "slot": 9')  # killed mid-write
-        rows = RunStore(run_dir).completed_for(req)
+        rows = RunStore(run_dir).rows_for(req)
         assert sorted(rows) == [0, 1, 2]
 
     def test_corrupt_middle_row_raises(self, tmp_path):
@@ -265,7 +265,7 @@ class TestLedgerRobustness:
         lines[1] = lines[1][:20] + "\n"
         ledger.write_text("".join(lines), encoding="utf8")
         with pytest.raises(StoreError, match="corrupt"):
-            RunStore(run_dir).completed_for(req)
+            RunStore(run_dir).rows_for(req)
 
     def test_two_plans_share_a_run_dir(self, tmp_path):
         store = RunStore(tmp_path / "runs")
@@ -306,7 +306,7 @@ class TestLedgerRobustness:
         req = one_scenario_request(seeds=2, compute_critical=False)
         store = RunStore(tmp_path / "runs")
         live = execute_plan(req, store=store)
-        loaded = assemble_batch(req, store.completed_for(req))
+        loaded = assemble_rows(req, store.rows_for(req))
         for a, b in zip(live.records, loaded.records):
             assert a.metrics.identical(b.metrics)
             for name, value in a.metrics.as_dict().items():
@@ -335,7 +335,7 @@ class TestPhiBoundaryRoundTrip:
         assert loaded == req
         assert loaded.grid[0].phi == two_pi
         assert key == plan_fingerprint(req)
-        merged = assemble_batch(loaded, rows)
+        merged = assemble_rows(loaded, rows)
         assert_batches_identical(live, merged)
 
     def test_slop_value_fingerprints_like_exact_two_pi(self):
@@ -386,7 +386,7 @@ class TestForwardCompatibility:
 
         key, loaded, rows = merge_stores([tmp_path / "runs"])
         assert loaded == req
-        merged = assemble_batch(loaded, rows)
+        merged = assemble_rows(loaded, rows)
         assert_batches_identical(live, merged)
 
         resumed = execute_plan(req, store=RunStore(tmp_path / "runs"),
@@ -466,7 +466,7 @@ class TestLifecycle:
         assert {s: r.to_json() for s, r in after.items()} == raw_before
         # the archive replays like the original shards
         _, loaded, rows = merge_stores([run_dir])
-        assemble_batch(loaded, rows)  # must not raise
+        assemble_rows(loaded, rows)  # must not raise
         # fingerprint (and plan file) untouched
         assert store.plan_keys() == [key]
 
@@ -508,7 +508,7 @@ class TestLifecycle:
         # the surviving plan still loads and assembles
         key, loaded, rows = merge_stores([run_dir])
         assert loaded == req
-        assemble_batch(loaded, rows)
+        assemble_rows(loaded, rows)
 
     def test_gc_named_plan_removes_it_entirely(self, tmp_path):
         from repro.store import gc_store

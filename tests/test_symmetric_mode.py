@@ -35,6 +35,7 @@ from repro.kernels.connectivity import (
     validate_mode,
 )
 from repro.store import RunStore, StoreError, merge_stores
+from tests.kernels_reference import per_instance_sweep
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -223,9 +224,9 @@ class TestSymmetricEngine:
                 )
 
     def test_batched_equals_per_instance(self):
-        a = execute_plan(symmetric_plan(), batch_instances=True)
-        b = execute_plan(symmetric_plan(), batch_instances=False)
-        for x, y in zip(a.records, b.records):
+        a = execute_plan(symmetric_plan())
+        b, _, _ = per_instance_sweep(symmetric_plan())
+        for x, y in zip(a.records, b):
             assert x.metrics.identical(y.metrics)
 
     def test_serial_vs_jobs_vs_shard_resume(self, tmp_path):
