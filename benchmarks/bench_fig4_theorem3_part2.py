@@ -24,7 +24,9 @@ def test_fig4_phi_sweep(benchmark):
 
 def test_theorem3_array_pass_vs_loop_report():
     """Time the array-native construction against the per-vertex loop it
-    replaced and write ``BENCH_theorem3.json``.
+    replaced and write ``BENCH_theorem3.json`` at the repository root
+    (untracked); the recorded measurement is
+    ``benchmarks/baselines/BENCH_theorem3.json``.
 
     Both run in this process on the same point sets and trees: the min of
     several calls per case, for part 1 (phi = pi) and part 2 (phi = 0.8pi)

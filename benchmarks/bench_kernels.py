@@ -304,9 +304,9 @@ def test_symmetric_mode_axis(n, capsys):
     always feasible) and merges a ``symmetric_mode`` section into
     BENCH_kernels.json.  The asserted quantities are counters: the
     symmetric path must reuse the shared polar tables (zero extra trig)
-    and the prefix-mask bisection (zero per-probe graph builds) exactly
-    like strong mode — the mode seam adds a mutual mask, not a new
-    kernel shape.
+    and the candidate-pair kernels (zero graph builds) exactly like
+    strong mode — the mode seam adds a mutual mask, not a new kernel
+    shape.
     """
     import json
 
@@ -333,9 +333,9 @@ def test_symmetric_mode_axis(n, capsys):
     assert np.isfinite(m_sym.critical_range)
     for rec in (rec_strong, rec_sym):
         assert rec.trig_evals == 0, "shared tables must not recompute trig"
-        # One DiGraph per mode: the top-level connectivity check.  The
-        # critical bisection itself is prefix-mask, zero builds per probe.
-        assert rec.graph_builds == 1, rec.graph_builds
+        # Connectivity and the critical bisection both run on the
+        # candidate-pair CSR: no DiGraph at all.
+        assert rec.graph_builds == 0, rec.graph_builds
     assert rec_sym.critical_searches == 1
 
     out = "BENCH_kernels.json"

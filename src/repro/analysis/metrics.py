@@ -4,10 +4,12 @@ Aggregates the quantities every experiment reports: range bound vs realized
 vs critical, spread usage, antenna counts, and graph size — so benchmark
 drivers stay declarative.
 
-Two entry points: :func:`orientation_metrics` measures a single result;
-:func:`batched_orientation_metrics` measures a whole chunk of instances'
-results through the packed multi-instance kernels — one kernel launch per
-measurement for the chunk, bit-identical values.
+Two entry points: :func:`orientation_metrics` measures a single result as
+one unperturbed trial of the candidate-pair loop every Monte-Carlo chunk
+runs (:func:`repro.ensemble.trials.measure_columns`), on either route;
+:func:`batched_orientation_metrics` measures a whole chunk of dense-routed
+instances' results through the packed multi-instance kernels — one kernel
+launch per measurement for the chunk, bit-identical values.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.result import OrientationResult
-from repro.graph.connectivity import is_strongly_connected, is_symmetrically_connected
 from repro.kernels.backend import active_backend
 from repro.kernels.batch import (
     BatchedInstances,
@@ -29,7 +30,7 @@ from repro.kernels.batch import (
 )
 from repro.kernels.geometry import PolarTables, polar_tables
 from repro.kernels.instrument import recording
-from repro.kernels.sparse import SparsePolarTables, sparse_metrics
+from repro.kernels.sparse import SparsePolarTables
 
 __all__ = [
     "OrientationMetrics",
@@ -100,88 +101,38 @@ def orientation_metrics(
 ) -> OrientationMetrics:
     """Measure ``result``; ranges are reported in lmax units.
 
-    ``tables`` is the instance's shared polar geometry (from the engine's
-    :class:`~repro.engine.cache.ArtifactCache`); without it the tables are
-    built once here and shared between the transmission-graph and
-    critical-range measurements.  Handing in :class:`SparsePolarTables` —
-    or activating a backend whose ``use_sparse`` rule selects this
-    instance — routes the measurement through the radius-bounded sparse
-    path (:func:`repro.kernels.sparse.sparse_metrics`), bit-identical by
-    its certification contract.  ``mode`` selects the connectivity
-    objective the connectivity flag and critical range are measured under.
+    The result is measured as one unperturbed trial of
+    :func:`repro.ensemble.trials.measure_columns`, the loop every
+    Monte-Carlo chunk runs, over the instance's candidate pairs.
+    ``tables`` is the instance's shared geometry (from the engine's
+    :class:`~repro.engine.cache.ArtifactCache`) and only decides where
+    those pairs come from: dense :class:`PolarTables` yield them with no
+    kd-tree and no trig; :class:`SparsePolarTables` are the kd-tree
+    artifact.  Without ``tables`` the active backend's ``use_sparse`` rule
+    picks the route: dense tables are built here, kd-tree candidates by
+    the loop, at the cutoff the radii require.  Either way the values are
+    the dense ``n²`` computation's, bit for bit, by the loop's
+    certificates.  ``mode`` selects the connectivity objective the
+    connectivity flag and critical range are measured under.
     """
+    from repro.ensemble.trials import measure_columns  # lazy: avoids cycle
+
     backend = active_backend()
-    if isinstance(tables, SparsePolarTables):
-        return _sparse_orientation_metrics(
-            result, tables, compute_critical=compute_critical, backend=backend,
-            mode=mode,
-        )
-    if tables is None:
-        if backend.use_sparse(len(result.points)):
-            return _sparse_orientation_metrics(
-                result, None, compute_critical=compute_critical, backend=backend,
-                mode=mode,
-            )
-        tables = polar_tables(result.points.coords)
-    g = result.transmission_graph(tables=tables)
-    counts = result.assignment.counts()
-    critical = (
-        result.measured_critical_range_normalized(tables=tables, mode=mode)
-        if compute_critical
-        else float("nan")
-    )
-    connected = (
-        is_strongly_connected(g) if mode == "strong" else is_symmetrically_connected(g)
-    )
-    return OrientationMetrics(
-        algorithm=result.algorithm,
-        n=len(result.points),
-        k=result.k,
-        phi=result.phi,
-        range_bound=result.range_bound,
-        realized_range=result.realized_range_normalized(),
-        critical_range=critical,
-        max_spread_sum=result.max_spread_sum(),
-        antennas_max=int(counts.max()) if len(counts) else 0,
-        antennas_total=int(counts.sum()),
-        edges=g.m,
-        strongly_connected=connected,
-        mode=mode,
-    )
-
-
-def _sparse_orientation_metrics(
-    result: OrientationResult,
-    tables: SparsePolarTables | None,
-    *,
-    compute_critical: bool,
-    backend,
-    mode: str = "strong",
-) -> OrientationMetrics:
-    """Measure through the radius-bounded candidate geometry.
-
-    Same fields, same floats as the dense path: the sparse kernels
-    evaluate the identical per-pair expressions over the certified
-    candidate set (see :mod:`repro.kernels.sparse`).
-    """
-    sensor_idx, start, spread, radius = result.assignment.flattened()
+    ps = result.points
+    if tables is None and not backend.use_sparse(len(ps)):
+        tables = polar_tables(ps.coords)
     with recording() as rec:
-        edges, connected, critical_abs, _ = sparse_metrics(
-            result.points.coords,
-            sensor_idx,
-            start,
-            spread,
-            radius,
-            range_bound_abs=result.range_bound_absolute,
-            compute_critical=compute_critical,
-            tables=tables,
-            mode=mode,
+        cover, connected, critical = measure_columns(
+            ps, tables, *result.assignment.flattened(), lmax=result.lmax,
+            want_critical=compute_critical, mode=mode,
         )
     if compute_critical:
-        critical = critical_abs / result.lmax if result.lmax > 0 else critical_abs
+        critical = float(critical[0])
+        if result.lmax > 0:
+            critical /= result.lmax
         result.stats["critical_range_kernels"] = {
             "backend": backend.name,
-            "sparse": True,
+            "sparse": not isinstance(tables, PolarTables),
             **rec.as_dict(),
         }
     else:
@@ -189,7 +140,7 @@ def _sparse_orientation_metrics(
     counts = result.assignment.counts()
     return OrientationMetrics(
         algorithm=result.algorithm,
-        n=len(result.points),
+        n=len(ps),
         k=result.k,
         phi=result.phi,
         range_bound=result.range_bound,
@@ -198,8 +149,8 @@ def _sparse_orientation_metrics(
         max_spread_sum=result.max_spread_sum(),
         antennas_max=int(counts.max()) if len(counts) else 0,
         antennas_total=int(counts.sum()),
-        edges=edges,
-        strongly_connected=connected,
+        edges=int(np.count_nonzero(cover)),
+        strongly_connected=bool(connected[0]),
         mode=mode,
     )
 

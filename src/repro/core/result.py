@@ -97,12 +97,6 @@ class OrientationResult:
         }
         return cr
 
-    def measured_critical_range_normalized(
-        self, *, tables: PolarTables | None = None, mode: str = "strong"
-    ) -> float:
-        cr = self.measured_critical_range(tables=tables, mode=mode)
-        return cr / self.lmax if self.lmax > 0 else cr
-
     def max_spread_sum(self) -> float:
         """Largest per-sensor angular sum actually used (radians)."""
         return self.assignment.max_spread_sum()

@@ -61,38 +61,9 @@ __all__ = [
 
 def z_value(confidence: float) -> float:
     """Two-sided standard-normal critical value for ``confidence``."""
-    q = 0.5 * (1.0 + float(confidence))
-    try:
-        from scipy.special import ndtri
+    from scipy.special import ndtri  # lazy: keeps it off `import repro`
 
-        return float(ndtri(q))
-    except ImportError:  # pragma: no cover - scipy is normally present
-        return _ndtri_acklam(q)
-
-
-def _ndtri_acklam(q: float) -> float:  # pragma: no cover - scipy fallback
-    """Acklam's rational approximation of the normal quantile (|err| < 1e-9)."""
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {q}")
-    if q < p_low:
-        t = math.sqrt(-2.0 * math.log(q))
-        return (((((c[0] * t + c[1]) * t + c[2]) * t + c[3]) * t + c[4]) * t + c[5]) / \
-               ((((d[0] * t + d[1]) * t + d[2]) * t + d[3]) * t + 1.0)
-    if q > p_high:
-        return -_ndtri_acklam(1.0 - q)
-    t = q - 0.5
-    r = t * t
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * t / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    return float(ndtri(0.5 * (1.0 + float(confidence))))
 
 
 def wilson_interval(

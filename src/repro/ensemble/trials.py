@@ -3,7 +3,10 @@
 A trial never rebuilds geometry: it is a *mask and rescale* of the
 instance's cached candidate pairs, the directed point pairs within a
 cutoff held as one CSR :class:`~repro.kernels.sparse.SparsePolarTables`.
-Every backend measures through the same path:
+:func:`measure_columns` is the one measurement loop: :func:`measure_trials`
+runs it on a chunk of perturbed trials, and
+:func:`~repro.analysis.metrics.orientation_metrics` on one unperturbed
+trial.  Every backend measures through the same path:
 
 * **Candidate pairs.**  Under ``sparse``/``auto`` routing the instance
   artifact already is that CSR, at
@@ -14,7 +17,9 @@ Every backend measures through the same path:
   its exact float values, and no kd-tree is built.  A wider table comes
   through the :class:`~repro.engine.cache.ArtifactCache`, on a doubling
   ladder of cutoffs, only when a chunk's faded radii or a trial's
-  certificate needs it.
+  certificate needs it.  A deterministic measurement passes no cache:
+  its wider tables stay outside the counted cache entries, so the cache
+  deltas a sweep or frontier ledgers are those of its instance artifacts.
 * **Hoisting.**  Rotation decides whether the angular test varies per
   trial; fading decides whether the radius test does.
   :func:`~repro.kernels.sparse.trial_coverage` evaluates the
@@ -55,6 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.angles import angle_of
+from repro.geometry.points import PointSet
+from repro.kernels.connectivity import validate_mode
+from repro.kernels.geometry import PolarTables
 from repro.kernels.instrument import COUNTERS
 from repro.kernels.sparse import (
     _EDGE_BLOCK_ELEMS,
@@ -72,7 +80,13 @@ from repro.kernels.sparse import (
 )
 from repro.utils.rng import counter_rng, indexed_uniforms, stable_seed
 
-__all__ = ["TrialDraws", "TrialMeasurements", "draw_trials", "measure_trials"]
+__all__ = [
+    "TrialDraws",
+    "TrialMeasurements",
+    "draw_trials",
+    "measure_trials",
+    "measure_columns",
+]
 
 _TWO_PI = 2.0 * np.pi
 
@@ -192,16 +206,70 @@ def measure_trials(
     """
     trial_list = [int(t) for t in trial_indices]
     count = len(trial_list)
-    n = len(ps)
     COUNTERS.ensemble_trials += count
-    draws = draw_trials(key, instance_slot, trial_list, n, pert)
+    draws = draw_trials(key, instance_slot, trial_list, len(ps), pert)
     realized = _realized_ranges(result, draws, count) if want_realized else None
     if count == 0 or not (want_connectivity or want_critical):
         empty = np.zeros(count, dtype=bool) if want_connectivity else None
         crit = np.zeros(count) if want_critical else None
         return TrialMeasurements(empty, crit, realized)
 
-    sensor_idx, start, spread, radius = result.assignment.flattened()
+    _, connected, critical = measure_columns(
+        ps, tables, *result.assignment.flattened(), lmax=result.lmax,
+        draws=draws, edge_fail=pert.edge_fail, cache=cache,
+        want_connectivity=want_connectivity, want_critical=want_critical,
+        eps=eps, mode=mode,
+    )
+    if critical is not None and result.lmax > 0:
+        critical = critical / result.lmax
+    return TrialMeasurements(connected, critical, realized)
+
+
+def measure_columns(
+    points,
+    tables,
+    sensor_idx: np.ndarray,
+    start: np.ndarray,
+    spread: np.ndarray,
+    radius: np.ndarray,
+    *,
+    lmax: float = 0.0,
+    draws: TrialDraws | None = None,
+    edge_fail: float = 0.0,
+    cache=None,
+    want_connectivity: bool = True,
+    want_critical: bool = True,
+    eps: float = 1e-9,
+    mode: str = "strong",
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Measure one antenna set under a chunk of trial draws: the one loop.
+
+    ``points`` is the instance (a :class:`~repro.geometry.points.PointSet`
+    or raw ``(n, 2)`` coordinates) and the columns are its antennae's
+    :meth:`~repro.antenna.model.AntennaAssignment.flattened` columns.
+    ``draws`` perturbs them per trial; ``None`` is one unperturbed trial,
+    which is how :func:`~repro.analysis.metrics.orientation_metrics`
+    measures a deterministic result.  The candidate pairs come from
+    ``tables``, the only difference between routes: derived from dense
+    :class:`PolarTables`, starting at
+    :func:`~repro.kernels.sparse.default_instance_cutoff` of ``lmax``; or
+    a kd-tree artifact (:class:`SparsePolarTables`), starting at its own
+    cutoff and rebuilt wider when needed; or, with ``tables=None``, kd-tree
+    tables built here, starting at the cutoff the radii require.
+
+    Returns ``(cover, connected, critical)`` per trial: the ``(T, m)``
+    radius mask over the candidate pairs (its row sums are the directed
+    transmission-edge counts), connectivity under ``mode``, and the
+    absolute critical range; ``None`` where not wanted.
+    """
+    validate_mode(mode)
+    coords = points.coords if isinstance(points, PointSet) else np.asarray(points, float)
+    n = coords.shape[0]
+    if tables is not None and tables.n != n:
+        raise ValueError(f"tables are for n={tables.n}, point set has n={n}")
+    if draws is None:
+        draws = TrialDraws(None, None, None, np.zeros(1, dtype=np.uint64))
+    count = draws.edge_seeds.shape[0]
     if draws.rotation is not None:
         start = np.mod(start[None, :] + draws.rotation[:, sensor_idx], _TWO_PI)
     if draws.fade is not None:
@@ -211,14 +279,16 @@ def measure_trials(
     else:
         counts = draws.alive.sum(axis=1).astype(np.int64)
         relabel = np.cumsum(draws.alive, axis=1) - 1
-    chunk = _Chunk(ps, tables, cache, draws, pert.edge_fail, sensor_idx, start,
-                   spread, radius, eps)
+    chunk = _Chunk(points, coords, tables, cache, draws, edge_fail, sensor_idx,
+                   start, spread, radius, eps)
 
-    cap = complete_cutoff(ps.coords, eps)
+    cap = complete_cutoff(coords, eps)
     if isinstance(tables, SparsePolarTables):
         base = tables.r_cut
+    elif tables is None:
+        base = 0.0  # nothing built yet: start where the radii need
     else:
-        base = default_instance_cutoff(result.lmax, eps)
+        base = default_instance_cutoff(lmax, eps)
     if not np.isfinite(radius).all():
         # An unbounded antenna covers arbitrarily distant points in its
         # wedge: only the complete candidate set reproduces its edges.
@@ -252,20 +322,19 @@ def measure_trials(
             cand = chunk.candidates(_rung(cand.r_cut, float(reach.max()), cap))
             _, cover_ang = chunk.masks(cand, rows, radius_mask=False,
                                        angular_mask=True)
-        if result.lmax > 0:
-            critical = critical / result.lmax
-    return TrialMeasurements(connected, critical, realized)
+    return cover, connected, critical
 
 
 def _rung(r_cut: float, need: float, cap: float) -> float:
     """The cutoff to fetch: ``r_cut`` doubled until it covers ``need``,
     at most ``cap``.  Doubling keeps an instance to a few cached cutoffs,
-    however many chunks and threshold probes ask."""
+    however many chunks and threshold probes ask; from no cutoff at all
+    the ladder starts at ``need``."""
     need = min(need, cap)
     if need <= r_cut:
         return r_cut
     if r_cut <= 0.0:
-        return cap
+        return need
     while r_cut < need:
         r_cut *= 2.0
     return min(r_cut, cap)
@@ -276,10 +345,12 @@ class _Chunk:
     """One chunk's antenna columns, draws and instance artifacts.
 
     ``start``/``radius`` are ``(a,)`` when every trial shares them, else
-    ``(T, a)``.
+    ``(T, a)``.  ``ps`` is the instance as the caller named it (the
+    cache's key), ``coords`` its coordinate array.
     """
 
     ps: object
+    coords: np.ndarray
     tables: object
     cache: object
     draws: TrialDraws
@@ -292,16 +363,16 @@ class _Chunk:
 
     def candidates(self, r_cut: float) -> SparsePolarTables:
         """The instance's candidate pairs within ``r_cut``, through the cache."""
-        ps, tables, cache = self.ps, self.tables, self.cache
-        if isinstance(tables, SparsePolarTables):
-            if r_cut <= tables.r_cut:
-                return tables
+        tables, cache = self.tables, self.cache
+        if isinstance(tables, PolarTables):
             if cache is None:
-                return sparse_polar_tables(ps.coords, r_cut)
-            return cache.sparse_polar(ps, r_cut)
+                return dense_candidate_tables(tables, r_cut)
+            return cache.dense_candidates(self.ps, tables, r_cut)
+        if tables is not None and r_cut <= tables.r_cut:
+            return tables
         if cache is None:
-            return dense_candidate_tables(tables, r_cut)
-        return cache.dense_candidates(ps, tables, r_cut)
+            return sparse_polar_tables(self.coords, r_cut)
+        return cache.sparse_polar(self.ps, r_cut)
 
     def masks(self, cand, rows, *, radius_mask: bool, angular_mask: bool):
         """Surviving covered-edge masks ``(cover, cover_ang)`` of trials ``rows``."""
@@ -384,7 +455,7 @@ class _Chunk:
     def _links(self, w: int, inward: bool, t) -> bool:
         """Does ``w`` keep a surviving angularly-covered link out to (or,
         ``inward``, in from) any other point?"""
-        n, eps = len(self.ps), self.eps
+        n, eps = self.coords.shape[0], self.eps
         if inward:  # every antenna, aimed at w
             ants = np.arange(self.sensor_idx.shape[0])
             src, dst = self.sensor_idx, np.full(ants.shape[0], w)
@@ -392,12 +463,12 @@ class _Chunk:
             own = np.flatnonzero(self.sensor_idx == w)
             ants = np.repeat(own, n)
             src, dst = np.full(ants.shape[0], w), np.tile(np.arange(n), own.shape[0])
-        if isinstance(self.tables, SparsePolarTables):
-            off = self.ps.coords[dst] - self.ps.coords[src]
+        if isinstance(self.tables, PolarTables):
+            dist, ang = self.tables.dist[src, dst], self.tables.ang[src, dst]
+        else:
+            off = self.coords[dst] - self.coords[src]
             dist, ang = np.hypot(off[:, 0], off[:, 1]), angle_of(off)
             COUNTERS.trig_evals += int(src.shape[0])
-        else:
-            dist, ang = self.tables.dist[src, dst], self.tables.ang[src, dst]
         start = self.start[t] if self.start.ndim == 2 else self.start
         spread = self.spread[ants]
         hit = _angular_ok(ang, start[ants], spread, spread >= _TWO_PI - eps, eps)

@@ -3,8 +3,7 @@
 ``is_strongly_connected`` is the workhorse validator; it hands the graph's
 CSR arrays to the kernel layer, where
 ``scipy.sparse.csgraph.connected_components(connection="strong")`` answers
-in C (two-pass BFS fallback when scipy is missing — see
-:mod:`repro.kernels.connectivity`).  ``directed_vertex_connectivity``
+in C (see :mod:`repro.kernels.connectivity`).  ``directed_vertex_connectivity``
 implements Even's algorithm via vertex splitting + Dinic max-flow, and backs
 the paper's §5 open question about strong *c*-connectivity
 (:func:`is_strongly_c_connected`).
@@ -21,15 +20,10 @@ from repro.errors import InvalidParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.maxflow import Dinic
 from repro.graph.scc import strongly_connected_components
-from repro.kernels.connectivity import (
-    mutual_mask,
-    strongly_connected_csr,
-    symmetric_connected_csr,
-)
+from repro.kernels.connectivity import strongly_connected_csr
 
 __all__ = [
     "is_strongly_connected",
-    "is_symmetrically_connected",
     "strong_connectivity_certificate",
     "directed_vertex_connectivity",
     "is_strongly_c_connected",
@@ -45,29 +39,6 @@ def is_strongly_connected(g: DiGraph) -> bool:
     instrumentation counters, zero graph copies.
     """
     return strongly_connected_csr(g.n, *g.csr())
-
-
-def is_symmetrically_connected(g: DiGraph) -> bool:
-    """True iff the *mutual* edges of ``g`` form a connected undirected graph.
-
-    The symmetric-mode objective: a link counts only when both directions
-    are present.  Symmetrizes the CSR edge list with one
-    :func:`~repro.kernels.connectivity.mutual_mask` pass (no second graph
-    build) and hands the mutual CSR to the undirected kernel — the same
-    ``csgraph`` scaffold as :func:`is_strongly_connected`, one
-    ``connection`` flag apart.
-    """
-    n = g.n
-    if n <= 1:
-        return symmetric_connected_csr(n, *g.csr())
-    indptr, indices = g.csr()
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    mask = mutual_mask(n, src, indices)
-    # ``src`` is CSR-sorted, so the masked list is still grouped by source.
-    mptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(src[mask], minlength=n))]
-    ).astype(np.int64)
-    return symmetric_connected_csr(n, mptr, indices[mask])
 
 
 @dataclass

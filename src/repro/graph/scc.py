@@ -25,15 +25,9 @@ __all__ = [
 
 
 def scc_count(g: DiGraph) -> int:
-    """Number of strongly connected components (no per-vertex labels).
-
-    Uses ``scipy.sparse.csgraph`` on the graph's CSR arrays when available,
-    falling back to a full Tarjan labeling otherwise.
-    """
-    count = scc_count_csr(g.n, *g.csr())
-    if count is not None:
-        return count
-    return int(strongly_connected_components(g).max()) + 1 if g.n else 0
+    """Number of strongly connected components (no per-vertex labels),
+    via ``scipy.sparse.csgraph`` on the graph's CSR arrays."""
+    return scc_count_csr(g.n, *g.csr())
 
 
 def undirected_component_count(g: DiGraph) -> int:
@@ -41,40 +35,9 @@ def undirected_component_count(g: DiGraph) -> int:
 
     The undirected counterpart of :func:`scc_count`, routed through the
     same CSR scaffold (:func:`~repro.kernels.connectivity.component_count_csr`
-    with ``connection="weak"`` — no second graph build).  Without scipy a
-    BFS sweep over the symmetrized adjacency labels the components.
+    with ``connection="weak"`` — no second graph build).
     """
-    count = component_count_csr(g.n, *g.csr(), connection="weak")
-    if count is not None:
-        return count
-    n = g.n
-    if n == 0:
-        return 0
-    indptr, indices = g.csr()
-    # Symmetrize once: forward targets plus reversed edges, grouped by vertex.
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    both_src = np.concatenate([src, indices])
-    both_dst = np.concatenate([indices, src])
-    order = np.argsort(both_src, kind="stable")
-    adj_ptr = np.concatenate(
-        [[0], np.cumsum(np.bincount(both_src, minlength=n))]
-    ).astype(np.int64)
-    adj = both_dst[order]
-    seen = np.zeros(n, dtype=bool)
-    components = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        components += 1
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[adj_ptr[u] : adj_ptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-    return components
+    return component_count_csr(g.n, *g.csr(), connection="weak")
 
 
 def strongly_connected_components(g: DiGraph) -> np.ndarray:

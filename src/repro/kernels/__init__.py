@@ -10,17 +10,18 @@ programs over shared per-instance geometry:
 * :mod:`repro.kernels.coverage` — :func:`batched_coverage`, all ``k·n``
   sectors evaluated against the tables in one pass;
 * :mod:`repro.kernels.connectivity` — CSR strong and symmetric
-  connectivity (``scipy.sparse.csgraph`` fast path, BFS fallback) on raw
-  arrays, no graph objects;
+  connectivity (``scipy.sparse.csgraph``) on raw arrays, no graph
+  objects;
 * :mod:`repro.kernels.critical` — :func:`critical_range_search`, the
   rebuild-free bottleneck-radius bisection over a once-sorted edge list;
 * :mod:`repro.kernels.batch` — packed multi-instance kernels: a whole
   chunk of instances (:class:`BatchedInstances` + packed polar tables)
   evaluated per Python-level launch;
 * :mod:`repro.kernels.sparse` — :class:`SparsePolarTables`, the CSR
-  radius-bounded candidate geometry and the certified-exact
-  :func:`sparse_metrics` measurement loop that scales instances to
-  n = 10⁵ without the ``(n, n)`` tables;
+  radius-bounded candidate geometry, and the trial kernels every
+  measurement runs on it (the certified loop around them is
+  :func:`repro.ensemble.trials.measure_columns`), which scale instances
+  to n = 10⁵ without the ``(n, n)`` tables;
 * :mod:`repro.kernels.backend` — the ``numpy``, ``sparse`` and ``auto``
   routing names, selected by ``REPRO_BACKEND``, a request flag, or
   ``--backend``: each only decides (:meth:`KernelBackend.use_sparse`)
@@ -56,7 +57,6 @@ from repro.kernels.batch import (
     packed_polar_tables,
 )
 from repro.kernels.connectivity import (
-    reverse_csr,
     scc_count_csr,
     strongly_connected_csr,
     strongly_connected_edges,
@@ -74,12 +74,8 @@ from repro.kernels.sparse import (
     SparsePolarTables,
     bbox_diameter_bound,
     complete_cutoff,
-    covered_edge_arrays,
     default_instance_cutoff,
     required_cutoff,
-    sparse_connected,
-    sparse_covered_edges,
-    sparse_metrics,
     sparse_polar_tables,
 )
 
@@ -96,7 +92,6 @@ __all__ = [
     "batched_coverage",
     "bbox_diameter_bound",
     "complete_cutoff",
-    "covered_edge_arrays",
     "critical_range_search",
     "default_instance_cutoff",
     "kernel_counters",
@@ -110,13 +105,9 @@ __all__ = [
     "required_cutoff",
     "reset_kernel_counters",
     "resolve_backend",
-    "sparse_connected",
-    "sparse_covered_edges",
-    "sparse_metrics",
     "sparse_polar_tables",
     "strongly_connected_csr",
     "strongly_connected_edges",
-    "reverse_csr",
     "scc_count_csr",
     "use_backend",
 ]

@@ -1,11 +1,10 @@
 """CSR strong-connectivity kernels.
 
-The fast path hands the CSR arrays straight to
+The CSR arrays go straight to
 ``scipy.sparse.csgraph.connected_components(connection="strong")`` (a C
-implementation); when scipy is unavailable the two-pass BFS (forward + on
-the reverse graph) runs on the same arrays.  Both paths share the cheap
-vectorized rejects: a vertex with zero out- or in-degree can never belong
-to a single SCC spanning ``n >= 2`` vertices.
+implementation), behind cheap vectorized rejects: a vertex with zero out-
+or in-degree can never belong to a single SCC spanning ``n >= 2``
+vertices.
 
 These kernels operate on raw ``(indptr, indices)`` or edge arrays — no
 :class:`~repro.graph.digraph.DiGraph` is constructed — which is what makes
@@ -15,16 +14,10 @@ the rebuild-free critical-range search possible.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.kernels.instrument import COUNTERS
-
-try:  # pragma: no cover - exercised via both code paths in tests
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _HAVE_SCIPY = False
 
 __all__ = [
     "CONNECTIVITY_MODES",
@@ -38,7 +31,6 @@ __all__ = [
     "union_connected",
     "scc_count_csr",
     "component_count_csr",
-    "reverse_csr",
 ]
 
 #: The two connectivity objectives every kernel/planner layer serves.
@@ -72,20 +64,7 @@ def strongly_connected_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> b
         return False
     if np.any(np.bincount(indices, minlength=n) == 0):  # in-degree 0
         return False
-    if _HAVE_SCIPY:
-        COUNTERS.scipy_scc_calls += 1
-        mat = csr_matrix(
-            (np.ones(indices.shape[0], dtype=np.int8), indices, indptr), shape=(n, n)
-        )
-        ncomp = connected_components(
-            mat, directed=True, connection="strong", return_labels=False
-        )
-        return int(ncomp) == 1
-    COUNTERS.bfs_fallbacks += 1
-    if not _bfs_covers_all(n, indptr, indices):
-        return False
-    rptr, ridx = reverse_csr(n, indptr, indices)
-    return _bfs_covers_all(n, rptr, ridx)
+    return component_count_csr(n, indptr, indices, connection="strong") == 1
 
 
 def strongly_connected_edges(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
@@ -146,8 +125,7 @@ def symmetric_connected_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> 
     present — e.g. the CSR of ``cover & cover.T`` or the output of
     :func:`mutual_edges`); connectivity is then undirected-component
     connectivity, answered by the same ``csgraph`` call as the strong
-    kernel with ``connection="weak"`` (single-BFS fallback: on a mutual
-    edge set, reachability from vertex 0 equals undirected connectivity).
+    kernel with ``connection="weak"``.
     """
     COUNTERS.connectivity_probes += 1
     if n <= 1:
@@ -156,17 +134,7 @@ def symmetric_connected_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> 
         return False
     if np.any(np.diff(indptr) == 0):  # an isolated vertex (mutual set)
         return False
-    if _HAVE_SCIPY:
-        COUNTERS.scipy_scc_calls += 1
-        mat = csr_matrix(
-            (np.ones(indices.shape[0], dtype=np.int8), indices, indptr), shape=(n, n)
-        )
-        ncomp = connected_components(
-            mat, directed=True, connection="weak", return_labels=False
-        )
-        return int(ncomp) == 1
-    COUNTERS.bfs_fallbacks += 1
-    return _bfs_covers_all(n, indptr, indices)
+    return component_count_csr(n, indptr, indices, connection="weak") == 1
 
 
 def symmetric_connected_edges(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
@@ -211,14 +179,6 @@ def union_connected(
     if m == 0:
         return out
     base = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
-    if not _HAVE_SCIPY:  # pragma: no cover - scipy is a hard dep in practice
-        probe = strongly_connected_csr if connection == "strong" else symmetric_connected_csr
-        for i in range(m):
-            lo, hi = int(base[i]), int(base[i + 1])
-            sub = indptr[lo : hi + 1]
-            out[i] = probe(hi - lo, sub - sub[0], indices[sub[0] : sub[-1]] - lo)
-        return out
-
     COUNTERS.connectivity_probes += m
     COUNTERS.scipy_scc_calls += 1
     total = int(base[-1])
@@ -239,8 +199,8 @@ def union_connected(
     return out
 
 
-def scc_count_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> int | None:
-    """Number of SCCs via scipy, or ``None`` when scipy is unavailable.
+def scc_count_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> int:
+    """Number of SCCs via scipy.
 
     Callers that also need per-vertex labels (in Tarjan's reverse
     topological id order) should use
@@ -251,8 +211,8 @@ def scc_count_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> int | None
 
 def component_count_csr(
     n: int, indptr: np.ndarray, indices: np.ndarray, *, connection: str = "strong"
-) -> int | None:
-    """Component count on one CSR scaffold, or ``None`` without scipy.
+) -> int:
+    """Component count on one CSR scaffold.
 
     ``connection="strong"`` counts SCCs; ``connection="weak"`` counts
     undirected components (the symmetric-mode objective) — same matrix
@@ -260,8 +220,6 @@ def component_count_csr(
     """
     if n == 0:
         return 0
-    if not _HAVE_SCIPY:
-        return None
     COUNTERS.scipy_scc_calls += 1
     mat = csr_matrix(
         (np.ones(indices.shape[0], dtype=np.int8), indices, indptr), shape=(n, n)
@@ -271,30 +229,3 @@ def component_count_csr(
             mat, directed=True, connection=connection, return_labels=False
         )
     )
-
-
-def reverse_csr(
-    n: int, indptr: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of the reversed digraph (vectorized transpose)."""
-    counts = np.bincount(indices, minlength=n)
-    rptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    order = np.argsort(indices, kind="stable")
-    return rptr, src[order]
-
-
-def _bfs_covers_all(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
-    """Does vertex 0 reach every vertex? (fallback path, no scipy)."""
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    remaining = n - 1
-    while stack:
-        u = stack.pop()
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                remaining -= 1
-                stack.append(int(v))
-    return remaining == 0

@@ -40,8 +40,6 @@ class KernelCounters:
         Strong-connectivity yes/no checks (any backend).
     scipy_scc_calls:
         Probes answered by ``scipy.sparse.csgraph.connected_components``.
-    bfs_fallbacks:
-        Probes answered by the two-pass BFS fallback (no scipy).
     trig_evals:
         ``arctan2`` element evaluations (each is one entry of a polar-angle
         table) — repeated trig on identical source geometry shows up here.
@@ -86,7 +84,6 @@ class KernelCounters:
     graph_builds: int = 0
     connectivity_probes: int = 0
     scipy_scc_calls: int = 0
-    bfs_fallbacks: int = 0
     trig_evals: int = 0
     polar_builds: int = 0
     coverage_calls: int = 0

@@ -13,35 +13,40 @@ computed by the *same* floating-point expressions as the dense builder
 every per-pair value is bit-identical to the corresponding dense table
 entry.
 
-Exactness contract (the hard guarantee behind ``--backend sparse``):
+Exactness contract (the hard guarantee behind ``--backend sparse``), as
+kept by the one measurement loop,
+:func:`repro.ensemble.trials.measure_columns`:
 
-* **Coverage / strong connectivity.**  The candidate cutoff is derived
-  from the antennae's own radii (:func:`required_cutoff`): every pair a
+* **Coverage / connectivity.**  The candidate cutoff is at least the one
+  the antennae's own radii require (:func:`required_cutoff`): every pair a
   radius-respecting sector could cover satisfies
   ``dist <= radius + radius_tolerance(radius, eps)``, which sits strictly
   inside the cutoff's safety pad, so the sparse edge list *is* the dense
   transmission graph's edge list.  An infinite antenna radius forces the
   complete candidate set (the bounding-box diameter cutoff).
 * **Critical range.**  Both searches return the smallest candidate
-  distance whose prefix graph is strongly connected.  A sparse result
-  ``r*`` is *certified* when ``(r* + radius_tolerance(r*, eps))`` sits
-  inside the cutoff (with pad): below that radius the sparse and dense
-  prefix graphs are identical edge sets, so the returned float is the
-  dense float, bit for bit.  A result that cannot be certified — including
-  ``inf`` from a probe that is not strongly connected at ``r_cut`` — is
-  never returned: the cutoff is widened geometrically (counted in
-  ``COUNTERS.rcut_widenings``) up to the bounding-box diameter, where the
-  candidate set is provably complete and even ``inf`` is genuine.
+  distance whose prefix graph is connected.  A finite sparse result ``r*``
+  is *certified* when ``(r* + radius_tolerance(r*, eps))`` sits inside the
+  cutoff (with pad, :func:`certified_cutoff`): below that radius the
+  sparse and dense prefix graphs are identical edge sets, so the returned
+  float is the dense float, bit for bit.  An ``inf`` is certified by a
+  *cut-off sensor* — one with no angularly-covered out-edge to, or
+  in-edge from, any other point at any distance — or by the complete
+  cutoff, where the candidate set holds every pair.  Any other result is
+  never returned: the cutoff is widened on a doubling ladder (counted in
+  ``COUNTERS.rcut_widenings``), up to the complete cutoff.
 
 The safety pad ``_CUT_PAD`` absorbs the ulp-level disagreement between the
 kd-tree's internal distance and the table's ``np.hypot`` at the cutoff
 boundary: certified results sit a relative ``1e-6`` inside the cutoff,
 seven orders of magnitude beyond any last-ulp membership fuzz.
 
-The same CSR carries every Monte-Carlo trial of :mod:`repro.ensemble`
-(:func:`trial_coverage`, :func:`trial_connected`, :func:`trial_critical`),
-on every backend: a dense-routed instance derives it from its dense tables
-(:func:`dense_candidate_tables`).
+The same CSR carries every measurement (:func:`trial_coverage`,
+:func:`trial_connected`, :func:`trial_critical`) — each Monte-Carlo trial
+of :mod:`repro.ensemble`, and each deterministic
+:func:`~repro.analysis.metrics.orientation_metrics` call as one
+unperturbed trial — on every backend: a dense-routed instance derives it
+from its dense tables (:func:`dense_candidate_tables`).
 """
 
 from __future__ import annotations
@@ -50,14 +55,9 @@ import numpy as np
 
 from repro.geometry.angles import TWO_PI, angle_of
 from repro.geometry.sectors import radius_tolerance
-from repro.kernels.connectivity import (
-    strongly_connected_csr,
-    symmetric_connected_csr,
-    union_connected,
-    validate_mode,
-)
+from repro.kernels.connectivity import union_connected
 from repro.kernels.coverage import _ccw_from_start
-from repro.kernels.critical import _critical_search_impl, critical_range_search
+from repro.kernels.critical import _critical_search_impl
 from repro.kernels.geometry import PolarTables
 from repro.kernels.instrument import COUNTERS
 
@@ -65,14 +65,10 @@ __all__ = [
     "SparsePolarTables",
     "sparse_polar_tables",
     "dense_candidate_tables",
-    "sparse_covered_edges",
     "trial_coverage",
     "trial_connected",
     "trial_critical",
-    "covered_edge_arrays",
     "reverse_edge_permutation",
-    "sparse_connected",
-    "sparse_metrics",
     "required_cutoff",
     "default_instance_cutoff",
     "bbox_diameter_bound",
@@ -88,10 +84,6 @@ _CUT_PAD = 1.0 + 1e-6
 #: Elements per expanded (antenna, edge) temporary inside the coverage
 #: kernel — same cache-residency reasoning as the dense kernel's block.
 _EDGE_BLOCK_ELEMS = 262_144
-
-#: Elements per ``(block, n)`` distance temporary in the brute-force
-#: candidate fallback (scipy absent) — bounds memory, not work.
-_PAIR_BLOCK_ELEMS = 4_000_000
 
 
 class SparsePolarTables:
@@ -144,36 +136,20 @@ def _directed_candidates(c: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarra
     last-ulp (the kd-tree computes its own distances); the certification
     pads absorb this, and extra pairs are always harmless.
     """
-    n = c.shape[0]
+    from scipy.spatial import cKDTree  # lazy: +7 MB RSS, sparse routing only
+
     empty = np.empty(0, dtype=np.int64)
-    if n <= 1 or not r >= 0.0:
+    if c.shape[0] <= 1:
         return empty, empty
-    try:
-        from scipy.spatial import cKDTree
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        cKDTree = None
-    if cKDTree is not None and np.isfinite(r):
-        pairs = cKDTree(c).query_pairs(float(r), output_type="ndarray")
-        if pairs.shape[0] == 0:
-            return empty, empty
-        u = pairs[:, 0].astype(np.int64)
-        v = pairs[:, 1].astype(np.int64)
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        order = np.lexsort((dst, src))
-        return src[order], dst[order]
-    # Brute-force fallback: O(n²) time but blockwise-bounded memory.
-    srcs, dsts = [], []
-    block = max(1, _PAIR_BLOCK_ELEMS // max(n, 1))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        off = c[None, :, :] - c[lo:hi, None, :]
-        d = np.hypot(off[..., 0], off[..., 1])
-        bs, bd = np.nonzero(d <= r)
-        keep = (bs + lo) != bd
-        srcs.append((bs[keep] + lo).astype(np.int64))
-        dsts.append(bd[keep].astype(np.int64))
-    return np.concatenate(srcs), np.concatenate(dsts)
+    pairs = cKDTree(c).query_pairs(r, output_type="ndarray")
+    if pairs.shape[0] == 0:
+        return empty, empty
+    u = pairs[:, 0].astype(np.int64)
+    v = pairs[:, 1].astype(np.int64)
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    return src[order], dst[order]
 
 
 def sparse_polar_tables(coords, r_cut: float) -> SparsePolarTables:
@@ -181,14 +157,16 @@ def sparse_polar_tables(coords, r_cut: float) -> SparsePolarTables:
 
     Counts the *actual* trig work performed — one ``arctan2`` per directed
     candidate pair — in ``COUNTERS.trig_evals`` (the dense builder counts
-    ``n²``), plus one ``sparse_polar_builds`` launch.
+    ``n²``), plus one ``sparse_polar_builds`` launch.  ``r_cut`` must be
+    finite: the set of every pair is asked for as
+    :func:`complete_cutoff` of ``coords``.
     """
     c = np.ascontiguousarray(np.asarray(coords, dtype=float))
     if c.ndim != 2 or c.shape[1] != 2:
         raise ValueError(f"expected (n, 2) coordinates, got shape {c.shape}")
     r = float(r_cut)
-    if not r >= 0.0:  # also rejects NaN
-        raise ValueError(f"candidate cutoff must be >= 0, got {r}")
+    if not 0.0 <= r < np.inf:  # also rejects NaN
+        raise ValueError(f"candidate cutoff must be finite and >= 0, got {r}")
     n = c.shape[0]
     src, dst = _directed_candidates(c, r)
     off = c[dst] - c[src]
@@ -224,30 +202,6 @@ def dense_candidate_tables(tables: PolarTables, r_cut: float) -> SparsePolarTabl
     for arr in (indptr, src, dst, dist, ang):
         arr.setflags(write=False)
     return SparsePolarTables(indptr, dst, src, dist, ang, r)
-
-
-def sparse_covered_edges(
-    tables: SparsePolarTables,
-    sensor_idx: np.ndarray,
-    start: np.ndarray,
-    spread: np.ndarray,
-    radius: np.ndarray,
-    *,
-    eps: float = 1e-9,
-    ignore_radius: bool = False,
-) -> np.ndarray:
-    """Boolean mask over the tables' edges: covered by some antenna?
-
-    The sparse analogue of :func:`repro.kernels.coverage.batched_coverage`:
-    one trial of :func:`trial_coverage`, so a True mask entry corresponds
-    exactly to a True dense-cover entry.  ``ignore_radius`` tests angular
-    containment only.
-    """
-    cover, cover_ang = trial_coverage(
-        tables, sensor_idx, start, spread, radius, eps=eps,
-        radius_mask=not ignore_radius, angular_mask=ignore_radius,
-    )
-    return (cover_ang if ignore_radius else cover)[0]
 
 
 def trial_coverage(
@@ -485,51 +439,15 @@ def trial_critical(
     return out
 
 
-def covered_edge_arrays(
-    tables: SparsePolarTables, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(pairs, dists)`` of the masked edges — the exact shape
-    :func:`repro.kernels.critical.critical_range_search` consumes."""
-    src = tables.src[mask]
-    dst = tables.indices[mask]
-    if src.shape[0] == 0:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=float)
-    return np.stack([src, dst], axis=1), tables.dist[mask]
-
-
 def reverse_edge_permutation(tables: SparsePolarTables) -> np.ndarray:
     """Index of each candidate edge's reverse edge.
 
-    The candidate set is direction-symmetric by construction (both
-    directions of every within-cutoff pair are emitted, ``(src, dst)``
-    lexsorted), so the reverse of edge ``e`` is found exactly by one
-    ``searchsorted`` of the reversed packed keys against the sorted keys.
+    The candidate set is direction-symmetric (both directions of every
+    within-cutoff pair are present) and ``(src, dst)`` lexsorted, so the
+    edges into ``v`` come in ``src`` order, the order of ``v``'s own row:
+    a stable sort by ``dst`` lists each edge's reverse in edge order.
     """
-    n = np.int64(tables.n)
-    key = tables.src * n + tables.indices  # sorted: edges are (src, dst) lexsorted
-    rkey = tables.indices * n + tables.src
-    return np.searchsorted(key, rkey)
-
-
-def sparse_connected(
-    tables: SparsePolarTables, mask: np.ndarray, *, mode: str = "strong"
-) -> bool:
-    """Connectivity of the masked edge set under ``mode`` (CSR, no graph object).
-
-    Strong mode asks strong connectivity of the masked digraph; symmetric
-    mode keeps only the mutual edges (mask true in both directions, via
-    :func:`reverse_edge_permutation`) and asks undirected connectivity on
-    the same CSR scaffold.
-    """
-    n = tables.n
-    probe = strongly_connected_csr
-    if mode == "symmetric":
-        mask = mask & mask[reverse_edge_permutation(tables)]
-        probe = symmetric_connected_csr
-    src = tables.src[mask]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return probe(n, indptr, tables.indices[mask])
+    return np.argsort(tables.indices, kind="stable")
 
 
 # -- cutoff policy ------------------------------------------------------------------
@@ -554,8 +472,9 @@ def default_instance_cutoff(lmax: float, eps: float = 1e-9) -> float:
     Every Table-1 range bound is at most ``BTSP_RANGE = 2`` (in lmax
     units), so one sparse artifact at ``required_cutoff(2·lmax)`` serves
     every ``(k, φ)`` grid cell of a sweep; the per-result certification in
-    :func:`sparse_metrics` remains the safety net for out-of-family radii
-    (e.g. a k = 1 tour bottleneck above ``2·lmax``).
+    :func:`repro.ensemble.trials.measure_columns` remains the safety net
+    for out-of-family radii (e.g. a k = 1 tour bottleneck above
+    ``2·lmax``).
     """
     return required_cutoff(2.0 * float(lmax), eps)
 
@@ -580,9 +499,6 @@ def complete_cutoff(coords, eps: float = 1e-9) -> float:
     return required_cutoff(bbox_diameter_bound(coords), eps)
 
 
-# -- the measurement loop -----------------------------------------------------------
-
-
 def certified_cutoff(critical: float, scale: float = 1.0, eps: float = 1e-9) -> float:
     """The smallest cutoff at which a finite critical range is certified.
 
@@ -595,97 +511,3 @@ def certified_cutoff(critical: float, scale: float = 1.0, eps: float = 1e-9) -> 
     same candidate float.
     """
     return (critical + radius_tolerance(critical, eps)) * scale * _CUT_PAD
-
-
-def _certified(critical: float, r_cut: float, eps: float) -> bool:
-    """Is a sparse critical range provably the dense value?"""
-    if critical == 0.0:
-        return True
-    if not np.isfinite(critical):
-        return False
-    return certified_cutoff(critical, eps=eps) <= r_cut
-
-
-def sparse_metrics(
-    coords,
-    sensor_idx: np.ndarray,
-    start: np.ndarray,
-    spread: np.ndarray,
-    radius: np.ndarray,
-    *,
-    range_bound_abs: float = 0.0,
-    eps: float = 1e-9,
-    compute_critical: bool = True,
-    tables: SparsePolarTables | None = None,
-    tables_factory=None,
-    mode: str = "strong",
-) -> tuple[int, bool, float, SparsePolarTables | None]:
-    """Measure one antenna set through the radius-bounded sparse path.
-
-    Returns ``(edges, connected, critical_abs, tables)`` — bit-identical
-    to the dense pipeline (transmission-graph edge count, connectivity of
-    the radius-respecting cover under ``mode``, and the absolute critical
-    range over angularly-covered pairs — symmetrized first in symmetric
-    mode).  ``edges`` always counts *directed* transmission edges, in both
-    modes, matching the dense metrics.  The certification argument is
-    mode-independent: below a certified radius the sparse and dense
-    candidate sets are the same edge set, hence so are their mutual
-    subsets and prefix graphs.
-
-    Parameters
-    ----------
-    range_bound_abs:
-        The construction's guaranteed range in absolute units
-        (``range_bound · lmax``); folded into the initial cutoff so the
-        typical certified result needs zero widenings.
-    tables:
-        A pre-built candidate set (e.g. the engine's cached per-instance
-        artifact).  Rebuilt automatically when its cutoff is insufficient
-        for this antenna set.
-    tables_factory:
-        ``f(r_cut) -> SparsePolarTables`` override for builds (lets a
-        cache own the artifacts); defaults to :func:`sparse_polar_tables`
-        on ``coords``.
-    """
-    validate_mode(mode)
-    c = np.ascontiguousarray(np.asarray(coords, dtype=float))
-    n = c.shape[0]
-    a = int(np.asarray(sensor_idx).shape[0])
-    if n <= 1:
-        critical = 0.0 if compute_critical else float("nan")
-        return 0, True, critical, tables
-
-    factory = tables_factory or (lambda r: sparse_polar_tables(c, r))
-    cap = complete_cutoff(c, eps)
-    finite_r = radius[np.isfinite(radius)] if a else np.empty(0)
-    base = max(float(range_bound_abs), float(finite_r.max()) if finite_r.size else 0.0)
-    need = required_cutoff(base, eps)
-    if a and not np.isfinite(radius).all():
-        # An unbounded antenna covers arbitrarily distant points in its
-        # wedge: only the complete candidate set reproduces its edges.
-        need = cap
-    need = min(need, cap)
-
-    if tables is None or tables.n != n or tables.r_cut < need:
-        tables = factory(need)
-
-    while True:
-        cov, cov_ang = trial_coverage(
-            tables, sensor_idx, start, spread, radius, eps=eps,
-            angular_mask=compute_critical,
-        )
-        edges = int(np.count_nonzero(cov[0]))
-        connected = sparse_connected(tables, cov[0], mode=mode)
-        if not compute_critical:
-            return edges, connected, float("nan"), tables
-        pairs, dists = covered_edge_arrays(tables, cov_ang[0])
-        critical = critical_range_search(n, pairs, dists, eps=eps, mode=mode)
-        # a == 0 can never cover a pair at any cutoff: inf is genuine.
-        if (
-            tables.r_cut >= cap
-            or a == 0
-            or _certified(critical, tables.r_cut, eps)
-        ):
-            return edges, connected, critical, tables
-        COUNTERS.rcut_widenings += 1
-        tables = factory(min(max(2.0 * tables.r_cut, need), cap))

@@ -227,11 +227,8 @@ def prim_mst_edges(coords: np.ndarray) -> np.ndarray:
 
 def _delaunay_candidate_edges(coords: np.ndarray) -> np.ndarray | None:
     """Unique Delaunay edges, or None if qhull cannot triangulate."""
-    try:
-        from scipy.spatial import Delaunay
-        from scipy.spatial import QhullError
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        return None
+    from scipy.spatial import Delaunay, QhullError
+
     try:
         tri = Delaunay(coords)
     except (QhullError, ValueError):

@@ -21,6 +21,7 @@ from repro.antenna.model import AntennaAssignment
 from repro.engine import GridCell, PlanRequest, Scenario, execute_plan
 from repro.engine._spec import FrontierRequest
 from repro.engine.cache import ArtifactCache
+from repro.ensemble.trials import measure_columns
 from repro.errors import InvalidParameterError
 from repro.graph.connectivity import is_strongly_connected
 from repro.kernels import (
@@ -33,7 +34,6 @@ from repro.kernels import (
     packed_critical,
     polar_tables,
     resolve_backend,
-    sparse_metrics,
     use_backend,
 )
 from repro.kernels.backend import SPARSE_AUTO_ENV_VAR
@@ -104,6 +104,15 @@ def assert_same_float(got, want):
     assert got == want or (got != got and want != want)
 
 
+def sparse_route(coords, assignment):
+    """``(edges, connected, critical)`` of one unperturbed trial of the
+    measurement loop over kd-tree candidates."""
+    cover, connected, critical = measure_columns(
+        coords, None, *assignment.flattened()
+    )
+    return int(cover.sum()), bool(connected[0]), float(critical[0])
+
+
 @pytest.mark.parametrize("backend_name", KNOWN_BACKENDS)
 class TestBackendParity:
     """Every routing name, bit-exact against the loop oracles.
@@ -129,8 +138,8 @@ class TestBackendParity:
 
         with use_backend(backend_name) as backend:
             if backend.use_sparse(n):
-                edges, got_connected, got_critical, _ = sparse_metrics(
-                    coords, *assignment.flattened()
+                edges, got_connected, got_critical = sparse_route(
+                    coords, assignment
                 )
                 assert edges == int(cover.sum())
             else:
@@ -183,7 +192,7 @@ class TestBackendParity:
             connected = packed_connected(cover, batch.counts)
             critical = packed_critical(tables, cover_ang)
             sparse = {
-                i: sparse_metrics(coords_list[i], *assignments[i].flattened())
+                i: sparse_route(coords_list[i], assignments[i])
                 for i in range(len(coords_list)) if i not in dense
             }
         assert bool(sparse) == (backend_name != "numpy")  # only numpy stays dense
@@ -194,7 +203,7 @@ class TestBackendParity:
                 coords, assignments[i]
             )
             if i in sparse:
-                edges, sc, cr, _ = sparse[i]
+                edges, sc, cr = sparse[i]
                 assert edges == int(ref_cover.sum())
             else:
                 j = dense.index(i)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import assemble, assemble_rows, submit
+from repro.core.kone import orient_k1_pairs
 from repro.engine import GridCell, Scenario
 from repro.ensemble import (
     EnsembleRequest,
@@ -21,8 +22,10 @@ from repro.ensemble import (
     execute_ensemble,
     wilson_interval,
 )
-from repro.ensemble.trials import draw_trials
+from repro.ensemble.trials import draw_trials, measure_trials
 from repro.errors import InvalidParameterError, PlanCancelled
+from repro.geometry.points import PointSet
+from repro.kernels.geometry import polar_tables
 from repro.kernels.instrument import recording
 from repro.store import RunStore, StoreError, merge_stores
 
@@ -166,6 +169,40 @@ class TestTrialDeterminism:
         assert rec.ensemble_trials == (
             request.trials * request.total_instances * len(request.grid)
         )
+
+
+class TestEdgeFailureOracle:
+    @pytest.mark.parametrize("mode", ["strong", "symmetric"])
+    @pytest.mark.parametrize("phi", [PI, 1.5 * PI])
+    @pytest.mark.parametrize("edge_fail", [0.0, 0.2, 0.5])
+    def test_two_sensor_connection_rate(self, mode, phi, edge_fail):
+        """Two sensors in range, one beam of spread φ each, rotated and
+        failing per trial: a beam covers its partner with probability
+        φ/2π (plus the kernel's ``2 eps`` boundary slack) and a covered
+        link survives with probability 1 − p, independently per direction.
+        Both directions are needed in either mode, so
+        P(connected) = ((φ/2π)(1 − p))²: the count over 4,000 trials of
+        :func:`measure_trials` lies in its two-sided binomial interval at
+        ``alpha = 1e-3``."""
+        from scipy.stats import binom
+
+        eps, trials, alpha = 1e-9, 4000, 1e-3
+        ps = PointSet(np.array([[0.0, 0.0], [1.0, 0.3]]))
+        result = orient_k1_pairs(ps, phi)
+        _, _, spread, radius = result.assignment.flattened()
+        assert np.array_equal(spread, [phi, phi])
+        assert (radius >= np.hypot(1.0, 0.3)).all()  # in range both ways
+        m = measure_trials(
+            ps, polar_tables(ps.coords), result,
+            Perturbation(rotate=True, edge_fail=edge_fail), "edge-fail-oracle",
+            0, range(trials), mode=mode,
+        )
+        got = int(m.connected.sum())
+        keep = 1.0 - edge_fail
+        lo = binom.ppf(alpha / 2, trials, (phi / (2 * PI) * keep) ** 2)
+        hi = binom.ppf(1 - alpha / 2, trials,
+                       ((phi + 2 * eps) / (2 * PI) * keep) ** 2)
+        assert lo <= got <= hi, (got, lo, hi)
 
 
 class TestSparseTrialExactness:

@@ -1,12 +1,13 @@
 """Sparse radius-bounded kernel path: exactness, widening, accounting.
 
 The contract under test (see :mod:`repro.kernels.sparse`): every metric
-the sparse path returns — edge count, strong connectivity, critical range
-— is *bit-identical* to the dense pipeline, on random and degenerate
-instances alike; a result that cannot be certified against the candidate
-cutoff triggers a counted geometric widening instead of ever being
-returned; and the instrument counters report the actual (reduced) trig
-work, which is the satellite accounting fix.
+the measurement loop (:func:`repro.ensemble.trials.measure_columns`)
+returns over kd-tree candidates — edge count, strong connectivity,
+critical range — is *bit-identical* to the dense pipeline, on random and
+degenerate instances alike; a result that cannot be certified against the
+candidate cutoff (by its radius, or for ``inf`` by a cut-off sensor)
+triggers a counted widening instead of ever being returned; and the
+instrument counters report the actual (reduced) trig work.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ import pytest
 
 from repro.analysis.metrics import orientation_metrics
 from repro.core.planner import orient_antennae
+from repro.core.symmetric import orient_for_mode
+from repro.ensemble.trials import measure_columns
 from repro.errors import InvalidParameterError
 from repro.experiments.workloads import make_workload, perturbed_star
 from repro.geometry.points import PointSet, max_pairwise_distance
@@ -30,12 +33,14 @@ from repro.kernels.sparse import (
     SparsePolarTables,
     bbox_diameter_bound,
     complete_cutoff,
-    covered_edge_arrays,
+    default_instance_cutoff,
+    dense_candidate_tables,
     required_cutoff,
-    sparse_connected,
-    sparse_covered_edges,
-    sparse_metrics,
+    reverse_edge_permutation,
     sparse_polar_tables,
+    trial_connected,
+    trial_coverage,
+    trial_critical,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -61,6 +66,15 @@ def dense_reference(coords, idx, start, spread, radius, eps=1e-9):
         n, np.stack([asrc, adst], axis=1), tables.dist[asrc, adst], eps=eps
     )
     return int(cover.sum()), bool(connected), float(critical)
+
+
+def loop_metrics(coords, idx, start, spread, radius):
+    """``(edges, connected, critical)`` of one unperturbed trial of the
+    measurement loop, over kd-tree candidates built on demand."""
+    cover, connected, critical = measure_columns(
+        coords, None, idx, start, spread, radius
+    )
+    return int(cover.sum()), bool(connected[0]), float(critical[0])
 
 
 def make_sectors(rng, n, per_sensor):
@@ -100,9 +114,7 @@ def test_sparse_kernels_match_dense_reference(case, per_sensor):
     rng = np.random.default_rng(sum(map(ord, case)) * 17 + per_sensor)
     idx, start, spread, radius = make_sectors(rng, n, per_sensor)
     edges_d, conn_d, crit_d = dense_reference(coords, idx, start, spread, radius)
-    edges_s, conn_s, crit_s, _ = sparse_metrics(
-        coords, idx, start, spread, radius, range_bound_abs=0.0
-    )
+    edges_s, conn_s, crit_s = loop_metrics(coords, idx, start, spread, radius)
     assert edges_s == edges_d
     assert conn_s == conn_d
     assert crit_s == crit_d or (crit_s != crit_s and crit_d != crit_d)
@@ -159,9 +171,7 @@ def test_widening_reaches_distant_critical_range():
     radius = np.full(n, 0.5)
     edges_d, conn_d, crit_d = dense_reference(coords, idx, start, spread, radius)
     with recording() as rec:
-        edges_s, conn_s, crit_s, tables = sparse_metrics(
-            coords, idx, start, spread, radius, range_bound_abs=0.6
-        )
+        edges_s, conn_s, crit_s = loop_metrics(coords, idx, start, spread, radius)
     assert (edges_s, conn_s, crit_s) == (edges_d, conn_d, crit_d)
     assert np.isfinite(crit_s) and crit_s > 50.0
     assert rec.rcut_widenings >= 1
@@ -169,24 +179,42 @@ def test_widening_reaches_distant_critical_range():
 
 
 def test_widening_certifies_genuine_infinity():
-    """An instance that is *never* strongly connected: inf only at the
-    provably-complete cutoff, with the widenings counted."""
+    """An instance that is *never* strongly connected because one sensor
+    covers nobody: that cut-off sensor proves inf at the first cutoff, with
+    no widening and no second build."""
     coords = np.stack([np.linspace(0.0, 5.0, 8), np.zeros(8)], axis=1)
     n = coords.shape[0]
     idx = np.arange(n, dtype=np.int64)
     start = np.zeros(n)  # every ray points +x: the last point covers nobody
     spread = np.zeros(n)
-    radius = np.full(n, np.inf)
     fin_radius = np.full(n, 0.7)
     edges_d, conn_d, crit_d = dense_reference(coords, idx, start, spread, fin_radius)
     with recording() as rec:
-        edges_s, conn_s, crit_s, tables = sparse_metrics(
-            coords, idx, start, spread, fin_radius, range_bound_abs=0.0
-        )
+        edges_s, conn_s, crit_s = loop_metrics(coords, idx, start, spread, fin_radius)
     assert (edges_s, conn_s, crit_s) == (edges_d, conn_d, crit_d)
     assert not np.isfinite(crit_s)
+    assert rec.rcut_widenings == 0
+    assert rec.sparse_polar_builds == 1
+
+
+def test_infinity_without_cut_off_sensor_widens_to_complete_cutoff():
+    """Two far-apart groups, each strongly connected, whose rays never face
+    the other group: every sensor has an out- and an in-edge, so no sensor
+    certifies inf, and only the complete cutoff may return it."""
+    group = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    coords = np.vstack([group, group + [0.0, 100.0]])
+    n = coords.shape[0]
+    idx = np.arange(n, dtype=np.int64)
+    start = np.tile([0.0, 0.0, np.pi], 2)  # along the group's own line
+    spread = np.zeros(n)
+    radius = np.full(n, 2.5)
+    edges_d, conn_d, crit_d = dense_reference(coords, idx, start, spread, radius)
+    with recording() as rec:
+        edges_s, conn_s, crit_s = loop_metrics(coords, idx, start, spread, radius)
+    assert (edges_s, conn_s, crit_s) == (edges_d, conn_d, crit_d)
+    assert not np.isfinite(crit_s) and not conn_s
     assert rec.rcut_widenings >= 1
-    assert tables.r_cut >= complete_cutoff(coords)
+    assert rec.trig_evals >= n * (n - 1)  # the last build held every pair
 
 
 def test_unbounded_radius_goes_straight_to_complete_cutoff():
@@ -197,13 +225,32 @@ def test_unbounded_radius_goes_straight_to_complete_cutoff():
     spread = np.full(n, TWO_PI)
     radius = np.full(n, np.inf)
     with recording() as rec:
-        edges_s, conn_s, crit_s, tables = sparse_metrics(
-            coords, idx, start, spread, radius, range_bound_abs=0.0
-        )
+        edges_s, conn_s, crit_s = loop_metrics(coords, idx, start, spread, radius)
     assert rec.rcut_widenings == 0
-    assert tables.r_cut >= complete_cutoff(coords)
+    assert rec.sparse_polar_builds == 1
+    assert rec.trig_evals == n * (n - 1)  # built at the complete cutoff
     edges_d, conn_d, crit_d = dense_reference(coords, idx, start, spread, radius)
     assert (edges_s, conn_s, crit_s) == (edges_d, conn_d, crit_d)
+
+
+def test_infeasible_symmetric_cell_needs_no_complete_candidate_set():
+    """Symmetric mode, k = 1, φ = π is infeasible (``range_bound = inf``):
+    a cut-off sensor proves its inf at the default cutoff, so the sparse
+    route matches the dense one field for field without the O(n²)
+    candidate set."""
+    ps = PointSet(make_workload("uniform", 2000, seed=1))
+    result = orient_for_mode(ps, 1, np.pi, mode="symmetric")
+    assert result.range_bound == np.inf
+    with use_backend("numpy"):
+        dense = orientation_metrics(result, mode="symmetric")
+    # The engine's cached artifact: the sparse route's starting cutoff.
+    tables = sparse_polar_tables(ps.coords, default_instance_cutoff(result.lmax))
+    with recording() as rec:
+        sparse = orientation_metrics(result, tables=tables, mode="symmetric")
+    assert dense.identical(sparse)
+    assert sparse.critical_range == np.inf and not sparse.strongly_connected
+    n = len(ps)
+    assert rec.trig_evals < n * n / 20
 
 
 # -- counter accounting (the satellite fix) ----------------------------------------
@@ -239,7 +286,7 @@ def test_coverage_counts_candidate_evals():
     n = coords.shape[0]
     idx = np.arange(n, dtype=np.int64)
     with recording() as rec:
-        sparse_covered_edges(
+        trial_coverage(
             tables, idx, np.zeros(n), np.full(n, TWO_PI), np.full(n, 4.0)
         )
     assert rec.coverage_calls == 1
@@ -297,42 +344,68 @@ def test_tables_are_csr_sorted_readonly_and_bit_compatible():
         assert not arr.flags.writeable
 
 
-def test_covered_edge_arrays_shape_feeds_critical_search():
+def test_reverse_edge_permutation_pairs_each_edge_with_its_reverse():
+    xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))  # distance ties
+    for coords in (
+        make_workload("uniform", 90, seed=3),
+        make_workload("clustered", 90, seed=3),
+        np.stack([xs.ravel(), ys.ravel()], axis=1),
+    ):
+        r = 0.3 * bbox_diameter_bound(coords)
+        for tables in (
+            sparse_polar_tables(coords, r),
+            dense_candidate_tables(polar_tables(coords), r),
+        ):
+            rev = reverse_edge_permutation(tables)
+            assert tables.m > 0
+            assert np.array_equal(tables.src[rev], tables.indices)
+            assert np.array_equal(tables.indices[rev], tables.src)
+
+
+def test_angular_mask_feeds_trial_critical():
     coords = make_workload("uniform", 30, seed=10)
     tables = sparse_polar_tables(coords, complete_cutoff(coords))
     n = coords.shape[0]
     idx = np.arange(n, dtype=np.int64)
-    mask = sparse_covered_edges(
+    cover, cover_ang = trial_coverage(
         tables, idx, np.zeros(n), np.full(n, TWO_PI), np.full(n, np.inf),
-        ignore_radius=True,
+        angular_mask=True,
     )
-    pairs, dists = covered_edge_arrays(tables, mask)
-    assert pairs.shape == (int(mask.sum()), 2)
-    crit = critical_range_search(n, pairs, dists)
+    assert cover_ang.shape == (1, tables.m) and cover_ang.sum() == n * (n - 1)
+    crit = trial_critical(tables, cover_ang, np.array([n]))
     dense = polar_tables(coords)
     src, dst = np.nonzero(dense.dist > 0)
     ref = critical_range_search(
         n, np.stack([src, dst], axis=1), dense.dist[src, dst]
     )
-    assert crit == ref
-    assert sparse_connected(tables, mask)
+    assert crit.tolist() == [ref]
+    assert trial_connected(tables, cover, np.array([n])).tolist() == [True]
 
 
 def test_single_point_and_empty_antenna_edge_cases():
-    edges, conn, crit, tables = sparse_metrics(
+    edges, conn, crit = loop_metrics(
         np.array([[0.5, 0.5]]), np.empty(0, dtype=np.int64),
-        np.empty(0), np.empty(0), np.empty(0), range_bound_abs=0.0,
+        np.empty(0), np.empty(0), np.empty(0),
     )
     assert (edges, conn, crit) == (0, True, 0.0)
     # n > 1, zero antennae: inf without any widening churn
     with recording() as rec:
-        edges, conn, crit, _ = sparse_metrics(
+        edges, conn, crit = loop_metrics(
             np.array([[0.0, 0.0], [1.0, 0.0]]), np.empty(0, dtype=np.int64),
-            np.empty(0), np.empty(0), np.empty(0), range_bound_abs=0.0,
+            np.empty(0), np.empty(0), np.empty(0),
         )
     assert (edges, conn) == (0, False)
     assert not np.isfinite(crit)
     assert rec.rcut_widenings == 0
+
+
+def test_sparse_polar_tables_rejects_infinite_cutoff():
+    """Every pair is asked for as the complete cutoff, never as ``inf``."""
+    coords = make_workload("uniform", 12, seed=4)
+    for bad in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="finite"):
+            sparse_polar_tables(coords, bad)
+    assert sparse_polar_tables(coords, complete_cutoff(coords)).m == 12 * 11
 
 
 def test_cutoff_policy_bounds():

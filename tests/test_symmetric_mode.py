@@ -11,6 +11,7 @@ fingerprint while strong-mode specs keep their historical byte form.
 import json
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -172,20 +173,17 @@ class TestSymmetricKernels:
         dst = np.append(dst, 1)
         assert symmetric_connected_edges(3, src, dst)
 
-    def test_undirected_component_count_matches_bfs_fallback(self, monkeypatch):
+    def test_undirected_component_count_matches_bfs_fallback(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             n = int(rng.integers(1, 30))
             pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
-            g = DiGraph(n, [(int(u), int(v)) for u, v in pairs if u != v])
-            expected = undirected_component_count(g)
-            # Force the pure-numpy two-pass BFS fallback and re-count.
-            monkeypatch.setattr(
-                "repro.graph.scc.component_count_csr",
-                lambda *a, **kw: None,
-            )
-            assert undirected_component_count(g) == expected
-            monkeypatch.undo()
+            edges = [(int(u), int(v)) for u, v in pairs if u != v]
+            oracle = nx.DiGraph()
+            oracle.add_nodes_from(range(n))
+            oracle.add_edges_from(edges)
+            expected = nx.number_weakly_connected_components(oracle)
+            assert undirected_component_count(DiGraph(n, edges)) == expected
 
     def test_undirected_component_count_edge_cases(self):
         assert undirected_component_count(DiGraph(0)) == 0
