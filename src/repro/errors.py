@@ -62,7 +62,7 @@ class PlanCancelled(ReproError, RuntimeError):
 
     Raised by :func:`repro.engine.execute_plan` /
     :func:`repro.frontier.execute_frontier` when the plan's run store
-    carries a cancel marker (see :func:`repro.store.cancel_plan`).  Every
+    carries a cancel marker (see :meth:`repro.store.RunStore.cancel`).  Every
     chunk completed before the stop is already checkpointed in the ledger;
     clearing the tombstone and resuming continues from there.
     """

@@ -207,7 +207,7 @@ class JobManager:
         """Flip the job's cancellation tombstone; running executors stop at
         their next chunk boundary and completed chunks stay ledgered."""
         key, _request = self.resolve(job_id)
-        coord.cancel_plan(self.store, key, reason)
+        self.store.cancel(key, reason)
         return self.status(key)
 
     def join(self, job_id: "str | None" = None, timeout: "float | None" = None) -> None:

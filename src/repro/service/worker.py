@@ -75,7 +75,7 @@ def drain_plan(
 
     for index in range(shards):
         shard = Shard(index, shards)
-        if coord.is_cancelled(store, key):
+        if store.is_cancelled(key):
             return False
         if shard_filter is not None and not shard_filter(shard):
             continue
@@ -140,7 +140,7 @@ def drain_store(
     while True:
         pending = [
             e for e in coord.queued_plans(store)
-            if not coord.is_cancelled(store, e.plan_key)
+            if not store.is_cancelled(e.plan_key)
         ]
         for entry in pending:
             try:
@@ -162,7 +162,7 @@ def drain_store(
                     on_event(f"plan {entry.plan_key[:12]} complete")
         remaining = [
             e for e in coord.queued_plans(store)
-            if not coord.is_cancelled(store, e.plan_key)
+            if not store.is_cancelled(e.plan_key)
         ]
         # A shard-pinned worker is done after one pass: whatever is left in
         # the queue belongs to other shard owners by construction.

@@ -14,15 +14,21 @@ ledgers produced on different machines.
 
 :mod:`repro.store.lifecycle` adds maintenance: :func:`compact_plan`
 archives a finished plan's shard ledgers into one file (row bytes and
-fingerprints unchanged) and :func:`gc_store` drops superseded artifacts.
+fingerprints unchanged) and :func:`gc_store` drops superseded artifacts;
+neither touches a plan while a live claim holds one of its shards.
 
 :mod:`repro.store.coordination` makes a run directory a shared work
 queue for the planning service and ``repro worker``: queue markers,
 atomic per-shard claim files (``O_CREAT | O_EXCL`` leases), persistent
 dead-shard markers that relax the torn-middle-line refusal for killed
-concurrent writers, cancellation tombstones the executors poll between
-chunks, and :func:`plan_progress` — cheap per-shard row counting with
-no table assembly.
+concurrent writers, and :func:`plan_progress` — cheap per-shard row
+counting with no table assembly.  A plan is cancelled one way:
+:meth:`RunStore.cancel`, :meth:`~RunStore.is_cancelled` and
+:meth:`~RunStore.clear_cancel` own its tombstone, which the executors poll
+between chunks.
+
+A ledger row is a newline-terminated line; replay, progress, compaction
+and gc all read rows by that one rule.
 """
 
 from repro.store.coordination import (
@@ -31,13 +37,10 @@ from repro.store.coordination import (
     QueueEntry,
     ShardProgress,
     break_stale_claim,
-    cancel_plan,
     claim_shard,
     claims_for,
-    clear_cancel,
     dequeue,
     enqueue,
-    is_cancelled,
     is_shard_dead,
     mark_shard_dead,
     plan_progress,
@@ -77,10 +80,8 @@ __all__ = [
     "ShardProgress",
     "StoreError",
     "break_stale_claim",
-    "cancel_plan",
     "claim_shard",
     "claims_for",
-    "clear_cancel",
     "compact_plan",
     "dequeue",
     "enqueue",
@@ -88,7 +89,6 @@ __all__ = [
     "frontier_to_dict",
     "gc_store",
     "hit_rate",
-    "is_cancelled",
     "is_shard_dead",
     "mark_shard_dead",
     "merge_stores",

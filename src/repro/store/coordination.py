@@ -27,16 +27,13 @@ processes and across machines sharing a filesystem, with no daemon state:
     readers tolerate torn middles only for shards carrying this marker
     (see :func:`repro.store.ledger._read_rows`).
 
-``cancel-<key12>.json``
-    The plan's cancellation tombstone.  Executors poll it between instance
-    chunks (:func:`repro.engine.execute_plan` /
-    :func:`repro.frontier.execute_frontier`) and stop with
-    :class:`~repro.errors.PlanCancelled`; completed chunks stay ledgered,
-    so a later resume continues where the cancel landed.
+The names follow the store's one rule (:meth:`RunStore.file_path`), and
+the plan's cancellation tombstone is :meth:`RunStore.cancel`'s.
 
 :func:`plan_progress` is the cheap read path behind ``GET
-/plans/{id}/progress``: it counts complete ledger rows per shard without
-building metrics objects or assembling tables.
+/plans/{id}/progress``: it counts ledger rows per shard through the
+store's one row reader, without building metrics objects or assembling
+tables.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.engine._spec import RequestBase, Shard
-from repro.store.ledger import StoreError
+from repro.store.ledger import StoreError, _read_rows, _row_type_for, _write_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.ledger import RunStore
@@ -72,41 +69,8 @@ __all__ = [
     "break_stale_claim",
     "mark_shard_dead",
     "is_shard_dead",
-    "cancel_plan",
-    "is_cancelled",
-    "clear_cancel",
     "plan_progress",
 ]
-
-
-def _key12(plan_key: str) -> str:
-    return plan_key[:12]
-
-
-def _shard_suffix(shard: Shard) -> str:
-    return f"s{shard.index:04d}of{shard.count:04d}"
-
-
-def queue_path(store: "RunStore", plan_key: str) -> Path:
-    return store.run_dir / f"queue-{_key12(plan_key)}.json"
-
-
-def claim_path(store: "RunStore", plan_key: str, shard: Shard) -> Path:
-    return store.run_dir / f"claim-{_key12(plan_key)}-{_shard_suffix(shard)}.json"
-
-
-def dead_path(store: "RunStore", plan_key: str, shard: Shard) -> Path:
-    return store.run_dir / f"dead-{_key12(plan_key)}-{_shard_suffix(shard)}.json"
-
-
-def cancel_path(store: "RunStore", plan_key: str) -> Path:
-    return store.run_dir / f"cancel-{_key12(plan_key)}.json"
-
-
-def _write_atomic(path: Path, payload: dict[str, Any]) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf8")
-    os.replace(tmp, path)
 
 
 def _read_json(path: Path) -> dict[str, Any] | None:
@@ -141,10 +105,10 @@ def enqueue(store: "RunStore", request: RequestBase, *, shards: int = 1) -> str:
     if shards < 1:
         raise StoreError(f"shard count must be >= 1, got {shards}")
     key = store.write_plan(request)
-    path = queue_path(store, key)
+    path = store.file_path("queue", key)
     if path.exists():
         return key
-    _write_atomic(
+    _write_json(
         path,
         {"plan_key": key, "shards": int(shards), "kind": request.KIND},
     )
@@ -152,7 +116,7 @@ def enqueue(store: "RunStore", request: RequestBase, *, shards: int = 1) -> str:
 
 
 def queue_entry(store: "RunStore", plan_key: str) -> QueueEntry | None:
-    data = _read_json(queue_path(store, plan_key))
+    data = _read_json(store.file_path("queue", plan_key))
     if data is None:
         return None
     return QueueEntry(
@@ -182,7 +146,7 @@ def queued_plans(store: "RunStore") -> list[QueueEntry]:
 def dequeue(store: "RunStore", plan_key: str) -> bool:
     """Drop the queue marker (the plan finished); True if one was present."""
     try:
-        queue_path(store, plan_key).unlink()
+        store.file_path("queue", plan_key).unlink()
         return True
     except FileNotFoundError:
         return False
@@ -212,7 +176,7 @@ def claim_shard(
     across processes and NFS-style shared directories.  Returns ``False``
     if someone else holds the claim.
     """
-    path = claim_path(store, plan_key, shard)
+    path = store.file_path("claim", plan_key, shard)
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     except FileExistsError:
@@ -235,7 +199,7 @@ def claim_shard(
 def release_shard(store: "RunStore", plan_key: str, shard: Shard) -> bool:
     """Drop the lease (work finished or abandoned cleanly)."""
     try:
-        claim_path(store, plan_key, shard).unlink()
+        store.file_path("claim", plan_key, shard).unlink()
         return True
     except FileNotFoundError:
         return False
@@ -244,7 +208,7 @@ def release_shard(store: "RunStore", plan_key: str, shard: Shard) -> bool:
 def claim_info(
     store: "RunStore", plan_key: str, shard: Shard
 ) -> ClaimInfo | None:
-    data = _read_json(claim_path(store, plan_key, shard))
+    data = _read_json(store.file_path("claim", plan_key, shard))
     if data is None:
         return None
     i, m = data.get("shard", [shard.index, shard.count])
@@ -259,16 +223,11 @@ def claim_info(
 
 
 def claims_for(store: "RunStore", plan_key: str) -> list[ClaimInfo]:
-    infos = []
-    for path in sorted(store.run_dir.glob(f"claim-{_key12(plan_key)}-s*.json")):
-        data = _read_json(path)
-        if data is None or "shard" not in data:
-            continue
-        i, m = data["shard"]
-        info = claim_info(store, plan_key, Shard(int(i), int(m)))
-        if info is not None:
-            infos.append(info)
-    return infos
+    infos = [
+        claim_info(store, plan_key, store.shard_of_path(path))
+        for path in store.plan_files(plan_key, "claim")
+    ]
+    return [info for info in infos if info is not None]
 
 
 def claim_is_stale(info: ClaimInfo) -> bool:
@@ -323,8 +282,8 @@ def mark_shard_dead(
     per-shard and never removed automatically: the tear stays in the file
     until a compaction rewrites it.
     """
-    _write_atomic(
-        dead_path(store, plan_key, shard),
+    _write_json(
+        store.file_path("dead", plan_key, shard),
         {
             "plan_key": plan_key,
             "shard": [shard.index, shard.count],
@@ -335,37 +294,7 @@ def mark_shard_dead(
 
 
 def is_shard_dead(store: "RunStore", plan_key: str, shard: Shard) -> bool:
-    return dead_path(store, plan_key, shard).exists()
-
-
-# -- cancellation tombstones -------------------------------------------------------
-
-
-def cancel_plan(
-    store: "RunStore", plan_key: str, reason: str | None = None
-) -> None:
-    """Flip the plan's cancellation tombstone (idempotent).
-
-    Executors check it between instance chunks, so cancellation lands at a
-    chunk boundary: everything already checkpointed stays valid and a later
-    resume (which clears the tombstone) continues from the ledger.
-    """
-    _write_atomic(
-        cancel_path(store, plan_key),
-        {"plan_key": plan_key, "reason": reason, "cancelled": time.time()},
-    )
-
-
-def is_cancelled(store: "RunStore", plan_key: str) -> bool:
-    return cancel_path(store, plan_key).exists()
-
-
-def clear_cancel(store: "RunStore", plan_key: str) -> bool:
-    try:
-        cancel_path(store, plan_key).unlink()
-        return True
-    except FileNotFoundError:
-        return False
+    return store.file_path("dead", plan_key, shard).exists()
 
 
 # -- progress ----------------------------------------------------------------------
@@ -440,43 +369,19 @@ class PlanProgress:
         }
 
 
-def _count_rows(path: Path, row_type: str) -> set[int]:
-    """Slots of complete rows of ``row_type`` in one ledger file.
-
-    The cheap counting pass behind progress reporting: parses each line
-    but builds no row/metrics objects, and *never* refuses a file — torn
-    lines (trailing or middle) are simply not counted.  Structural
-    validation stays where correctness needs it (replay/assembly).
-    """
-    slots: set[int] = set()
-    try:
-        with open(path, encoding="utf8") as fh:
-            for line in fh:
-                if not line.endswith("\n"):
-                    break  # torn tail still being written
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn middle; progress must not refuse
-                if obj.get("type") == row_type and "slot" in obj:
-                    slots.add(int(obj["slot"]))
-    except FileNotFoundError:
-        pass
-    return slots
-
-
 def plan_progress(store: "RunStore", plan_key: str) -> PlanProgress:
     """Per-shard and total completion counts for one plan.
 
     Counts ledger rows without assembling tables (no metrics parsing, no
     plan-order reconstruction), so polling ``GET /plans/{id}/progress``
-    stays cheap even for large plans.
+    stays cheap even for large plans.  It reads through the store's one
+    row reader, but never refuses a file: a line that does not parse is
+    simply not counted, and structural validation stays where correctness
+    needs it (replay and assembly).
     """
-    from repro.store.ledger import _KIND_ROW_TYPES
-
     key, request = store.load_request(plan_key)
     kind = request.KIND
-    row_type = _KIND_ROW_TYPES[kind]
+    row_type = _row_type_for(request)
     # Slot-space totals: one slot per instance for sweeps/frontiers, one
     # per (instance, trial chunk) for curve-mode ensembles.
     total = request.total_slots
@@ -487,7 +392,11 @@ def plan_progress(store: "RunStore", plan_key: str) -> PlanProgress:
     shards: list[ShardProgress] = []
     for path in store.ledger_paths(key):
         shard = store.shard_of_path(path)
-        slots = _count_rows(path, row_type)
+        try:
+            rows = _read_rows(path, row_type, skip_corrupt=True)
+            slots = {int(obj["slot"]) for obj, _line in rows}
+        except FileNotFoundError:
+            continue  # compacted or collected since it was listed
         all_slots |= slots
         if shard is None:
             continue
@@ -525,5 +434,5 @@ def plan_progress(store: "RunStore", plan_key: str) -> PlanProgress:
         done_instances=len(all_slots & set(range(total))),
         shards=shards,
         queued_shards=queued_shards,
-        cancelled=is_cancelled(store, key),
+        cancelled=store.is_cancelled(key),
     )

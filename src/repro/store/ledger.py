@@ -1,12 +1,14 @@
 """On-disk, content-addressed run ledger for every request kind.
 
 A *run directory* holds the durable record of one or more request
-executions (sweeps, frontiers, ensembles):
+executions (sweeps, frontiers, ensembles).  Every file of a plan is named
+``<kind>-<key12>[-s<i>of<m>].<ext>`` (:meth:`RunStore.file_path`), where
+``<key12>`` is the first 12 hex digits of the plan fingerprint, so several
+distinct plans can share one run directory:
 
 ``plan-<key12>.json``
     The full request specification plus its content fingerprint (written
-    once, idempotently).  ``<key12>`` is the first 12 hex digits of the
-    fingerprint, so several distinct plans can share one run directory.
+    once, idempotently).
 
 ``ledger-<key12>-s<i>of<m>.jsonl``
     Append-only JSONL, one file per :class:`~repro.engine._spec.Shard` of
@@ -20,21 +22,28 @@ executions (sweeps, frontiers, ensembles):
     :func:`repro.api.assemble` are built from the same rows by the same
     ``build`` function.
 
-Rows are flushed as they are appended, so a killed run loses at most the
-row being written; the loader tolerates a torn trailing line.  Floats
-round-trip exactly through JSON (``repr`` is shortest-round-trip in
-Python 3), which is what makes a resumed or merged run bit-identical to an
-uninterrupted one — validated by determinism and kernel-counter assertions,
-never wall-clock (CI is single-core).
+``cancel-<key12>.json``
+    The plan's cancellation tombstone (:meth:`RunStore.cancel`).  The
+    queue, claim and dead-shard markers of :mod:`repro.store.coordination`
+    follow the same naming rule.
+
+A ledger row is a newline-terminated line.  Bytes after a file's last
+newline are a write still in flight or torn by a kill: they are never read,
+and the append handle cuts them before it writes, so a killed run loses at
+most the row being written.  Replay, progress, compaction and gc all split
+a file into rows through :func:`_read_rows`.  Floats round-trip exactly
+through JSON (``repr`` is shortest-round-trip in Python 3), which is what
+makes a resumed or merged run bit-identical to an uninterrupted one —
+validated by determinism and kernel-counter assertions, never wall-clock
+(CI is single-core).
 
 Readers are *forward compatible*: unknown keys in a row, its metrics
 dicts, its cache-stats delta or a recorded scenario are ignored rather
 than rejected, so a ledger written by a newer version (with, say, a new
 per-row tag or counter) still replays here.  Unknown *row types* are
-likewise skipped.  Only structural damage is an error: a corrupt line in
-the middle of a file here, and a slot outside the plan or a payload of the
-wrong width in the executor's row check, which resume and assembly both
-apply.
+likewise skipped.  Only structural damage is an error: a row that does not
+parse, here, and a slot outside the plan or a payload of the wrong width in
+the executor's row check, which resume and assembly both apply.
 """
 
 from __future__ import annotations
@@ -42,9 +51,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, ClassVar, Iterable, Sequence
+from typing import Any, ClassVar, Iterable, Iterator, Sequence
 
 from repro.analysis.metrics import OrientationMetrics
 from repro.engine.cache import CacheStats
@@ -283,7 +294,7 @@ class ShardLedger:
     newline-terminated line.  POSIX append semantics then guarantee whole
     lines never interleave, even if a second writer briefly overlaps a
     claim takeover — a row can be *torn* only by a kill mid-``write``, which
-    the dead-shard tolerance in :func:`_read_rows` handles.  Do not route
+    the ``skip_corrupt`` rule of :func:`_read_rows` handles.  Do not route
     appends through a buffered stream: a large row could flush in several
     ``write`` syscalls and break the atomicity this contract relies on.
     """
@@ -335,12 +346,12 @@ class ShardLedger:
 
 
 def _drop_torn_tail(path: Path) -> None:
-    """Truncate a trailing line with no newline (a torn write from a kill).
+    """Truncate the bytes after the last newline (a torn write from a kill).
 
     Must run before re-opening a ledger for append: gluing a fresh row onto
     the fragment would leave a corrupt row in the *middle* of the file,
-    which readers rightly refuse.  The fragment itself carries no completed
-    work (rows are flushed whole), so dropping it is lossless.
+    which readers rightly refuse.  The fragment is no row (see
+    :func:`_read_rows`), so dropping it is lossless.
     """
     if not path.exists():
         return
@@ -353,47 +364,59 @@ def _drop_torn_tail(path: Path) -> None:
 
 
 def _read_rows(
-    path: Path, row_type: str = "instance", *, skip_corrupt: bool = False
-) -> dict[int, Any]:
-    """Parse one ledger file; tolerate a torn trailing line only.
+    path: Path, row_type: str, *, skip_corrupt: bool = False
+) -> Iterator[tuple[dict[str, Any], bytes]]:
+    """Yield ``(object, raw line)`` for every ``row_type`` row of one file.
 
-    ``row_type`` selects the row class (see ``_ROW_TYPES``); rows of other
-    types — ``shard_done`` summaries, rows of a different spec kind — are
-    skipped.
+    The one rule for what a ledger row is: a newline-terminated line.  The
+    bytes after the last newline are never read.  Rows of other types —
+    ``shard_done`` summaries, rows of a different spec kind — are skipped.
 
-    ``skip_corrupt`` relaxes the structural-damage rule for shards whose
-    writer is known to have died mid-append (a dead-shard marker, see
-    :func:`repro.store.coordination.mark_shard_dead`): corrupt *middle*
-    lines are skipped rather than refused, because with O_APPEND
-    single-write rows the only way a torn line lands mid-file is a killed
-    concurrent writer whose survivor kept appending.  The torn row carries
-    no completed work (rows are written whole), so skipping it is lossless
-    — its slot simply re-executes on resume.  Without the marker, a corrupt
-    middle still means the file was damaged some other way and is refused.
+    A newline-terminated line that does not parse is refused wherever it
+    sits, unless ``skip_corrupt``: replay passes it for shards whose writer
+    is known to have died mid-append (a dead-shard marker, see
+    :func:`repro.store.coordination.mark_shard_dead`), because with
+    O_APPEND single-write rows the only way a torn line gets a newline is
+    a killed concurrent writer whose survivor kept appending; progress
+    passes it always, because a poll must never refuse a file.  The torn
+    row carries no completed work (rows are written whole), so skipping it
+    is lossless — its slot simply re-executes on resume.
     """
-    row_cls = _ROW_TYPES[row_type]
-    rows: dict[int, Any] = {}
-    with open(path, encoding="utf8") as fh:
-        lines = fh.read().split("\n")
-    # A complete file ends with "\n", leaving one trailing "" entry.
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines):
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")[:-1]
+    for lineno, line in enumerate(lines, 1):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines) - 1:
-                break  # torn write from a killed run; the row is simply lost
+        except ValueError:  # not JSON, or not UTF-8
             if skip_corrupt:
-                continue  # torn middle from a killed concurrent writer
+                continue
             raise StoreError(
-                f"{path}: corrupt ledger row at line {lineno + 1}"
+                f"{path}: corrupt ledger row at line {lineno}"
             ) from None
-        if obj.get("type") != row_type:
-            continue  # shard_done summaries, other row types
-        row = row_cls.from_obj(obj)
-        rows[row.slot] = row
-    return rows
+        if obj.get("type") == row_type:
+            yield obj, line
+
+
+def _write_json(path: Path, payload: dict[str, Any]) -> None:
+    """Write ``payload`` as indented JSON atomically (tmp file + rename)."""
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf8")
+    os.replace(tmp, path)
+
+
+#: File kind -> what follows ``<kind>-<key12>`` in its name, where ``*``
+#: stands for the shard's ``<i>of<m>``.  The order is the one
+#: :meth:`RunStore.plan_files` lists them in.
+_NAME_TAILS = {
+    "ledger": "-s*.jsonl",
+    "queue": ".json",
+    "cancel": ".json",
+    "claim": "-s*.json",
+    "dead": "-s*.json",
+    "plan": ".json",
+}
+
+_SHARD_NAME = re.compile(r"[a-z]+-[0-9a-f]{12}-s(\d+)of(\d+)\.jsonl?")
 
 
 # -- the store ---------------------------------------------------------------------
@@ -417,41 +440,47 @@ class RunStore:
 
     # -- paths ---------------------------------------------------------------
 
-    @staticmethod
-    def _key12(plan_key: str) -> str:
-        return plan_key[:12]
+    def file_path(
+        self, kind: str, plan_key: str, shard: Shard | None = None
+    ) -> Path:
+        """``<kind>-<key12>[-s<i>of<m>].<ext>``: the name of every plan file."""
+        tail = _NAME_TAILS[kind]
+        if shard is not None:
+            tail = tail.replace("*", f"{shard.index:04d}of{shard.count:04d}")
+        return self.run_dir / f"{kind}-{plan_key[:12]}{tail}"
 
-    def plan_path(self, plan_key: str) -> Path:
-        return self.run_dir / f"plan-{self._key12(plan_key)}.json"
-
-    def ledger_path(self, plan_key: str, shard: Shard) -> Path:
-        return self.run_dir / (
-            f"ledger-{self._key12(plan_key)}"
-            f"-s{shard.index:04d}of{shard.count:04d}.jsonl"
-        )
-
-    def ledger_paths(self, plan_key: str) -> list[Path]:
-        """Every shard ledger of the plan present in this directory."""
-        return sorted(self.run_dir.glob(f"ledger-{self._key12(plan_key)}-s*.jsonl"))
+    def plan_files(self, plan_key: str, *kinds: str) -> list[Path]:
+        """Every file of the plan present here (of ``kinds``, default all)."""
+        return [
+            path
+            for kind in kinds or _NAME_TAILS
+            for path in sorted(
+                self.run_dir.glob(f"{kind}-{plan_key[:12]}{_NAME_TAILS[kind]}")
+            )
+        ]
 
     @staticmethod
     def shard_of_path(path: Path) -> "Shard | None":
-        """Recover the :class:`Shard` a ledger file records (``None`` if the
-        name does not follow the ``ledger-<key>-s<i>of<m>.jsonl`` scheme)."""
-        import re
+        """Recover the :class:`Shard` a sharded plan file records (``None``
+        if the name has no ``-s<i>of<m>`` suffix)."""
+        m = _SHARD_NAME.fullmatch(path.name)
+        return None if m is None else Shard(int(m.group(1)), int(m.group(2)))
 
-        m = re.fullmatch(r"ledger-[0-9a-f]{12}-s(\d+)of(\d+)\.jsonl", path.name)
-        if m is None:
-            return None
-        return Shard(int(m.group(1)), int(m.group(2)))
+    def plan_path(self, plan_key: str) -> Path:
+        return self.file_path("plan", plan_key)
+
+    def ledger_path(self, plan_key: str, shard: Shard) -> Path:
+        return self.file_path("ledger", plan_key, shard)
+
+    def ledger_paths(self, plan_key: str) -> list[Path]:
+        """Every shard ledger of the plan present in this directory."""
+        return self.plan_files(plan_key, "ledger")
 
     def _skip_corrupt(self, plan_key: str, path: Path) -> bool:
         """Tolerate torn middle lines in ``path``?  Only when a dead-shard
         marker records that a writer of this shard was killed mid-append."""
-        from repro.store.coordination import is_shard_dead  # lazy: avoids cycle
-
         shard = self.shard_of_path(path)
-        return shard is not None and is_shard_dead(self, plan_key, shard)
+        return shard is not None and self.file_path("dead", plan_key, shard).exists()
 
     # -- plans ---------------------------------------------------------------
 
@@ -459,11 +488,6 @@ class RunStore:
         """Record the plan/frontier spec (idempotent); returns its fingerprint."""
         key = plan_fingerprint(request)
         path = self.plan_path(key)
-        payload = {
-            "ledger_version": LEDGER_VERSION,
-            "plan_key": key,
-            **request.to_wire(),
-        }
         if path.exists():
             existing = json.loads(path.read_text(encoding="utf8"))
             if existing.get("plan_key") != key:
@@ -472,9 +496,10 @@ class RunStore:
                     f"(key {existing.get('plan_key', '?')[:12]} != {key[:12]})"
                 )
             return key
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf8")
-        os.replace(tmp, path)
+        _write_json(
+            path,
+            {"ledger_version": LEDGER_VERSION, "plan_key": key, **request.to_wire()},
+        )
         return key
 
     def plan_keys(self) -> list[str]:
@@ -525,29 +550,27 @@ class RunStore:
 
     # -- rows ----------------------------------------------------------------
 
+    def _load(
+        self, plan_key: str, row_type: str, paths: Iterable[Path]
+    ) -> dict[int, Any]:
+        row_cls = _ROW_TYPES[row_type]
+        rows: dict[int, Any] = {}
+        for path in paths:
+            skip = self._skip_corrupt(plan_key, path)
+            for obj, _line in _read_rows(path, row_type, skip_corrupt=skip):
+                row = row_cls.from_obj(obj)
+                rows[row.slot] = row
+        return rows
+
     def load_rows(self, plan_key: str) -> dict[int, LedgerRow]:
         """All ledgered instance rows of the plan, across every shard file."""
-        rows: dict[int, LedgerRow] = {}
-        for path in self.ledger_paths(plan_key):
-            parsed = _read_rows(
-                path, skip_corrupt=self._skip_corrupt(plan_key, path)
-            )
-            for slot, row in parsed.items():
-                rows[slot] = row
-        return rows
+        return self._load(
+            plan_key, LedgerRow.ROW_TYPE, self.ledger_paths(plan_key)
+        )
 
     def load_typed_rows(self, plan_key: str, row_type: str) -> dict[int, Any]:
         """All ledgered rows of one row type, across every shard file."""
-        rows: dict[int, Any] = {}
-        for path in self.ledger_paths(plan_key):
-            parsed = _read_rows(
-                path,
-                row_type=row_type,
-                skip_corrupt=self._skip_corrupt(plan_key, path),
-            )
-            for slot, row in parsed.items():
-                rows[slot] = row
-        return rows
+        return self._load(plan_key, row_type, self.ledger_paths(plan_key))
 
     def rows_for(self, request: "RequestBase") -> dict[int, Any]:
         """Ledgered rows of ``request``, with the row type keyed off its kind."""
@@ -563,11 +586,7 @@ class RunStore:
         path = self.ledger_path(key, shard)
         if not path.exists():
             return {}
-        return _read_rows(
-            path,
-            row_type=_row_type_for(request),
-            skip_corrupt=self._skip_corrupt(key, path),
-        )
+        return self._load(key, _row_type_for(request), [path])
 
     def open_shard(
         self, request: "PlanRequest | FrontierRequest", shard: Shard
@@ -583,33 +602,32 @@ class RunStore:
             ledger.close()
         self._ledgers.clear()
 
-    # -- coordination (delegates to repro.store.coordination) ----------------
-
-    def progress(self, plan_key: str) -> "Any":
-        """Cheap per-shard completion counts (no full-table assembly);
-        see :func:`repro.store.coordination.plan_progress`."""
-        from repro.store.coordination import plan_progress  # lazy: avoids cycle
-
-        return plan_progress(self, plan_key)
+    # -- cancellation ----------------------------------------------------------
 
     def cancel(self, plan_key: str, reason: "str | None" = None) -> None:
-        """Flip the plan's cancellation tombstone; executors observe it
-        between instance chunks and stop with ``PlanCancelled``."""
-        from repro.store.coordination import cancel_plan  # lazy: avoids cycle
+        """Flip the plan's cancellation tombstone (idempotent).
 
-        cancel_plan(self, plan_key, reason)
+        Executors poll it between instance chunks and stop with
+        :class:`~repro.errors.PlanCancelled`, so cancellation lands at a
+        chunk boundary: everything already checkpointed stays valid, and a
+        resume after :meth:`clear_cancel` continues from the ledger.
+        """
+        _write_json(
+            self.file_path("cancel", plan_key),
+            {"plan_key": plan_key, "reason": reason, "cancelled": time.time()},
+        )
 
     def is_cancelled(self, plan_key: str) -> bool:
-        from repro.store.coordination import is_cancelled  # lazy: avoids cycle
-
-        return is_cancelled(self, plan_key)
+        return self.file_path("cancel", plan_key).exists()
 
     def clear_cancel(self, plan_key: str) -> bool:
         """Remove the tombstone (a resubmission un-cancels); True if one was
         present."""
-        from repro.store.coordination import clear_cancel  # lazy: avoids cycle
-
-        return clear_cancel(self, plan_key)
+        try:
+            self.file_path("cancel", plan_key).unlink()
+            return True
+        except FileNotFoundError:
+            return False
 
 
 # -- merge -------------------------------------------------------------------------

@@ -14,11 +14,15 @@ fingerprints or row bytes:
     assembled results stay bit-identical.
 
 :func:`gc_store`
-    Drop superseded artifacts: stale ``.json.tmp`` files, empty ledger
-    files, and plans with zero checkpointed instances (or one named plan
-    in its entirety).
+    Drop superseded artifacts: stale ``.json.tmp`` files, and plans with
+    zero checkpointed instances (or one named plan in its entirety).
 
-Both return small report dataclasses and support ``dry_run``.
+Both read rows through the store's one row reader, return small report
+dataclasses and support ``dry_run``.  Neither touches a plan while a shard
+of it holds a claim that :func:`~repro.store.coordination.claim_is_stale`
+does not prove dead: a live writer could append into a file they replace
+or delete.  A foreground ``repro sweep --run-dir`` takes no claim, so
+maintenance must not run beside one.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from pathlib import Path
 
 from repro.engine.cache import CacheStats
 from repro.engine._spec import Shard
-from repro.store.ledger import RunStore, StoreError, _read_rows, _row_type_for
+from repro.store.coordination import ClaimInfo, claim_is_stale, claims_for
+from repro.store.ledger import _ROW_TYPES, RunStore, StoreError, _read_rows, _row_type_for
 
 __all__ = ["CompactReport", "GcReport", "compact_plan", "gc_store"]
 
@@ -70,49 +75,20 @@ class GcReport:
         )
 
 
-def _raw_rows(
-    path: Path, row_type: str, *, skip_corrupt: bool = False
-) -> dict[int, str]:
-    """Slot -> original JSON line for every row of ``row_type`` in ``path``.
-
-    Validates each kept line through the regular row parser first (same
-    torn-tail/corruption rules as replay), but carries the *raw* line into
-    the compacted file so no float ever re-serializes.  ``skip_corrupt``
-    mirrors the replay policy for dead shards: torn middle lines left by a
-    killed concurrent writer are dropped instead of refused — compaction is
-    exactly how such a tear leaves the directory for good.
-    """
-    _read_rows(path, row_type=row_type, skip_corrupt=skip_corrupt)
-    raw: dict[int, str] = {}
-    with open(path, encoding="utf8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines) - 1 or skip_corrupt:
-                continue  # torn tail, or torn middle of a dead shard
-            raise
-        if obj.get("type") != row_type:
-            continue
-        raw[int(obj["slot"])] = line
-    return raw
+def _live_claim(store: RunStore, plan_key: str) -> ClaimInfo | None:
+    """A claim on the plan whose holder may still be writing, if any."""
+    claims = claims_for(store, plan_key)
+    return next((info for info in claims if not claim_is_stale(info)), None)
 
 
-def _coordination_paths(store: RunStore, plan_key: str) -> list[Path]:
-    """Every queue/claim/dead/cancel file belonging to one plan."""
-    k12 = plan_key[:12]
-    paths: list[Path] = []
-    for pattern in (
-        f"queue-{k12}.json",
-        f"cancel-{k12}.json",
-        f"claim-{k12}-s*.json",
-        f"dead-{k12}-s*.json",
-    ):
-        paths.extend(sorted(store.run_dir.glob(pattern)))
-    return paths
+def _refuse_live_claim(store: RunStore, plan_key: str) -> None:
+    info = _live_claim(store, plan_key)
+    if info is not None:
+        raise StoreError(
+            f"plan {plan_key[:12]} shard {info.shard.label} is claimed by "
+            f"{info.owner} (pid {info.pid} on {info.host}); retry once the "
+            "claim is released"
+        )
 
 
 def compact_plan(
@@ -129,9 +105,8 @@ def compact_plan(
     fingerprint are untouched, so ``--resume`` and ``assemble`` keep
     working against the compacted directory.
     """
-    from repro.store.coordination import is_shard_dead
-
     key, request = store.load_request(plan_key)
+    _refuse_live_claim(store, key)
     row_type = _row_type_for(request)
     paths = store.ledger_paths(key)
     if not paths:
@@ -139,20 +114,19 @@ def compact_plan(
             f"{store.run_dir} has no ledger files for plan {key[:12]}"
         )
 
-    raw: dict[int, str] = {}
+    raw: dict[int, bytes] = {}
     elapsed = 0.0
     stats = CacheStats()
     bytes_before = 0
     for path in paths:
         bytes_before += path.stat().st_size
-        shard = store.shard_of_path(path)
-        skip = shard is not None and is_shard_dead(store, key, shard)
-        for slot, line in _raw_rows(path, row_type, skip_corrupt=skip).items():
-            if slot not in raw:
-                obj = json.loads(line)
-                elapsed += float(obj["elapsed"])
-                stats.merge(CacheStats.from_dict(obj["cache"]))
-            raw[slot] = line
+        skip = store._skip_corrupt(key, path)
+        for obj, line in _read_rows(path, row_type, skip_corrupt=skip):
+            row = _ROW_TYPES[row_type].from_obj(obj)  # refuse what replay refuses
+            if row.slot not in raw:
+                elapsed += row.elapsed
+                stats.merge(CacheStats.from_dict(row.cache))
+            raw[row.slot] = line
 
     whole = Shard()
     target = store.ledger_path(key, whole)
@@ -164,11 +138,12 @@ def compact_plan(
             "elapsed": elapsed,
         }
     )
-    body = "".join(raw[slot] + "\n" for slot in sorted(raw)) + done + "\n"
+    body = b"".join(raw[slot] + b"\n" for slot in sorted(raw))
+    body += done.encode("utf8") + b"\n"
     if not dry_run:
         tmp = target.with_suffix(".jsonl.tmp")
-        tmp.write_text(body, encoding="utf8")
-        with open(tmp, encoding="utf8") as fh:
+        tmp.write_bytes(body)
+        with open(tmp, "rb") as fh:
             os.fsync(fh.fileno())
         os.replace(tmp, target)
         for path in paths:
@@ -176,14 +151,14 @@ def compact_plan(
                 path.unlink()
         # The archive holds only validated rows, so any recorded tear is
         # gone with the superseded shard files — their dead markers too.
-        for marker in sorted(store.run_dir.glob(f"dead-{key[:12]}-s*.json")):
+        for marker in store.plan_files(key, "dead"):
             marker.unlink()
     return CompactReport(
         plan_key=key,
         rows=len(raw),
         files_before=len(paths),
         bytes_before=bytes_before,
-        bytes_after=len(body.encode("utf8")),
+        bytes_after=len(body),
         path=target,
     )
 
@@ -195,49 +170,26 @@ def gc_store(
 
     Always removes stale ``*.tmp`` leftovers from interrupted atomic
     writes.  With ``plan_key``, additionally removes that plan *entirely*
-    (its plan file and every shard ledger).  Without one, removes plans
-    that never checkpointed an instance (zero rows across all their
-    ledgers) together with their empty ledger files.  Never rewrites a
-    surviving file, so fingerprints and row bytes are stable.
+    (every file of it), and refuses while a live claim holds a shard of
+    it.  Without one, removes every plan that never checkpointed an
+    instance (zero rows across all its ledgers), skipping plans with a
+    live claim.  Never rewrites a surviving file, so fingerprints and row
+    bytes are stable.
     """
-    removed: list[Path] = []
-
-    def drop(path: Path) -> None:
-        removed.append(path)
-        if not dry_run:
-            path.unlink()
-
-    for tmp in sorted(store.run_dir.glob("*.tmp")):
-        drop(tmp)
-
     if plan_key is not None:
         key, _request = store.load_request(plan_key)
-        for path in store.ledger_paths(key):
-            drop(path)
-        for path in _coordination_paths(store, key):
-            drop(path)
-        drop(store.plan_path(key))
-        return GcReport(removed=removed, dry_run=dry_run)
-
-    for key in store.plan_keys():
-        data = json.loads(store.plan_path(key).read_text(encoding="utf8"))
-        row_type = {"sweep": "instance", "frontier": "frontier"}[
-            data.get("kind", "sweep")
+        _refuse_live_claim(store, key)
+        doomed = [key]
+    else:
+        doomed = [
+            key
+            for key in store.plan_keys()
+            if not store.rows_for(store.load_request(key)[1])
+            and _live_claim(store, key) is None
         ]
-        paths = store.ledger_paths(key)
-        total = 0
-        for path in paths:
-            total += len(
-                _read_rows(
-                    path,
-                    row_type=row_type,
-                    skip_corrupt=store._skip_corrupt(key, path),
-                )
-            )
-        if total == 0:
-            for path in paths:
-                drop(path)
-            for path in _coordination_paths(store, key):
-                drop(path)
-            drop(store.plan_path(key))
+    removed = sorted(store.run_dir.glob("*.tmp"))
+    removed += [path for key in doomed for path in store.plan_files(key)]
+    if not dry_run:
+        for path in removed:
+            path.unlink()
     return GcReport(removed=removed, dry_run=dry_run)

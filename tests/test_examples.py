@@ -2,6 +2,7 @@
 
 import pathlib
 import runpy
+import tempfile
 
 import pytest
 
@@ -10,7 +11,10 @@ SCRIPTS = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
-def test_example_runs(script, capsys):
+def test_example_runs(script, capsys, tmp_path, monkeypatch):
+    # Examples write into fresh temporary directories (and print their real
+    # paths); keep those under pytest's own temporary tree.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     assert len(out) > 100, f"{script.name} produced almost no output"
