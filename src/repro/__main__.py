@@ -801,7 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("action", choices=("compact", "gc"),
                    help="compact: archive a plan's shard ledgers into one "
-                        "file; gc: drop tmp leftovers and row-less plans")
+                        "file; gc: drop tmp leftovers and row-less plans "
+                        "that are not queued, or are cancelled")
     p.add_argument("--run-dir", required=True,
                    help="run directory to maintain")
     p.add_argument("--plan", default=None,

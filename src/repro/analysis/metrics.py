@@ -8,8 +8,10 @@ Two entry points: :func:`orientation_metrics` measures a single result as
 one unperturbed trial of the candidate-pair loop every Monte-Carlo chunk
 runs (:func:`repro.ensemble.trials.measure_columns`), on either route;
 :func:`batched_orientation_metrics` measures a whole chunk of dense-routed
-instances' results through the packed multi-instance kernels — one kernel
-launch per measurement for the chunk, bit-identical values.
+instances' results with the same kernels over the chunk's stacked
+candidate pairs (:mod:`repro.kernels.batch`) — one kernel launch per
+measurement for the chunk, and the same certificates, so the values are
+the per-instance ones bit for bit.
 """
 
 from __future__ import annotations
@@ -22,15 +24,19 @@ import numpy as np
 from repro.core.result import OrientationResult
 from repro.kernels.backend import active_backend
 from repro.kernels.batch import (
-    BatchedInstances,
+    PackedCandidates,
     PackedPolarTables,
-    packed_connected,
-    packed_coverage,
-    packed_critical,
+    stacked_connected,
+    stacked_critical,
 )
 from repro.kernels.geometry import PolarTables, polar_tables
 from repro.kernels.instrument import recording
-from repro.kernels.sparse import SparsePolarTables
+from repro.kernels.sparse import (
+    SparsePolarTables,
+    certified_cutoff,
+    required_cutoff,
+    trial_coverage,
+)
 
 __all__ = [
     "OrientationMetrics",
@@ -157,8 +163,8 @@ def orientation_metrics(
 
 def batched_orientation_metrics(
     results: Sequence[OrientationResult],
-    batch: BatchedInstances,
     tables: PackedPolarTables,
+    candidates: PackedCandidates,
     *,
     compute_critical: bool = True,
     eps: float = 1e-9,
@@ -166,50 +172,81 @@ def batched_orientation_metrics(
 ) -> list[OrientationMetrics]:
     """Measure one grid cell's results for a whole chunk of instances.
 
-    ``results[m]`` must be the orientation of instance ``m`` of ``batch``
-    (same coords, same order); ``tables`` is the chunk's packed polar
-    geometry (from :meth:`~repro.engine.cache.ArtifactCache.packed_polar`).
-    Instead of per-instance kernel launches this issues *one* packed
-    coverage + one packed connectivity call (plus one more coverage and
-    one packed search when ``compute_critical``) for the entire chunk —
-    the counter win ``execute_plan`` banks on — and returns values
-    bit-identical to :func:`orientation_metrics` per instance.
+    ``results[m]`` must be the orientation of instance ``m`` of the chunk
+    whose packed polar geometry ``tables`` is (from
+    :meth:`~repro.engine.cache.ArtifactCache.packed_polar`), and
+    ``candidates`` its stacked candidate pairs
+    (:func:`~repro.kernels.batch.packed_candidates`), which every grid
+    cell of the chunk shares.  The chunk is measured with one coverage
+    launch per mask, one connectivity launch and one critical-range
+    launch, over the concatenated antenna columns.
+
+    Each instance then passes the certificates
+    :func:`~repro.ensemble.trials.measure_columns` applies: its cutoff
+    covers its largest antenna radius (so the radius mask is complete),
+    and its critical range is ``0``, certified by
+    :func:`~repro.kernels.sparse.certified_cutoff`, or an ``inf`` proved by
+    a cut-off sensor (:func:`~repro.ensemble.trials.unperturbed_cut_off`)
+    — unless the cutoff holds every pair of the instance, where every
+    answer is exact.  An instance that fails is measured again by
+    ``measure_columns`` on a :class:`PolarTables` view of its packed
+    block, which widens the cutoff.  The values therefore equal
+    :func:`orientation_metrics`' per instance, bit for bit.
     """
+    # Lazy: avoids an import cycle.
+    from repro.ensemble.trials import measure_columns, unperturbed_cut_off
+
     backend = active_backend()
     m = len(results)
-    if m != batch.m:
-        raise ValueError(f"{m} results for a batch of {batch.m} instances")
+    if m != tables.m:
+        raise ValueError(f"{m} results for a chunk of {tables.m} instances")
     if m == 0:
         return []
+    pairs, base = candidates.pairs, candidates.base
 
-    inst_parts, idx_parts, start_parts, spread_parts, radius_parts = (
-        [], [], [], [], []
+    columns = [result.assignment.flattened() for result in results]
+    sensor_idx, start, spread, radius = (np.concatenate(col) for col in zip(*columns))
+    # Each instance's sensors are its union vertices base[i]:base[i + 1].
+    sensor_idx = sensor_idx + np.repeat(base[:-1], [c[0].shape[0] for c in columns])
+    cover, cover_ang = trial_coverage(
+        pairs, sensor_idx, start, spread, radius, eps=eps,
+        angular_mask=compute_critical,
     )
-    for i, result in enumerate(results):
-        idx, start, spread, radius = result.assignment.flattened()
-        inst_parts.append(np.full(idx.shape[0], i, dtype=np.int64))
-        idx_parts.append(idx)
-        start_parts.append(start)
-        spread_parts.append(spread)
-        radius_parts.append(radius)
-    inst_idx = np.concatenate(inst_parts)
-    sensor_idx = np.concatenate(idx_parts)
-    start = np.concatenate(start_parts)
-    spread = np.concatenate(spread_parts)
-    radius = np.concatenate(radius_parts)
-
-    cover = packed_coverage(
-        tables, inst_idx, sensor_idx, start, spread, radius, eps=eps
-    )
-    connected = packed_connected(cover, batch.counts, mode=mode)
-    edges = cover.reshape(m, -1).sum(axis=1)
-
+    cover = cover[0]
+    connected = stacked_connected(candidates, cover, mode=mode)
+    # Instance i's pairs are pairs.indptr[base[i]] up to pairs.indptr[base[i + 1]].
+    covered = np.concatenate([np.zeros(1, np.int64), np.cumsum(cover)])
+    edges = np.diff(covered[pairs.indptr[base]])
+    critical_abs = np.zeros(m)  # without critical ranges: 0.0, nothing to certify
     if compute_critical:
-        cover_ang = packed_coverage(
-            tables, inst_idx, sensor_idx, start, spread, radius,
-            eps=eps, ignore_radius=True,
+        critical_abs = stacked_critical(candidates, cover_ang[0], eps=eps, mode=mode)
+
+    for i, result in enumerate(results):
+        r_cut, radii = float(candidates.r_cut[i]), columns[i][3]
+        need = required_cutoff(float(radii.max()), eps) if radii.size else 0.0
+        value = float(critical_abs[i])
+        if need <= r_cut and (value == 0.0 or certified_cutoff(value, 1.0, eps) <= r_cut):
+            continue
+        n = len(result.points)
+        view = PolarTables(tables.dist[i, :n, :n], tables.ang[i, :n, :n])
+        if required_cutoff(float(view.dist.max()), eps) <= r_cut:
+            continue  # every pair is a candidate: exact as measured
+        if need <= r_cut and np.isinf(value):
+            lo, hi = pairs.indptr[base[i]], pairs.indptr[base[i + 1]]
+            e = lo + np.flatnonzero(cover_ang[0, lo:hi])
+            if unperturbed_cut_off(
+                result.points.coords, view, *columns[i][:3],
+                pairs.src[e] - base[i], pairs.indices[e] - base[i], eps=eps,
+            ):
+                continue  # a cut-off sensor proves the inf
+        own_cover, own_connected, own_critical = measure_columns(
+            result.points, view, *columns[i], lmax=result.lmax,
+            want_critical=compute_critical, eps=eps, mode=mode,
         )
-        critical_abs = packed_critical(tables, cover_ang, eps=eps, mode=mode)
+        edges[i] = np.count_nonzero(own_cover)
+        connected[i] = own_connected[0]
+        if compute_critical:
+            critical_abs[i] = own_critical[0]
 
     out = []
     for i, result in enumerate(results):

@@ -130,9 +130,6 @@ class ArtifactCache:
     maxsize: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
     _entries: "OrderedDict[str, _Entry]" = field(default_factory=OrderedDict, repr=False)
-    _packed: "OrderedDict[str, PackedPolarTables]" = field(
-        default_factory=OrderedDict, repr=False
-    )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -227,29 +224,21 @@ class ArtifactCache:
         return cached
 
     def packed_polar(self, batch: BatchedInstances) -> PackedPolarTables:
-        """Packed polar tables for a whole chunk, keyed by the batch hash.
+        """Packed polar tables for a whole chunk, built for the caller alone.
 
-        Deliberately NOT tracked in :class:`CacheStats`: packed tables are
-        *chunk*-scoped artifacts, and chunk boundaries depend on job count
-        and resume state.  Folding their builds into the per-instance stat
-        deltas would make ledgered totals depend on how a run was chunked —
-        breaking the restart-invariance guarantee (a resumed run reports
-        the same stats as an uninterrupted one).  Their accounting lives in
-        the kernel counters instead (``packed_polar_builds``,
-        ``batched_instances``), which are launch-level by design.
+        Chunk-scoped: no later chunk reuses them, so the cache keeps no
+        reference and they are freed as soon as the caller's sub-batch
+        drops them.  Deliberately NOT tracked in :class:`CacheStats`
+        either: chunk boundaries depend on job count and resume state, and
+        folding chunk builds into the per-instance stat deltas would make
+        ledgered totals depend on how a run was chunked — breaking the
+        restart-invariance guarantee (a resumed run reports the same stats
+        as an uninterrupted one).  Their accounting lives in the kernel
+        counters instead (``packed_polar_builds``, ``batched_instances``),
+        which are launch-level by design.
         """
-        key = batch.key
-        tables = self._packed.get(key)
-        if tables is not None:
-            self._packed.move_to_end(key)
-            return tables
         # Called through the module attribute perfbench/tracing.py wraps.
-        tables = kernel_backend.packed_polar_tables(batch)
-        self._packed[key] = tables
-        if self.maxsize is not None and len(self._packed) > self.maxsize:
-            self._packed.popitem(last=False)
-        return tables
+        return kernel_backend.packed_polar_tables(batch)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._packed.clear()

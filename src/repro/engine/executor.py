@@ -21,8 +21,8 @@ alone, through the same row check and the same ``build``.
 The sweep's unit of work plans one instance at every grid cell, reusing the
 instance's spanning tree through the
 :class:`~repro.engine.cache.ArtifactCache` and measuring each φ-free
-dispatch regime once; a chunk's dense-routed instances share one packed
-kernel launch per grid cell.
+dispatch regime once; a chunk's dense-routed instances share one kernel
+launch per grid cell over their stacked candidate pairs.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.engine._spec import GridCell, PlanRequest, Scenario, Shard
 from repro.experiments.harness import aggregate_rows
 from repro.geometry.points import max_pairwise_distance
 from repro.kernels.backend import active_backend, resolve_backend, use_backend
-from repro.kernels.batch import pack_instances
+from repro.kernels.batch import pack_instances, packed_candidates
 from repro.kernels.sparse import default_instance_cutoff
 
 __all__ = [
@@ -438,11 +438,11 @@ def _sweep_chunk(
 ) -> Iterator[tuple[int, Any]]:
     """The sweep's unit of work: every grid cell of each instance.
 
-    Dense-routed instances are measured together through the packed
-    multi-instance kernels (:func:`_packed_rows`) and yielded first.
-    Sparse-routed instances cannot take the packed path (it materializes
-    ``(m, n_max, n_max)`` tables); each is measured on its own by
-    :func:`run_instance_grid`, after the packed ones.
+    Dense-routed instances are measured together over their stacked
+    candidate pairs (:func:`_packed_rows`) and yielded first.
+    Sparse-routed instances cannot take that path (it derives the pairs
+    from packed ``(m, n_max, n_max)`` tables); each is measured on its own
+    by :func:`run_instance_grid`, after the packed ones.
     """
     with use_backend(backend_name) as backend:
         dense = [t for t in tasks if not backend.use_sparse(t[3].shape[0])]
@@ -468,18 +468,21 @@ def _packed_rows(
     backend_name: str,
     cache: ArtifactCache,
 ) -> list[tuple[int, Any]]:
-    """Measure a chunk's instances through the packed multi-instance kernels.
+    """Measure a chunk's instances over their stacked candidate pairs.
 
     Per-instance artifacts (pointset, spanning tree) are still built one at
     a time inside per-instance cache-stat delta windows — so ledgered cache
     accounting is identical to the per-instance path — but measurement is
-    one packed kernel launch per grid cell for the whole chunk instead of a
-    Python-level launch per instance.  Packed polar tables are chunk-scoped
-    (see :meth:`ArtifactCache.packed_polar`) and kept out of the deltas.
+    one kernel launch per grid cell for the whole chunk instead of a
+    Python-level launch per instance.  Each sub-batch's packed polar
+    tables and the candidate pairs derived from them once (see
+    :func:`~repro.kernels.batch.packed_candidates`) are chunk-scoped: kept
+    out of the deltas (see :meth:`ArtifactCache.packed_polar`) and
+    released before the next sub-batch is built.
 
     Metrics are bit-identical to the per-instance path.  Elapsed time is
     each instance's own artifact and construction time plus an even share
-    of the fused remainder (packing, packed kernels, facts), so the
+    of the fused remainder (packing, chunk kernels, facts), so the
     chunk's instances still sum to its wall time.
     """
     grid, mode = request.grid, request.mode
@@ -500,8 +503,8 @@ def _packed_rows(
     parts: list[tuple[_Task, list[OrientationMetrics], dict, dict]] = []
     for base in range(0, len(entries), per):
         sub = entries[base : base + per]
-        batch = pack_instances([ps.coords for _, ps, _, _ in sub])
-        tables = cache.packed_polar(batch)
+        tables = cache.packed_polar(pack_instances([ps.coords for _, ps, _, _ in sub]))
+        candidates = packed_candidates(tables, [tree.lmax for _, _, tree, _ in sub])
         cell_metrics: list[list[OrientationMetrics]] = [[] for _ in sub]
         measured: dict[tuple[str, int], int] = {}  # φ-free regime -> cell index
         for ci, cell in enumerate(grid):
@@ -519,7 +522,7 @@ def _packed_rows(
                 own[base + j] += time.perf_counter() - t
             for j, m in enumerate(
                 batched_orientation_metrics(
-                    results, batch, tables,
+                    results, tables, candidates,
                     compute_critical=request.compute_critical, mode=mode,
                 )
             ):
@@ -533,6 +536,7 @@ def _packed_rows(
                 "diameter": float(tables.dist[j, :n, :n].max()) if n else 0.0,
             }
             parts.append((task, cell_metrics[j], facts, delta))
+        del tables, candidates  # chunk-scoped: free before the next sub-batch
 
     shared = (time.perf_counter() - t0 - sum(own)) / max(len(tasks), 1)
     return [

@@ -9,7 +9,7 @@ work:
   (``slot = instance_slot · n_chunks + chunk_index``), so a kill lands
   between trial chunks and a resume replays completed chunks with zero
   kernel re-execution.  A slot's unit of work measures *every* grid cell
-  over its chunk of trials — one packed coverage launch per cell.
+  over its chunk of trials — one coverage launch per mask and cell.
 * **threshold mode** — one slot per instance; a slot solves the
   probabilistic φ-frontier at every requested ``k``
   (:func:`repro.ensemble.solver.solve_instance_ensemble`).

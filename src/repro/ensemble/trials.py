@@ -86,6 +86,7 @@ __all__ = [
     "draw_trials",
     "measure_trials",
     "measure_columns",
+    "unperturbed_cut_off",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -325,6 +326,30 @@ def measure_columns(
     return cover, connected, critical
 
 
+def unperturbed_cut_off(
+    coords: np.ndarray,
+    tables: PolarTables,
+    sensor_idx: np.ndarray,
+    start: np.ndarray,
+    spread: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    *,
+    eps: float = 1e-9,
+) -> bool:
+    """The ``inf`` certificate :func:`measure_columns` applies, for one
+    unperturbed antenna set on dense ``tables``.
+
+    ``src → dst`` are the edges of its angular mask over candidate pairs.
+    True when some vertex is cut off at every radius, so an ``inf``
+    critical range measured on those pairs is exact.
+    """
+    draws = TrialDraws(None, None, None, np.zeros(1, dtype=np.uint64))
+    chunk = _Chunk(None, coords, tables, None, draws, 0.0, sensor_idx, start,
+                   spread, None, eps)
+    return chunk._cut_off(src, dst, 0)
+
+
 def _rung(r_cut: float, need: float, cap: float) -> float:
     """The cutoff to fetch: ``r_cut`` doubled until it covers ``need``,
     at most ``cap``.  Doubling keeps an instance to a few cached cutoffs,
@@ -427,24 +452,26 @@ class _Chunk:
                 reach = certified_cutoff(value, scale, self.eps)
                 if reach > cand.r_cut:
                     need[j] = reach
-            elif not self._cut_off(cand, cover_ang[j], t):
-                need[j] = 2.0 * cand.r_cut if cand.r_cut > 0.0 else cap
+            else:
+                e = np.flatnonzero(cover_ang[j])
+                if not self._cut_off(cand.src[e], cand.indices[e], t):
+                    need[j] = 2.0 * cand.r_cut if cand.r_cut > 0.0 else cap
         return need
 
-    def _cut_off(self, cand, mask, t) -> bool:
+    def _cut_off(self, src, dst, t) -> bool:
         """Is some alive vertex without any surviving angularly-covered
         out-edge to, or in-edge from, any other point at any distance?
 
         Such a vertex is cut off at every radius, so the trial's ``inf`` is
         exact, in symmetric mode too.  Candidates are the alive vertices
-        with no surviving out- (in-) edge in ``mask``, the trial's angular
-        graph at the cutoff; each is then tested against every point with
-        the coverage kernel's expressions and the trial's failure draws.
+        with no surviving out- (in-) edge among ``src → dst``, the edges of
+        the trial's angular mask at the cutoff; each is then tested against
+        every point with the coverage kernel's expressions and the trial's
+        failure draws.
         """
-        alive = self.draws.alive
-        e = np.flatnonzero(mask)
-        for inward, ends in ((False, cand.src[e]), (True, cand.indices[e])):
-            lonely = np.bincount(ends, minlength=cand.n) == 0
+        n, alive = self.coords.shape[0], self.draws.alive
+        for inward, ends in ((False, src), (True, dst)):
+            lonely = np.bincount(ends, minlength=n) == 0
             if alive is not None:
                 lonely &= alive[t]
             for w in np.flatnonzero(lonely):

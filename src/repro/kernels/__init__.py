@@ -14,9 +14,9 @@ programs over shared per-instance geometry:
   objects;
 * :mod:`repro.kernels.critical` — :func:`critical_range_search`, the
   rebuild-free bottleneck-radius bisection over a once-sorted edge list;
-* :mod:`repro.kernels.batch` — packed multi-instance kernels: a whole
-  chunk of instances (:class:`BatchedInstances` + packed polar tables)
-  evaluated per Python-level launch;
+* :mod:`repro.kernels.batch` — a whole chunk of instances
+  (:class:`BatchedInstances` + packed polar tables) as one block-diagonal
+  stack of candidate pairs, measured per Python-level launch;
 * :mod:`repro.kernels.sparse` — :class:`SparsePolarTables`, the CSR
   radius-bounded candidate geometry, and the trial kernels every
   measurement runs on it (the certified loop around them is
@@ -51,9 +51,6 @@ from repro.kernels.batch import (
     BatchedInstances,
     PackedPolarTables,
     pack_instances,
-    packed_connected,
-    packed_coverage,
-    packed_critical,
     packed_polar_tables,
 )
 from repro.kernels.connectivity import (
@@ -96,9 +93,6 @@ __all__ = [
     "default_instance_cutoff",
     "kernel_counters",
     "pack_instances",
-    "packed_connected",
-    "packed_coverage",
-    "packed_critical",
     "packed_polar_tables",
     "polar_tables",
     "recording",

@@ -1,10 +1,11 @@
 """Kernel backends: the routing names measurement runs under.
 
 There is one implementation of every kernel (coverage, connectivity,
-critical-range search, their packed multi-instance and candidate-pair
-forms); call sites import those functions directly.  A backend is only a
-*routing rule*: :meth:`KernelBackend.use_sparse` decides whether an
-``n``-point instance is measured through the radius-bounded sparse path
+critical-range search, and their candidate-pair forms, per trial or
+stacked over a chunk of instances); call sites import those functions
+directly.  A backend is only a *routing rule*:
+:meth:`KernelBackend.use_sparse` decides whether an ``n``-point instance
+is measured through the radius-bounded sparse path
 (:mod:`repro.kernels.sparse`) or through the dense ``(n, n)`` tables.  Its
 ``name`` is recorded in ledger rows as provenance.
 

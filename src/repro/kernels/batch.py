@@ -1,32 +1,37 @@
-"""Many small instances, one kernel launch: packed multi-instance kernels.
+"""Many small instances, one kernel launch: a sweep chunk's stacked pairs.
 
 Sweeps evaluate *ensembles* — hundreds of modest instances per ``(k, φ)``
 grid cell — and at that scale the per-call overhead of one kernel launch
 per instance dominates the actual array work.  This module packs a ragged
 chunk of instances (:class:`BatchedInstances`: padded coords + counts),
 builds one packed ``(M, n_max, n_max)`` polar table for the whole chunk
-(:class:`PackedPolarTables`), and evaluates coverage / connectivity /
-critical range for every instance in a *single* Python-level launch.
+(:class:`PackedPolarTables`), and from it the chunk's candidate pairs
+(:class:`PackedCandidates`): each instance's off-diagonal pairs within its
+own cutoff, stacked block-diagonally over the union of the chunk's
+``Σn`` vertices as one :class:`~repro.kernels.sparse.SparsePolarTables`.
+The candidate-pair kernels every measurement runs
+(:func:`~repro.kernels.sparse.trial_coverage`,
+:func:`~repro.kernels.connectivity.union_connected` and the critical
+search) then measure every instance of the chunk in one launch each; the
+certified loop around them is
+:func:`repro.analysis.metrics.batched_orientation_metrics`.
 
-Bit-exactness contract (vs. the per-instance kernels, and hence vs. the
-oracles in ``tests/kernels_reference.py``):
+Bit-exactness contract (vs. the per-instance kernels):
 
 * packed polar tables run the same ``hypot`` / ``angle_of`` expressions on
   the same per-instance offsets — padding only adds rows/columns that are
   never read back;
-* packed coverage reuses the per-instance kernel's block body
-  (:func:`repro.kernels.coverage._fill_block`) on pre-gathered rows —
-  elementwise float ops are shape-independent, so valid entries are
-  bit-identical; pad columns are masked off explicitly;
-* packed connectivity runs *one* ``connected_components`` call on the
+* instance ``m``'s block of the stacked pairs is
+  :func:`~repro.kernels.sparse.dense_candidate_tables` of its own tables
+  at its cutoff, offset by its first union vertex;
+* stacked connectivity runs *one* ``connected_components`` call on the
   block-diagonal union graph — with no cross-instance edges the labels
-  restricted to an instance's block are exactly its own component labels,
-  so the per-instance boolean is exact;
-* packed critical range runs the identical counter-free search body
+  restricted to an instance's block are exactly its own component labels;
+* the stacked critical range runs the counter-free search body
   (:func:`repro.kernels.critical._critical_search_impl`) per instance on
-  identical edge arrays.
+  the edge arrays a per-instance trial passes it.
 
-Launch accounting: one packed call increments ``coverage_calls`` /
+Launch accounting: one call increments ``coverage_calls`` /
 ``critical_searches`` / ``scipy_scc_calls`` *once* for the whole chunk
 (that is the point — the instrument counters are how CI judges the win),
 while per-instance work counters (``sector_evals``, ``connectivity_probes``,
@@ -35,26 +40,37 @@ while per-instance work counters (``sector_evals``, ``connectivity_probes``,
 
 from __future__ import annotations
 
-import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.geometry.angles import angle_of
 from repro.kernels.connectivity import union_connected
-from repro.kernels.coverage import _fill_block
 from repro.kernels.critical import _critical_search_impl
 from repro.errors import InvalidParameterError
-from repro.kernels.geometry import DENSE_LIMIT_ENV_VAR, _ROW_BLOCK_ELEMS, dense_element_limit
+from repro.kernels.geometry import (
+    DENSE_LIMIT_ENV_VAR,
+    _ROW_BLOCK_ELEMS,
+    PolarTables,
+    dense_element_limit,
+)
 from repro.kernels.instrument import COUNTERS
+from repro.kernels.sparse import (
+    SparsePolarTables,
+    default_instance_cutoff,
+    dense_candidate_tables,
+    reverse_edge_permutation,
+)
 
 __all__ = [
     "BatchedInstances",
     "PackedPolarTables",
+    "PackedCandidates",
     "pack_instances",
     "packed_polar_tables",
-    "packed_coverage",
-    "packed_connected",
-    "packed_critical",
+    "packed_candidates",
+    "stacked_connected",
+    "stacked_critical",
 ]
 
 
@@ -66,21 +82,16 @@ class BatchedInstances:
     coords:
         ``(M, n_max, 2)`` float coords, zero-padded past each instance's
         ``counts[m]`` points.  Pad entries are never read back — every
-        packed kernel masks on ``counts``.
+        consumer masks on ``counts``.
     counts:
         ``(M,)`` int64 point counts per instance.
-    key:
-        Content hash over the packed payload (shapes + counts + coords
-        bytes) — the :class:`~repro.engine.cache.ArtifactCache` key for
-        the chunk's packed polar tables.
     """
 
-    __slots__ = ("coords", "counts", "key")
+    __slots__ = ("coords", "counts")
 
-    def __init__(self, coords: np.ndarray, counts: np.ndarray, key: str):
+    def __init__(self, coords: np.ndarray, counts: np.ndarray):
         self.coords = coords
         self.counts = counts
-        self.key = key
 
     @property
     def m(self) -> int:
@@ -109,12 +120,7 @@ def pack_instances(coords_list) -> BatchedInstances:
     packed = np.zeros((len(arrays), max(n_max, 1), 2), dtype=float)
     for m, a in enumerate(arrays):
         packed[m, : a.shape[0]] = a
-    h = hashlib.sha256()
-    h.update(np.int64(packed.shape[0]).tobytes())
-    h.update(np.int64(packed.shape[1]).tobytes())
-    h.update(counts.tobytes())
-    h.update(packed.tobytes())
-    return BatchedInstances(packed, counts, h.hexdigest())
+    return BatchedInstances(packed, counts)
 
 
 class PackedPolarTables:
@@ -181,123 +187,109 @@ def packed_polar_tables(batch: BatchedInstances) -> PackedPolarTables:
     return PackedPolarTables(dist, ang, batch.counts)
 
 
-#: Same per-block element budget as the single-instance coverage kernel.
-_BLOCK_ELEMS = 262_144
+class PackedCandidates(NamedTuple):
+    """A chunk's candidate pairs, stacked block-diagonally.
 
-
-def packed_coverage(
-    tables: PackedPolarTables,
-    inst_idx: np.ndarray,
-    sensor_idx: np.ndarray,
-    start: np.ndarray,
-    spread: np.ndarray,
-    radius: np.ndarray,
-    *,
-    eps: float = 1e-9,
-    ignore_radius: bool = False,
-) -> np.ndarray:
-    """Boolean ``(M, n_max, n_max)`` coverage of a chunk-flattened antenna set.
-
-    ``inst_idx[a]`` names the instance antenna ``a`` belongs to; the other
-    per-antenna arrays are the usual ``flattened()`` columns.  One
-    ``coverage_calls`` launch for the whole chunk.  ``cover[m]`` restricted
-    to the valid block is bit-identical to the per-instance kernel; pad
-    rows/columns and the diagonal are always False.
+    ``pairs`` is one :class:`~repro.kernels.sparse.SparsePolarTables` over
+    the union of the chunk's vertices: instance ``m`` owns union vertices
+    ``base[m]:base[m + 1]`` and holds its off-diagonal pairs within
+    ``r_cut[m]``, so its edges are ``pairs.indptr[base[m]]`` up to
+    ``pairs.indptr[base[m + 1]]``.  ``pairs.r_cut`` is the smallest
+    instance cutoff.
     """
-    m, n_max = tables.m, tables.n_max
-    cover = np.zeros((m, n_max, n_max), dtype=bool)
-    a = int(inst_idx.shape[0])
-    if a == 0 or n_max == 0:
-        return cover
-    COUNTERS.coverage_calls += 1
-    COUNTERS.sector_evals += a * n_max
 
-    # Group key over (instance, sensor); reduceat needs contiguous runs.
-    inst_idx = np.asarray(inst_idx, dtype=np.int64)
-    sensor_idx = np.asarray(sensor_idx, dtype=np.int64)
-    key = inst_idx * n_max + sensor_idx
-    if np.any(np.diff(key) < 0):
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        inst_idx, sensor_idx = inst_idx[order], sensor_idx[order]
-        start, spread, radius = start[order], spread[order], radius[order]
-
-    ang = tables.ang[inst_idx, sensor_idx]  # (a, n_max) gathers
-    dist = tables.dist[inst_idx, sensor_idx]
-    valid = np.arange(n_max, dtype=np.int64)[None, :] < tables.counts[inst_idx][:, None]
-
-    hit = np.empty((a, n_max), dtype=bool)
-    block = max(1, _BLOCK_ELEMS // max(n_max, 1))
-    for lo in range(0, a, block):
-        hi = min(lo + block, a)
-        _fill_block(ang[lo:hi], dist[lo:hi], start[lo:hi], spread[lo:hi],
-                    radius[lo:hi], eps, ignore_radius, hit[lo:hi])
-    # Pad columns carry garbage polar entries (offsets against zero-padded
-    # coords) — ``dist > 0`` does NOT exclude them, so mask explicitly.
-    hit &= valid
-
-    groups, first = np.unique(key, return_index=True)
-    cover[groups // n_max, groups % n_max] = np.logical_or.reduceat(hit, first, axis=0)
-    diag = np.arange(n_max)
-    cover[:, diag, diag] = False
-    return cover
+    pairs: SparsePolarTables
+    base: np.ndarray
+    r_cut: np.ndarray
 
 
-def packed_connected(
-    cover: np.ndarray, counts: np.ndarray, *, mode: str = "strong"
-) -> np.ndarray:
-    """Per-instance connectivity under ``mode``, one component call per chunk.
+def packed_candidates(tables: PackedPolarTables, lmax) -> PackedCandidates:
+    """Every instance's off-diagonal pairs within its own default cutoff.
 
-    Builds the block-diagonal union graph of all instances and runs a
-    single ``connected_components`` call; instance ``m`` is connected iff
-    the labels inside its vertex block are constant.  No cross-instance
-    edges exist, so this is exactly the per-instance answer.  Strong mode
-    asks strong connectivity of the coverage digraph; symmetric mode first
-    keeps the mutual edges (elementwise AND with the per-instance
-    transpose) and asks undirected connectivity.  Instances with
-    ``counts[m] <= 1`` are trivially connected.
+    Instance ``m``'s cutoff is
+    :func:`~repro.kernels.sparse.default_instance_cutoff` of ``lmax[m]``,
+    where the per-instance loop starts too, and its block is its own
+    :func:`~repro.kernels.sparse.dense_candidate_tables` at that cutoff,
+    on a view of its packed tables, offset by ``base[m]``.  Blocks follow
+    instance order, so the stacked pairs keep the ``(src, dst)`` order
+    over the union ids.  No kd-tree, no trig.
     """
-    connection = "strong"
+    r_cut = np.array([default_instance_cutoff(x) for x in lmax], dtype=float)
+    base = np.concatenate([np.zeros(1, np.int64), np.cumsum(tables.counts)])
+    blocks = []
+    for m, n in enumerate(tables.counts):
+        view = PolarTables(tables.dist[m, :n, :n], tables.ang[m, :n, :n])
+        blocks.append(dense_candidate_tables(view, r_cut[m]))
+    total = int(base[-1])
+    # Union ids fit int32 at any practical size: half the id memory.
+    itype = np.int32 if total < 2**31 else np.int64
+    src = np.concatenate([b.src + base[m] for m, b in enumerate(blocks)], dtype=itype)
+    dst = np.concatenate([b.indices + base[m] for m, b in enumerate(blocks)], dtype=itype)
+    dist = np.concatenate([b.dist for b in blocks])
+    ang = np.concatenate([b.ang for b in blocks])
+    del blocks
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=total), out=indptr[1:])
+    for arr in (indptr, src, dst, dist, ang):
+        arr.setflags(write=False)
+    low = float(r_cut.min()) if r_cut.size else 0.0
+    return PackedCandidates(
+        SparsePolarTables(indptr, dst, src, dist, ang, low), base, r_cut
+    )
+
+
+def stacked_connected(
+    candidates: PackedCandidates, cover: np.ndarray, *, mode: str = "strong"
+) -> np.ndarray:
+    """Per-instance connectivity of a covered-edge mask over stacked pairs.
+
+    ``cover`` is one boolean per stacked pair.  The covered edges are the
+    block-diagonal union graph, answered by one :func:`union_connected`
+    launch with the instance sizes as block counts.  Symmetric mode keeps
+    the mutual edges and asks undirected connectivity.
+    """
+    pairs, base = candidates.pairs, candidates.base
     if mode == "symmetric":
-        cover = cover & cover.swapaxes(1, 2)
-        connection = "weak"
-    counts = np.asarray(counts, dtype=np.int64)
-    base = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
-    mi, u, v = np.nonzero(cover)  # pads and diagonal are already False
-    src = base[mi] + u  # row-major: already sorted by union vertex
-    indptr = np.zeros(int(base[-1]) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=int(base[-1])), out=indptr[1:])
-    return union_connected(counts, indptr, base[mi] + v, connection=connection)
+        cover = cover & cover[reverse_edge_permutation(pairs)]
+    e = np.flatnonzero(cover)
+    total = int(base[-1])
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs.src[e], minlength=total), out=indptr[1:])
+    connection = "weak" if mode == "symmetric" else "strong"
+    return union_connected(
+        np.diff(base), indptr, pairs.indices[e], connection=connection
+    )
 
 
-def packed_critical(
-    tables: PackedPolarTables,
+def stacked_critical(
+    candidates: PackedCandidates,
     cover_ang: np.ndarray,
     *,
     eps: float = 1e-9,
     mode: str = "strong",
 ) -> np.ndarray:
-    """Per-instance critical range under ``mode`` from an angular coverage chunk.
+    """Per-instance critical range from an angular mask over stacked pairs.
 
-    ``cover_ang`` is the ``ignore_radius=True`` packed coverage.  One
-    ``critical_searches`` launch for the whole chunk; each instance runs
-    the identical search body as :func:`critical_range_search` on the same
-    edge arrays, so results are bit-identical (``0.0`` for ``n <= 1``,
-    ``inf`` when deficient).
+    One ``critical_searches`` launch for the chunk.  Each instance runs
+    the search body on its own slice of covered edges, in its own vertex
+    ids: the arrays :func:`~repro.kernels.sparse.trial_critical` passes for
+    the instance's candidate pairs at the same cutoff, so the values are
+    the same floats (``0.0`` for at most one vertex, ``inf`` when
+    deficient).  Whether a value is exact depends on the cutoff; that is
+    for the caller to certify.
     """
-    counts = tables.counts
-    m = int(counts.shape[0])
-    out = np.empty(m, dtype=float)
+    pairs, base = candidates.pairs, candidates.base
+    ends = pairs.indptr[base]
+    out = np.empty(base.shape[0] - 1, dtype=float)
     COUNTERS.critical_searches += 1
-    for i in range(m):
-        n = int(counts[i])
-        if n <= 1:
-            out[i] = 0.0
+    for i in range(out.shape[0]):
+        n = int(base[i + 1] - base[i])
+        e = ends[i] + np.flatnonzero(cover_ang[ends[i] : ends[i + 1]])
+        if n <= 1 or e.shape[0] == 0:
+            out[i] = 0.0 if n <= 1 else np.inf
             continue
-        src, dst = np.nonzero(cover_ang[i, :n, :n])
-        if src.shape[0] == 0:
-            out[i] = np.inf
-            continue
-        dists = tables.dist[i][src, dst]
-        out[i] = _critical_search_impl(n, src, dst, dists, eps, mode)
+        out[i] = _critical_search_impl(
+            n, pairs.src[e] - base[i], pairs.indices[e] - base[i],
+            pairs.dist[e], eps, mode,
+        )
     return out

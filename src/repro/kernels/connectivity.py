@@ -184,12 +184,9 @@ def union_connected(
     total = int(base[-1])
     if total == 0:
         return out
-    graph = csr_matrix(
-        (np.ones(indices.shape[0], dtype=np.int8), indices, indptr),
-        shape=(total, total),
-    )
     _, labels = connected_components(
-        graph, directed=True, connection=connection, return_labels=True
+        _graph(total, indptr, indices), directed=True, connection=connection,
+        return_labels=True,
     )
     nonempty = counts > 0
     starts = base[:-1][nonempty]
@@ -221,11 +218,20 @@ def component_count_csr(
     if n == 0:
         return 0
     COUNTERS.scipy_scc_calls += 1
-    mat = csr_matrix(
-        (np.ones(indices.shape[0], dtype=np.int8), indices, indptr), shape=(n, n)
-    )
     return int(
         connected_components(
-            mat, directed=True, connection=connection, return_labels=False
+            _graph(n, indptr, indices), directed=True, connection=connection,
+            return_labels=False,
         )
     )
+
+
+def _graph(n: int, indptr: np.ndarray, indices: np.ndarray) -> csr_matrix:
+    """The ``n``-vertex CSR graph handed to ``connected_components``.
+
+    Its weights are float64, the dtype ``csgraph`` converts every input
+    to: any other dtype goes through scipy's duplicate-summing conversion,
+    which first sorts every row's indices — a copy and a sort per probe
+    that connectivity does not need.
+    """
+    return csr_matrix((np.ones(indices.shape[0]), indices, indptr), shape=(n, n))

@@ -131,9 +131,9 @@ def _fill_block(
 ) -> None:
     """The block body on pre-gathered ``(b, n)`` angle/distance rows.
 
-    Shared with the packed multi-instance kernel in
-    :mod:`repro.kernels.batch` — one set of elementwise expressions keeps
-    the two paths bit-identical by construction (elementwise float ops are
+    Also run by the padded multi-instance coverage oracle in
+    ``tests/kernels_reference.py`` — one set of elementwise expressions
+    keeps the two bit-identical by construction (elementwise float ops are
     shape-independent).
     """
     b, n = out.shape

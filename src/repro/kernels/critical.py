@@ -72,8 +72,8 @@ def _critical_search_impl(
 ) -> float:
     """The search body, free of launch accounting (``critical_searches``).
 
-    Shared by the per-instance entry point above, the packed
-    multi-instance kernel (:func:`repro.kernels.batch.packed_critical`)
+    Shared by the per-instance entry point above, the stacked
+    multi-instance kernel (:func:`repro.kernels.batch.stacked_critical`)
     and the trial kernel (:func:`repro.kernels.sparse.trial_critical`),
     which count one launch for a whole chunk.  Symmetric mode keeps the
     mutual edges and probes with :func:`symmetric_connected_csr`, strong

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from repro.errors import DegreeBoundError, InvalidPointSetError
 from repro.geometry.points import PointSet
@@ -91,6 +93,13 @@ class SpanningTree:
     def _validate_tree(self) -> None:
         n = len(self.points)
         if n == 1:
+            return
+        # n - 1 edges form a spanning tree iff they leave one component: one
+        # scipy call.  The union-find replay runs only to name the failure.
+        graph = csr_matrix(
+            (np.ones(n - 1), (self.edges[:, 0], self.edges[:, 1])), shape=(n, n)
+        )
+        if connected_components(graph, directed=False, return_labels=False) == 1:
             return
         uf = UnionFind(n)
         for u, v in self.edges:
@@ -176,22 +185,28 @@ def kruskal_on_edges(
     """Kruskal over candidate edges; returns the chosen ``(n-1, 2)`` edges.
 
     Ties are broken deterministically by (weight, u, v) so repeated runs give
-    identical trees.
+    identical trees.  Each candidate's 1-based rank in that order is its
+    weight for ``scipy``'s minimum spanning tree: the ranks are distinct
+    integers, exact in float64, so the minimum spanning tree is unique and
+    is Kruskal's; the chosen edges come back in rank order, Kruskal's
+    output order.
     """
     cand = np.asarray(cand, dtype=np.int64).reshape(-1, 2)
     cand = np.sort(cand, axis=1)
     order = np.lexsort((cand[:, 1], cand[:, 0], weights))
-    uf = UnionFind(n)
-    out = []
-    for idx in order:
-        u, v = int(cand[idx, 0]), int(cand[idx, 1])
-        if uf.union(u, v):
-            out.append((u, v))
-            if len(out) == n - 1:
-                break
-    if len(out) != n - 1:
+    ranked = cand[order]
+    # Kruskal takes a pair's first occurrence in rank order and never a
+    # loop; only those enter the graph.  Their keys come out of np.unique
+    # sorted by (u, v): already the CSR's row order.
+    _, first = np.unique(ranked[:, 0] * np.int64(n) + ranked[:, 1], return_index=True)
+    first = first[ranked[first, 0] != ranked[first, 1]]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ranked[first, 0], minlength=n), out=indptr[1:])
+    graph = csr_matrix((first + 1.0, ranked[first, 1], indptr), shape=(n, n))
+    tree = minimum_spanning_tree(graph, overwrite=True)
+    if tree.nnz != n - 1:
         raise InvalidPointSetError("candidate edges do not connect the point set")
-    return np.asarray(out, dtype=np.int64)
+    return ranked[np.sort(tree.data).astype(np.int64) - 1]
 
 
 def prim_mst_edges(coords: np.ndarray) -> np.ndarray:
@@ -238,7 +253,11 @@ def _delaunay_candidate_edges(coords: np.ndarray) -> np.ndarray | None:
         [simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]]
     )
     e = np.sort(e, axis=1)
-    return np.unique(e, axis=0)
+    # One int64 key per edge, u·n + v: sorted unique keys are the rows of
+    # np.unique(e, axis=0), in the same (u, v) order.
+    n = np.int64(coords.shape[0])
+    keys = np.unique(e[:, 0].astype(np.int64) * n + e[:, 1])
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def euclidean_mst(

@@ -15,7 +15,8 @@ fingerprints or row bytes:
 
 :func:`gc_store`
     Drop superseded artifacts: stale ``.json.tmp`` files, and plans with
-    zero checkpointed instances (or one named plan in its entirety).
+    zero checkpointed instances that no worker will still run (or one
+    named plan in its entirety).
 
 Both read rows through the store's one row reader, return small report
 dataclasses and support ``dry_run``.  Neither touches a plan while a shard
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from repro.engine.cache import CacheStats
 from repro.engine._spec import Shard
-from repro.store.coordination import ClaimInfo, claim_is_stale, claims_for
+from repro.store.coordination import ClaimInfo, claim_is_stale, claims_for, queue_entry
 from repro.store.ledger import _ROW_TYPES, RunStore, StoreError, _read_rows, _row_type_for
 
 __all__ = ["CompactReport", "GcReport", "compact_plan", "gc_store"]
@@ -173,8 +174,10 @@ def gc_store(
     (every file of it), and refuses while a live claim holds a shard of
     it.  Without one, removes every plan that never checkpointed an
     instance (zero rows across all its ledgers), skipping plans with a
-    live claim.  Never rewrites a surviving file, so fingerprints and row
-    bytes are stable.
+    live claim and plans still queued for workers (a queue marker: work
+    not started yet is not garbage) unless they are cancelled, since no
+    worker runs a cancelled plan.  Never rewrites a surviving file, so
+    fingerprints and row bytes are stable.
     """
     if plan_key is not None:
         key, _request = store.load_request(plan_key)
@@ -186,6 +189,7 @@ def gc_store(
             for key in store.plan_keys()
             if not store.rows_for(store.load_request(key)[1])
             and _live_claim(store, key) is None
+            and (queue_entry(store, key) is None or store.is_cancelled(key))
         ]
     removed = sorted(store.run_dir.glob("*.tmp"))
     removed += [path for key in doomed for path in store.plan_files(key)]

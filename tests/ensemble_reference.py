@@ -16,14 +16,10 @@ from repro.ensemble.trials import (
     _realized_ranges,
     draw_trials,
 )
-from repro.kernels.batch import (
-    PackedPolarTables,
-    packed_connected,
-    packed_coverage,
-    packed_critical,
-)
+from repro.kernels.batch import PackedPolarTables
 from repro.kernels.instrument import COUNTERS
 from repro.utils.rng import indexed_uniforms
+from tests.kernels_reference import packed_connected, packed_coverage, packed_critical
 
 _TWO_PI = 2.0 * np.pi
 

@@ -11,6 +11,12 @@ against the vectorized kernels and assert bit-identical results — do not
 sweep path: every instance measured on its own through
 :func:`repro.engine.run_instance_grid`.
 
+:func:`packed_coverage`, :func:`packed_connected` and :func:`packed_critical`
+are the padded ``(M, n_max, n_max)`` multi-instance kernels the sweep
+measured chunks with before it measured them over stacked candidate pairs;
+``tests/ensemble_reference.py``, the replaced dense ensemble path, runs on
+them.
+
 Not imported by the library itself (tests/benchmarks only), so the import
 direction kernels → graph here does not create a cycle with
 ``repro.graph.digraph``'s counter instrumentation.
@@ -26,6 +32,10 @@ from repro.geometry.angles import TWO_PI, angle_of, ccw_angle
 from repro.geometry.points import PointSet
 from repro.graph.digraph import DiGraph
 from repro.kernels.backend import use_backend
+from repro.kernels.batch import PackedPolarTables
+from repro.kernels.connectivity import union_connected
+from repro.kernels.coverage import _fill_block
+from repro.kernels.critical import _critical_search_impl
 from repro.kernels.instrument import COUNTERS
 
 __all__ = [
@@ -35,6 +45,9 @@ __all__ = [
     "bfs_strongly_connected",
     "symmetric_connected_loop",
     "per_instance_sweep",
+    "packed_coverage",
+    "packed_connected",
+    "packed_critical",
 ]
 
 
@@ -230,3 +243,125 @@ def per_instance_sweep(request, backend=None):
             )
             facts.append(instance_facts)
     return records, facts, active.name
+
+
+#: Same per-block element budget as the single-instance coverage kernel.
+_BLOCK_ELEMS = 262_144
+
+
+def packed_coverage(
+    tables: PackedPolarTables,
+    inst_idx: np.ndarray,
+    sensor_idx: np.ndarray,
+    start: np.ndarray,
+    spread: np.ndarray,
+    radius: np.ndarray,
+    *,
+    eps: float = 1e-9,
+    ignore_radius: bool = False,
+) -> np.ndarray:
+    """Boolean ``(M, n_max, n_max)`` coverage of a chunk-flattened antenna set.
+
+    ``inst_idx[a]`` names the instance antenna ``a`` belongs to; the other
+    per-antenna arrays are the usual ``flattened()`` columns.  One
+    ``coverage_calls`` launch for the whole chunk.  ``cover[m]`` restricted
+    to the valid block is bit-identical to the per-instance kernel; pad
+    rows/columns and the diagonal are always False.
+    """
+    m, n_max = tables.m, tables.n_max
+    cover = np.zeros((m, n_max, n_max), dtype=bool)
+    a = int(inst_idx.shape[0])
+    if a == 0 or n_max == 0:
+        return cover
+    COUNTERS.coverage_calls += 1
+    COUNTERS.sector_evals += a * n_max
+
+    # Group key over (instance, sensor); reduceat needs contiguous runs.
+    inst_idx = np.asarray(inst_idx, dtype=np.int64)
+    sensor_idx = np.asarray(sensor_idx, dtype=np.int64)
+    key = inst_idx * n_max + sensor_idx
+    if np.any(np.diff(key) < 0):
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        inst_idx, sensor_idx = inst_idx[order], sensor_idx[order]
+        start, spread, radius = start[order], spread[order], radius[order]
+
+    ang = tables.ang[inst_idx, sensor_idx]  # (a, n_max) gathers
+    dist = tables.dist[inst_idx, sensor_idx]
+    valid = np.arange(n_max, dtype=np.int64)[None, :] < tables.counts[inst_idx][:, None]
+
+    hit = np.empty((a, n_max), dtype=bool)
+    block = max(1, _BLOCK_ELEMS // max(n_max, 1))
+    for lo in range(0, a, block):
+        hi = min(lo + block, a)
+        _fill_block(ang[lo:hi], dist[lo:hi], start[lo:hi], spread[lo:hi],
+                    radius[lo:hi], eps, ignore_radius, hit[lo:hi])
+    # Pad columns carry garbage polar entries (offsets against zero-padded
+    # coords) — ``dist > 0`` does NOT exclude them, so mask explicitly.
+    hit &= valid
+
+    groups, first = np.unique(key, return_index=True)
+    cover[groups // n_max, groups % n_max] = np.logical_or.reduceat(hit, first, axis=0)
+    diag = np.arange(n_max)
+    cover[:, diag, diag] = False
+    return cover
+
+
+def packed_connected(
+    cover: np.ndarray, counts: np.ndarray, *, mode: str = "strong"
+) -> np.ndarray:
+    """Per-instance connectivity under ``mode``, one component call per chunk.
+
+    Builds the block-diagonal union graph of all instances and runs a
+    single ``connected_components`` call; instance ``m`` is connected iff
+    the labels inside its vertex block are constant.  No cross-instance
+    edges exist, so this is exactly the per-instance answer.  Strong mode
+    asks strong connectivity of the coverage digraph; symmetric mode first
+    keeps the mutual edges (elementwise AND with the per-instance
+    transpose) and asks undirected connectivity.  Instances with
+    ``counts[m] <= 1`` are trivially connected.
+    """
+    connection = "strong"
+    if mode == "symmetric":
+        cover = cover & cover.swapaxes(1, 2)
+        connection = "weak"
+    counts = np.asarray(counts, dtype=np.int64)
+    base = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
+    mi, u, v = np.nonzero(cover)  # pads and diagonal are already False
+    src = base[mi] + u  # row-major: already sorted by union vertex
+    indptr = np.zeros(int(base[-1]) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=int(base[-1])), out=indptr[1:])
+    return union_connected(counts, indptr, base[mi] + v, connection=connection)
+
+
+def packed_critical(
+    tables: PackedPolarTables,
+    cover_ang: np.ndarray,
+    *,
+    eps: float = 1e-9,
+    mode: str = "strong",
+) -> np.ndarray:
+    """Per-instance critical range under ``mode`` from an angular coverage chunk.
+
+    ``cover_ang`` is the ``ignore_radius=True`` packed coverage.  One
+    ``critical_searches`` launch for the whole chunk; each instance runs
+    the identical search body as :func:`critical_range_search` on the same
+    edge arrays, so results are bit-identical (``0.0`` for ``n <= 1``,
+    ``inf`` when deficient).
+    """
+    counts = tables.counts
+    m = int(counts.shape[0])
+    out = np.empty(m, dtype=float)
+    COUNTERS.critical_searches += 1
+    for i in range(m):
+        n = int(counts[i])
+        if n <= 1:
+            out[i] = 0.0
+            continue
+        src, dst = np.nonzero(cover_ang[i, :n, :n])
+        if src.shape[0] == 0:
+            out[i] = np.inf
+            continue
+        dists = tables.dist[i][src, dst]
+        out[i] = _critical_search_impl(n, src, dst, dists, eps, mode)
+    return out

@@ -13,12 +13,18 @@ kernel *work counters* (one packed launch per chunk instead of one launch
 per instance), never wall-clock.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import batched_orientation_metrics
 from repro.antenna.coverage import coverage_matrix, critical_range, graph_from_cover
 from repro.antenna.model import AntennaAssignment
-from repro.engine import GridCell, PlanRequest, Scenario, execute_plan
+from repro.core.result import OrientationResult
+from repro.core.symmetric import orient_for_mode
+from repro.engine import GridCell, PlanRequest, Scenario, execute_plan, run_instance_grid
 from repro.engine._spec import FrontierRequest
 from repro.engine.cache import ArtifactCache
 from repro.ensemble.trials import measure_columns
@@ -29,15 +35,14 @@ from repro.kernels import (
     BackendUnavailable,
     active_backend,
     pack_instances,
-    packed_connected,
-    packed_coverage,
-    packed_critical,
     polar_tables,
     resolve_backend,
     use_backend,
 )
 from repro.kernels.backend import SPARSE_AUTO_ENV_VAR
+from repro.kernels.batch import packed_candidates
 from repro.kernels.instrument import recording
+from repro.spanning.emst import euclidean_mst
 from repro.store import plan_fingerprint, request_to_dict
 from tests.kernels_reference import (
     bfs_strongly_connected,
@@ -104,6 +109,25 @@ def assert_same_float(got, want):
     assert got == want or (got != got and want != want)
 
 
+def unique_lmax(coords) -> float:
+    """The EMST's longest edge over the distinct points of ``coords``."""
+    distinct = np.unique(coords, axis=0)
+    return euclidean_mst(distinct).lmax if distinct.shape[0] > 1 else 0.0
+
+
+def sector_result(coords, assignment, lmax):
+    """``assignment`` as an orientation result, measured in units of ``lmax``.
+
+    The points stay raw coordinates, which the measurement loop accepts:
+    a :class:`~repro.geometry.points.PointSet` refuses the coincident
+    points some degenerate layouts hold.
+    """
+    return OrientationResult(
+        coords, assignment, np.empty((0, 2), dtype=np.int64), k=1,
+        phi=TWO_PI, range_bound=2.0, lmax=lmax, algorithm="random-sectors",
+    )
+
+
 def sparse_route(coords, assignment):
     """``(edges, connected, critical)`` of one unperturbed trial of the
     measurement loop over kd-tree candidates."""
@@ -161,36 +185,25 @@ class TestBackendParity:
     @pytest.mark.parametrize("per_sensor", [1, 2])
     def test_packed_kernels_match_per_instance(self, backend_name, per_sensor):
         """A chunk split as the engine splits it: dense-routed instances
-        through the packed kernels, one launch per kernel, the rest through
-        the sparse path."""
+        measured together by :func:`batched_orientation_metrics`, one
+        launch per kernel, the rest through the sparse path."""
         coords_list = list(degenerate_instances().values())
         assignments = [
             make_sectors(np.random.default_rng(1000 + 7 * i + per_sensor),
                          coords.shape[0], per_sensor)
             for i, coords in enumerate(coords_list)
         ]
+        lmaxes = [unique_lmax(coords) for coords in coords_list]
         with use_backend(backend_name) as backend:
             dense = [i for i, c in enumerate(coords_list)
                      if not backend.use_sparse(c.shape[0])]
             batch = pack_instances([coords_list[i] for i in dense])
             tables = ArtifactCache().packed_polar(batch)
-            columns = [assignments[i].flattened() for i in dense]
-            inst_idx = np.concatenate([
-                np.full(c[0].shape[0], j, dtype=np.int64)
-                for j, c in enumerate(columns)
-            ])
-            sensor_idx, start, spread, radius = (
-                np.concatenate(col) for col in zip(*columns)
+            metrics = batched_orientation_metrics(
+                [sector_result(coords_list[i], assignments[i], lmaxes[i])
+                 for i in dense],
+                tables, packed_candidates(tables, [lmaxes[i] for i in dense]),
             )
-            cover = packed_coverage(
-                tables, inst_idx, sensor_idx, start, spread, radius
-            )
-            cover_ang = packed_coverage(
-                tables, inst_idx, sensor_idx, start, spread, radius,
-                ignore_radius=True,
-            )
-            connected = packed_connected(cover, batch.counts)
-            critical = packed_critical(tables, cover_ang)
             sparse = {
                 i: sparse_route(coords_list[i], assignments[i])
                 for i in range(len(coords_list)) if i not in dense
@@ -199,21 +212,21 @@ class TestBackendParity:
 
         for i, coords in enumerate(coords_list):
             n = coords.shape[0]
-            ref_cover, ref_cover_ang, ref_sc, ref_cr = oracle_outputs(
-                coords, assignments[i]
-            )
+            ref_cover, _, ref_sc, ref_cr = oracle_outputs(coords, assignments[i])
             if i in sparse:
                 edges, sc, cr = sparse[i]
-                assert edges == int(ref_cover.sum())
             else:
                 j = dense.index(i)
                 ref_tables = polar_tables(coords)
                 assert np.array_equal(tables.dist[j, :n, :n], ref_tables.dist)
                 assert np.array_equal(tables.ang[j, :n, :n], ref_tables.ang)
-                assert np.array_equal(cover[j, :n, :n], ref_cover)
-                assert not cover[j, n:, :].any() and not cover[j, :, n:].any()
-                assert np.array_equal(cover_ang[j, :n, :n], ref_cover_ang)
-                sc, cr = bool(connected[j]), float(critical[j])
+                edges, sc = metrics[j].edges, metrics[j].strongly_connected
+                # Metrics report lmax units: compare with the oracle's range
+                # divided the same way.
+                cr = metrics[j].critical_range
+                if lmaxes[i] > 0:
+                    ref_cr /= lmaxes[i]
+            assert edges == int(ref_cover.sum())
             assert sc == ref_sc
             assert_same_float(cr, ref_cr)
 
@@ -324,6 +337,126 @@ class TestBatchedExecution:
         execute_plan(request, store=store)
         rows = store.load_rows(plan_fingerprint(request))
         assert rows and all(row.backend == "numpy" for row in rows.values())
+
+    def test_chunk_tables_are_released_when_their_chunk_ends(self, monkeypatch):
+        """No sub-batch's packed tables or stacked pairs are alive when the
+        next one is built, nor after the sweep, though its cache is."""
+        import repro.engine.executor as executor_module
+        import repro.kernels.backend as backend_module
+
+        alive = []  # weak references to every chunk artifact built so far
+
+        def tracked(build, array_of, *, first):
+            def wrapper(*args):
+                if first:  # a new sub-batch: the earlier ones are gone
+                    gc.collect()
+                    assert all(ref() is None for ref in alive)
+                out = build(*args)
+                alive.append(weakref.ref(array_of(out)))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(backend_module, "packed_polar_tables", tracked(
+            backend_module.packed_polar_tables, lambda tables: tables.dist,
+            first=True))
+        monkeypatch.setattr(executor_module, "packed_candidates", tracked(
+            executor_module.packed_candidates, lambda cand: cand.pairs.dist,
+            first=False))
+        # Two n = 10 instances per sub-batch: several sub-batches per chunk.
+        monkeypatch.setattr(executor_module, "_BATCH_MAX_ELEMS", 200)
+        cache = ArtifactCache()
+        execute_plan(many_instance_request(seeds=12), cache=cache)
+        assert len(alive) == 2 * 8  # tables and pairs of 8 sub-batches (4 chunks)
+        gc.collect()
+        assert all(ref() is None for ref in alive)
+
+
+def spider(arms=3, joints=2):
+    """A spider of unit-spaced legs around one centre point.
+
+    Its EMST is the spider itself (lmax = 1).  With three legs of two
+    joints no k = 1 tour stays within 2·lmax: within 2, each leg's tip
+    reaches only its own leg and the centre, and the centre cannot
+    neighbour all three tips in a cycle.
+    """
+    angles = 2.0 * np.pi * np.arange(arms) / arms
+    legs = [
+        np.stack([j * np.cos(angles), j * np.sin(angles)], axis=1)
+        for j in range(1, joints + 1)
+    ]
+    return np.concatenate([np.zeros((1, 2)), *legs])
+
+
+def mixed_chunk():
+    """One chunk of n = 1, 2, 3, 7 and 40 with the degenerate layouts.
+
+    The coincident point of ``random-17`` is dropped: instances of a sweep
+    are point sets (``test_packed_kernels_match_per_instance`` covers
+    coincident points).
+    """
+    rng = np.random.default_rng(2024)
+    layouts = [np.unique(c, axis=0) for c in degenerate_instances().values()]
+    return layouts + [rng.uniform(0, 4, (3, 2)), spider(),
+                      rng.uniform(0, 10, (40, 2))]
+
+
+MIXED_GRID = (
+    GridCell(1, 0.0), GridCell(1, np.pi), GridCell(2, 2 * np.pi / 3),
+    GridCell(5, 0.0), GridCell(2, 2 * np.pi),
+)
+
+
+@pytest.mark.parametrize("mode", ["strong", "symmetric"])
+@pytest.mark.parametrize("compute_critical", [True, False])
+def test_mixed_chunk_matches_per_instance(monkeypatch, mode, compute_critical):
+    """A chunk of every size and layout, measured per grid cell over its
+    stacked pairs, equals the per-instance path bit for bit.  The spider's
+    k = 1 tour needs more than its cutoff, so it is measured again on its
+    own; the infeasible symmetric cells are ``inf``."""
+    import repro.ensemble.trials as trials_module
+
+    coords_list = mixed_chunk()
+    cache = ArtifactCache()
+    reference = [
+        run_instance_grid(c, MIXED_GRID, compute_critical=compute_critical,
+                          cache=cache, mode=mode)[0]
+        for c in coords_list
+    ]
+    points = [cache.pointset(c) for c in coords_list]
+    trees = [cache.tree(ps) for ps in points]
+    tables = ArtifactCache().packed_polar(pack_instances(coords_list))
+    candidates = packed_candidates(tables, [tree.lmax for tree in trees])
+
+    fallbacks = []  # the points of each instance measured again on its own
+
+    def counted(ps, *args, **kwargs):
+        fallbacks.append(ps)
+        return measure_columns(ps, *args, **kwargs)
+
+    monkeypatch.setattr(trials_module, "measure_columns", counted)
+    masks = 2 if compute_critical else 1
+    for ci, cell in enumerate(MIXED_GRID):
+        results = [
+            orient_for_mode(ps, cell.k, cell.phi, mode=mode, tree=tree)
+            for ps, tree in zip(points, trees)
+        ]
+        fallbacks.clear()
+        with recording() as rec:
+            got = batched_orientation_metrics(
+                results, tables, candidates, compute_critical=compute_critical,
+                mode=mode,
+            )
+        for m, ref in zip(got, reference):
+            assert m.identical(ref[ci]), (cell, m, ref[ci])
+        assert rec.coverage_calls == masks * (1 + len(fallbacks)) + rec.rcut_widenings
+        if mode == "strong" and cell == GridCell(1, 0.0):
+            assert [ps is points[-2] for ps in fallbacks] == [True]  # the spider
+        # Cut-off sensors prove the infeasible cells' inf ranges in the
+        # chunk; only a range beyond the cutoff is measured again.
+        assert len(fallbacks) <= 1
+    if mode == "symmetric" and compute_critical:
+        infeasible = [ref[0].critical_range for ref in reference]
+        assert np.isinf(infeasible).sum() >= 3
 
 
 # -- the sparse backend and the auto rule ------------------------------------------

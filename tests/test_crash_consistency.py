@@ -28,6 +28,7 @@ from repro.store import (
     StoreError,
     claim_shard,
     compact_plan,
+    dequeue,
     enqueue,
     gc_store,
     is_shard_dead,
@@ -204,8 +205,17 @@ class TestMaintenanceUnderLiveClaim:
         assert gc_store(store).removed == []
         assert sorted(run_dir.iterdir()) == files
         release_shard(store, key, Shard())
-        assert {p.name for p in gc_store(store).removed} == {
-            p.name for p in files[1:]
+        # Queued for workers, no claim: still not garbage.
+        assert gc_store(store).removed == []
+        assert sorted(run_dir.iterdir()) == files[1:]
+        dequeue(store, key)
+        assert [p.name for p in gc_store(store).removed] == [files[1].name]
+        assert not list(run_dir.iterdir())
+        # Cancelled before any worker claimed it: no worker will run it.
+        assert enqueue(store, request) == key
+        store.cancel(key)
+        assert {p.name.split("-")[0] for p in gc_store(store).removed} == {
+            "cancel", "plan", "queue"
         }
         assert not list(run_dir.iterdir())
 
