@@ -8,10 +8,12 @@ Two entry points: :func:`orientation_metrics` measures a single result as
 one unperturbed trial of the candidate-pair loop every Monte-Carlo chunk
 runs (:func:`repro.ensemble.trials.measure_columns`), on either route;
 :func:`batched_orientation_metrics` measures a whole chunk of dense-routed
-instances' results with the same kernels over the chunk's stacked
-candidate pairs (:mod:`repro.kernels.batch`) — one kernel launch per
-measurement for the chunk, and the same certificates, so the values are
-the per-instance ones bit for bit.
+instances' results, each with its own polar tables, with the same kernels
+over the chunk's stacked candidate pairs (:mod:`repro.kernels.batch`) —
+one kernel launch per measurement for the chunk, and the same
+certificates, so the values are the per-instance ones bit for bit.  An
+instance a chunk cannot certify is measured again by the loop on its own
+tables.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.core.result import OrientationResult
 from repro.kernels.backend import active_backend
 from repro.kernels.batch import (
     PackedCandidates,
-    PackedPolarTables,
     stacked_connected,
     stacked_critical,
 )
@@ -163,7 +164,7 @@ def orientation_metrics(
 
 def batched_orientation_metrics(
     results: Sequence[OrientationResult],
-    tables: PackedPolarTables,
+    tables: Sequence[PolarTables],
     candidates: PackedCandidates,
     *,
     compute_critical: bool = True,
@@ -172,10 +173,10 @@ def batched_orientation_metrics(
 ) -> list[OrientationMetrics]:
     """Measure one grid cell's results for a whole chunk of instances.
 
-    ``results[m]`` must be the orientation of instance ``m`` of the chunk
-    whose packed polar geometry ``tables`` is (from
+    ``results[m]`` must be the orientation of instance ``m`` of the chunk,
+    ``tables[m]`` that instance's polar tables (from
     :meth:`~repro.engine.cache.ArtifactCache.packed_polar`), and
-    ``candidates`` its stacked candidate pairs
+    ``candidates`` the chunk's stacked candidate pairs
     (:func:`~repro.kernels.batch.packed_candidates`), which every grid
     cell of the chunk shares.  The chunk is measured with one coverage
     launch per mask, one connectivity launch and one critical-range
@@ -189,17 +190,17 @@ def batched_orientation_metrics(
     a cut-off sensor (:func:`~repro.ensemble.trials.unperturbed_cut_off`)
     — unless the cutoff holds every pair of the instance, where every
     answer is exact.  An instance that fails is measured again by
-    ``measure_columns`` on a :class:`PolarTables` view of its packed
-    block, which widens the cutoff.  The values therefore equal
-    :func:`orientation_metrics`' per instance, bit for bit.
+    ``measure_columns`` on its own tables, which widens the cutoff.  The
+    values therefore equal :func:`orientation_metrics`' per instance, bit
+    for bit.
     """
     # Lazy: avoids an import cycle.
     from repro.ensemble.trials import measure_columns, unperturbed_cut_off
 
     backend = active_backend()
     m = len(results)
-    if m != tables.m:
-        raise ValueError(f"{m} results for a chunk of {tables.m} instances")
+    if m != len(tables):
+        raise ValueError(f"{m} results for a chunk of {len(tables)} instances")
     if m == 0:
         return []
     pairs, base = candidates.pairs, candidates.base
@@ -227,20 +228,19 @@ def batched_orientation_metrics(
         value = float(critical_abs[i])
         if need <= r_cut and (value == 0.0 or certified_cutoff(value, 1.0, eps) <= r_cut):
             continue
-        n = len(result.points)
-        view = PolarTables(tables.dist[i, :n, :n], tables.ang[i, :n, :n])
-        if required_cutoff(float(view.dist.max()), eps) <= r_cut:
+        own = tables[i]
+        if required_cutoff(float(own.dist.max()), eps) <= r_cut:
             continue  # every pair is a candidate: exact as measured
         if need <= r_cut and np.isinf(value):
             lo, hi = pairs.indptr[base[i]], pairs.indptr[base[i + 1]]
             e = lo + np.flatnonzero(cover_ang[0, lo:hi])
             if unperturbed_cut_off(
-                result.points.coords, view, *columns[i][:3],
+                result.points.coords, own, *columns[i][:3],
                 pairs.src[e] - base[i], pairs.indices[e] - base[i], eps=eps,
             ):
                 continue  # a cut-off sensor proves the inf
         own_cover, own_connected, own_critical = measure_columns(
-            result.points, view, *columns[i], lmax=result.lmax,
+            result.points, own, *columns[i], lmax=result.lmax,
             want_critical=compute_critical, eps=eps, mode=mode,
         )
         edges[i] = np.count_nonzero(own_cover)

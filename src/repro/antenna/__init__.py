@@ -5,7 +5,6 @@ from repro.antenna.coverage import (
     transmission_graph,
     coverage_matrix,
     critical_range,
-    covered_pairs,
 )
 from repro.antenna.validate import OrientationIssue, validate_assignment
 
@@ -14,7 +13,6 @@ __all__ = [
     "transmission_graph",
     "coverage_matrix",
     "critical_range",
-    "covered_pairs",
     "OrientationIssue",
     "validate_assignment",
 ]

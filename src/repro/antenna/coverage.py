@@ -4,10 +4,13 @@ The paper's model: a directed edge ``(u, v)`` exists iff ``v`` lies within
 the spread and range of some antenna at ``u``.  All heavy lifting happens
 in :mod:`repro.kernels`: the batched coverage kernel evaluates every
 ``k·n`` sector against the shared :class:`~repro.kernels.geometry.PolarTables`
-in pure array ops, and the critical-range search bisects a once-sorted edge
-list with zero per-probe graph rebuilds.  Pass ``tables=`` (e.g. from the
-engine's :class:`~repro.engine.cache.ArtifactCache`) to share the polar
-geometry across calls on the same point set.
+in pure array ops, and :func:`critical_range` is one unperturbed trial of
+the candidate-pair measurement loop
+(:func:`repro.ensemble.trials.measure_columns`), whose search bisects a
+once-sorted edge list with zero per-probe graph rebuilds.  Pass
+``tables=`` (e.g. from the engine's
+:class:`~repro.engine.cache.ArtifactCache`) to share the polar geometry
+across calls on the same point set.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ import numpy as np
 from repro.antenna.model import AntennaAssignment
 from repro.geometry.points import PointSet
 from repro.graph.digraph import DiGraph
+from repro.kernels.backend import active_backend
 from repro.kernels.coverage import batched_coverage
-from repro.kernels.critical import critical_range_search
 from repro.kernels.geometry import PolarTables, polar_tables
+from repro.kernels.sparse import SparsePolarTables
 
 __all__ = [
     "coverage_matrix",
     "graph_from_cover",
     "transmission_graph",
-    "covered_pairs",
     "critical_range",
 ]
 
@@ -49,15 +52,13 @@ def coverage_matrix(
     assignment: AntennaAssignment,
     *,
     eps: float = 1e-9,
-    ignore_radius: bool = False,
     tables: PolarTables | None = None,
 ) -> np.ndarray:
     """Boolean ``(n, n)`` matrix: ``M[u, v]`` iff some antenna of u covers v.
 
-    ``ignore_radius=True`` tests angular containment only (used by
-    :func:`critical_range` to enumerate candidate edges).  ``tables`` is the
-    optional precomputed polar geometry; without it the tables are built
-    once for this call.
+    ``tables`` is the optional precomputed polar geometry; without it the
+    tables are built once for this call.  Angular containment alone is the
+    matrix of ``assignment.with_uniform_radius(np.inf)``.
     """
     coords = _points_arr(points)
     n = coords.shape[0]
@@ -73,7 +74,6 @@ def coverage_matrix(
         spread,
         radius,
         eps=eps,
-        ignore_radius=ignore_radius,
     )
 
 
@@ -99,57 +99,44 @@ def transmission_graph(
     return graph_from_cover(coverage_matrix(points, assignment, eps=eps, tables=tables))
 
 
-def covered_pairs(
-    points,
-    assignment: AntennaAssignment,
-    *,
-    eps: float = 1e-9,
-    tables: PolarTables | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Angularly-covered ordered pairs and their distances (radius ignored).
-
-    Returns ``(pairs, dists)`` where ``pairs`` is ``(m, 2)``; distances are
-    read from the polar tables rather than recomputed per pair.
-    """
-    coords = _points_arr(points)
-    tables = _tables_for(coords, tables)
-    cover = coverage_matrix(
-        points, assignment, eps=eps, ignore_radius=True, tables=tables
-    )
-    src, dst = np.nonzero(cover)
-    if src.size == 0:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=float)
-    return np.stack([src, dst], axis=1), tables.dist[src, dst]
-
-
 def critical_range(
     points,
     assignment: AntennaAssignment,
     *,
     eps: float = 1e-9,
-    tables: PolarTables | None = None,
+    tables: PolarTables | SparsePolarTables | None = None,
     mode: str = "strong",
 ) -> float:
     """Smallest uniform antenna radius making the network connected.
 
-    Keeps every sector's orientation and spread, ignores its stored radius,
-    and bisects over the candidate distances (those of angularly covered
-    pairs) via :func:`~repro.kernels.critical.critical_range_search`: one
-    covered-pairs computation, one sort, O(log m) CSR connectivity probes,
-    and zero per-probe graph constructions (see the kernel counters).
-    ``mode`` selects the objective: strong connectivity of the directed
-    graph (the paper's model) or, for ``"symmetric"``, undirected
-    connectivity of the mutual-coverage graph.
-    Returns ``inf`` if no radius achieves connectivity (the orientations
-    themselves are deficient).
+    Keeps every sector's orientation and spread and bisects over the
+    distances of the angularly covered pairs.  The value is the critical
+    range of one unperturbed trial of
+    :func:`repro.ensemble.trials.measure_columns`, measured without its
+    connectivity flag.  ``tables`` is the shared dense or sparse geometry;
+    without it the active backend's ``use_sparse`` rule picks the route,
+    as :func:`~repro.analysis.metrics.orientation_metrics` does, and dense
+    tables are built here.  The stored radii only pick the first candidate
+    cutoff: the loop's certificates widen it until the value is exact, so
+    it equals the search over all ``n²`` pairs bit for bit, with zero
+    per-probe graph constructions (see the kernel counters).  ``mode``
+    selects the objective: strong connectivity of the directed graph (the
+    paper's model) or, for ``"symmetric"``, undirected connectivity of the
+    mutual-coverage graph.  Returns ``inf`` if no radius achieves
+    connectivity (the orientations themselves are deficient), and ``0.0``
+    for at most one sensor.
 
     This is the honest "measured range" metric reported by the benchmarks:
     for an orientation produced by an algorithm with bound ``r_bound``, the
     paper's claim corresponds to ``critical_range ≤ r_bound · lmax``.
     """
+    from repro.ensemble.trials import measure_columns  # lazy: avoids cycle
+
     coords = _points_arr(points)
-    n = coords.shape[0]
-    if n <= 1:
-        return 0.0
-    pairs, dists = covered_pairs(points, assignment, eps=eps, tables=tables)
-    return critical_range_search(n, pairs, dists, eps=eps, mode=mode)
+    if tables is None and not active_backend().use_sparse(coords.shape[0]):
+        tables = polar_tables(coords)
+    _, _, critical = measure_columns(
+        points, tables, *assignment.flattened(), eps=eps,
+        want_connectivity=False, mode=mode,
+    )
+    return float(critical[0])

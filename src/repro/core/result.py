@@ -7,14 +7,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.antenna.coverage import critical_range, transmission_graph
+from repro.antenna.coverage import transmission_graph
 from repro.antenna.model import AntennaAssignment
 from repro.antenna.validate import ValidationReport, validate_assignment
 from repro.geometry.points import PointSet
 from repro.graph.digraph import DiGraph
-from repro.kernels.backend import active_backend
 from repro.kernels.geometry import PolarTables
-from repro.kernels.instrument import recording
 
 __all__ = ["OrientationResult"]
 
@@ -77,25 +75,6 @@ class OrientationResult:
     def realized_range_normalized(self) -> float:
         """Longest intended edge in multiples of lmax."""
         return self.realized_range() / self.lmax if self.lmax > 0 else 0.0
-
-    def measured_critical_range(
-        self, *, tables: PolarTables | None = None, mode: str = "strong"
-    ) -> float:
-        """Minimal uniform radius achieving connectivity under ``mode`` (absolute).
-
-        Records the kernel work it performed (connectivity probes, graph
-        builds — zero by construction — trig evaluations) under
-        ``stats["critical_range_kernels"]``, tagged with the name of the
-        kernel backend that produced it.  ``tables`` is the optional
-        shared polar geometry (one trig pass per instance when provided).
-        """
-        with recording() as rec:
-            cr = critical_range(self.points, self.assignment, tables=tables, mode=mode)
-        self.stats["critical_range_kernels"] = {
-            "backend": active_backend().name,
-            **rec.as_dict(),
-        }
-        return cr
 
     def max_spread_sum(self) -> float:
         """Largest per-sensor angular sum actually used (radians)."""

@@ -288,6 +288,30 @@ class RequestBase:
                 f"a {type(self).__name__} needs at least one scenario"
             )
 
+    def _init_phi_interval(self) -> None:
+        """Clamp ``phi_lo``/``phi_hi`` and check the φ search interval and
+        its ``tol`` (frontier and threshold-mode ensemble requests)."""
+        object.__setattr__(self, "phi_lo", _clamp_phi(self.phi_lo, "phi_lo"))
+        object.__setattr__(self, "phi_hi", _clamp_phi(self.phi_hi, "phi_hi"))
+        if not self.phi_lo < self.phi_hi:
+            raise InvalidParameterError(
+                f"need phi_lo < phi_hi, got [{self.phi_lo}, {self.phi_hi}]"
+            )
+        if not 0.0 < self.tol < self.phi_hi - self.phi_lo:
+            raise InvalidParameterError(
+                f"tol must be in (0, phi_hi - phi_lo), got {self.tol}"
+            )
+
+    def _init_target(self) -> None:
+        """Store a given ``target`` as a float, refusing NaN and ±inf: NaN
+        would skip both bisection guards (every comparison is False) and
+        fabricate a "located" result at ``phi_hi``."""
+        if self.target is not None:
+            target = float(self.target)
+            if not math.isfinite(target):
+                raise InvalidParameterError(f"target must be finite, got {target}")
+            object.__setattr__(self, "target", target)
+
     def _mode_payload(self, spec: dict[str, Any]) -> dict[str, Any]:
         """Append the connectivity mode to a serialized spec — only when it
         is not the default.  Strong-mode specs keep their historical byte
@@ -525,23 +549,8 @@ class FrontierRequest(RequestBase):
                 f"unknown frontier metric {self.metric!r}; "
                 f"choose from {FRONTIER_METRICS}"
             )
-        object.__setattr__(self, "phi_lo", _clamp_phi(self.phi_lo, "phi_lo"))
-        object.__setattr__(self, "phi_hi", _clamp_phi(self.phi_hi, "phi_hi"))
-        if not self.phi_lo < self.phi_hi:
-            raise InvalidParameterError(
-                f"need phi_lo < phi_hi, got [{self.phi_lo}, {self.phi_hi}]"
-            )
-        if not 0.0 < self.tol < self.phi_hi - self.phi_lo:
-            raise InvalidParameterError(
-                f"tol must be in (0, phi_hi - phi_lo), got {self.tol}"
-            )
-        if self.target is not None:
-            target = float(self.target)
-            # NaN would skip both bisection guards (every comparison is
-            # False) and fabricate a "located" result at phi_hi.
-            if not math.isfinite(target):
-                raise InvalidParameterError(f"target must be finite, got {target}")
-            object.__setattr__(self, "target", target)
+        self._init_phi_interval()
+        self._init_target()
 
     @property
     def search_mode(self) -> str:

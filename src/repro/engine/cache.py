@@ -2,12 +2,12 @@
 
 Planning one instance at several ``(k, φ)`` cells repeats the same expensive
 preprocessing: validating the :class:`PointSet`, building the degree-≤5
-Euclidean MST, the dense pairwise-distance matrix, and the kernel layer's
-``(n, n)`` polar angle/distance tables (the trig every coverage matrix and
-critical-range search reads from).  :class:`ArtifactCache` keys all of them
-on a SHA-256 hash of the raw coordinate bytes, so every cell of a sweep
-after the first is a cache hit — one EMST build and one trig pass per
-instance, regardless of grid size.
+Euclidean MST, and the kernel layer's geometry — the ``(n, n)`` polar
+angle/distance tables or the radius-bounded candidate pairs every
+measurement reads from.  :class:`ArtifactCache` keys all of them on a
+SHA-256 hash of the raw coordinate bytes, so every cell of a sweep after
+the first is a cache hit — one EMST build and one trig pass per instance,
+regardless of grid size.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.points import PointSet, pairwise_distances
+from repro.geometry.points import PointSet
 from repro.kernels import backend as kernel_backend
-from repro.kernels.batch import BatchedInstances, PackedPolarTables
 from repro.kernels.geometry import PolarTables, polar_tables
 from repro.kernels.sparse import (
     SparsePolarTables,
@@ -55,6 +54,9 @@ class CacheStats:
     misses: int = 0
     pointset_builds: int = 0
     tree_builds: int = 0
+    #: Always 0: the cache builds no dense distance matrix (distances come
+    #: from the polar or candidate tables).  Kept because every ledgered
+    #: row's ``cache`` dict carries it, so rows stay byte-identical.
     distance_builds: int = 0
     polar_builds: int = 0
     sparse_polar_builds: int = 0
@@ -104,7 +106,6 @@ class CacheStats:
 class _Entry:
     pointset: PointSet
     tree: SpanningTree | None = None
-    distances: np.ndarray | None = None
     polar: PolarTables | None = None
     #: Radius-bounded candidate tables, keyed by their cutoff: a sweep's
     #: grid cells share one default-cutoff artifact, while the widening
@@ -166,14 +167,6 @@ class ArtifactCache:
             self.stats.tree_builds += 1
         return entry.tree
 
-    def distances(self, coords) -> np.ndarray:
-        """The dense ``(n, n)`` pairwise-distance matrix (built once)."""
-        entry = self._entry(coords)
-        if entry.distances is None:
-            entry.distances = pairwise_distances(entry.pointset.coords)
-            self.stats.distance_builds += 1
-        return entry.distances
-
     def polar(self, coords) -> PolarTables:
         """The kernel layer's ``(n, n)`` polar angle/distance tables (built once).
 
@@ -209,9 +202,9 @@ class ArtifactCache:
 
         The dense-routed ensemble trials' candidate pairs
         (:func:`~repro.kernels.sparse.dense_candidate_tables`).  Derived
-        without a kd-tree or trig, so, like packed tables, they are not
-        tracked in :class:`CacheStats`: a dense ensemble's ledgered cache
-        deltas stay those of the artifacts it builds.  Kept on the
+        without a kd-tree or trig, so, like a sweep chunk's tables, they
+        are not tracked in :class:`CacheStats`: a dense ensemble's ledgered
+        cache deltas stay those of the artifacts it builds.  Kept on the
         instance's entry when ``coords`` has one.
         """
         entry = self._entries.get(content_hash(coords))
@@ -223,9 +216,12 @@ class ArtifactCache:
                 entry.candidates[key] = cached
         return cached
 
-    def packed_polar(self, batch: BatchedInstances) -> PackedPolarTables:
-        """Packed polar tables for a whole chunk, built for the caller alone.
+    def packed_polar(self, coords_list) -> list[PolarTables]:
+        """Each instance's polar tables for a whole chunk, built for the
+        caller alone.
 
+        ``coords_list`` holds the chunk's ``(n, 2)`` coordinate arrays; the
+        result is one :class:`PolarTables` per instance, in order.
         Chunk-scoped: no later chunk reuses them, so the cache keeps no
         reference and they are freed as soon as the caller's sub-batch
         drops them.  Deliberately NOT tracked in :class:`CacheStats`
@@ -234,11 +230,11 @@ class ArtifactCache:
         ledgered totals depend on how a run was chunked — breaking the
         restart-invariance guarantee (a resumed run reports the same stats
         as an uninterrupted one).  Their accounting lives in the kernel
-        counters instead (``packed_polar_builds``, ``batched_instances``),
-        which are launch-level by design.
+        counters instead (``packed_polar_builds``, ``batched_instances``,
+        and each instance's ``polar_builds``).
         """
         # Called through the module attribute perfbench/tracing.py wraps.
-        return kernel_backend.packed_polar_tables(batch)
+        return kernel_backend.packed_polar_tables(coords_list)
 
     def clear(self) -> None:
         self._entries.clear()

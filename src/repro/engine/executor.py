@@ -46,7 +46,7 @@ from repro.engine._spec import GridCell, PlanRequest, Scenario, Shard
 from repro.experiments.harness import aggregate_rows
 from repro.geometry.points import max_pairwise_distance
 from repro.kernels.backend import active_backend, resolve_backend, use_backend
-from repro.kernels.batch import pack_instances, packed_candidates
+from repro.kernels.batch import packed_candidates
 from repro.kernels.sparse import default_instance_cutoff
 
 __all__ = [
@@ -422,11 +422,11 @@ def assemble(
 
 # -- the sweep kind ----------------------------------------------------------------
 
-#: Cap on ``m * n_max**2`` elements per packed batch: a sub-batch of this
-#: size costs ~64 MB in float64 polar tables, so huge-n chunks degrade to
-#: smaller launches instead of exhausting memory.  Sub-batch boundaries are
-#: a pure function of the chunk's contents, so metrics stay bit-identical
-#: and counter totals stay reproducible for a given chunking.
+#: Cap on ``m * n_max**2`` elements per sub-batch: a sub-batch of this
+#: size costs at most ~64 MB in float64 polar tables, so huge-n chunks
+#: degrade to smaller launches instead of exhausting memory.  Sub-batch
+#: boundaries are a pure function of the chunk's contents, so metrics stay
+#: bit-identical and counter totals stay reproducible for a given chunking.
 _BATCH_MAX_ELEMS = 4_000_000
 
 
@@ -441,8 +441,8 @@ def _sweep_chunk(
     Dense-routed instances are measured together over their stacked
     candidate pairs (:func:`_packed_rows`) and yielded first.
     Sparse-routed instances cannot take that path (it derives the pairs
-    from packed ``(m, n_max, n_max)`` tables); each is measured on its own
-    by :func:`run_instance_grid`, after the packed ones.
+    from each instance's dense ``(n, n)`` tables); each is measured on its
+    own by :func:`run_instance_grid`, after the stacked ones.
     """
     with use_backend(backend_name) as backend:
         dense = [t for t in tasks if not backend.use_sparse(t[3].shape[0])]
@@ -474,15 +474,15 @@ def _packed_rows(
     a time inside per-instance cache-stat delta windows — so ledgered cache
     accounting is identical to the per-instance path — but measurement is
     one kernel launch per grid cell for the whole chunk instead of a
-    Python-level launch per instance.  Each sub-batch's packed polar
-    tables and the candidate pairs derived from them once (see
+    Python-level launch per instance.  Each sub-batch's polar tables (one
+    per instance) and the candidate pairs derived from them once (see
     :func:`~repro.kernels.batch.packed_candidates`) are chunk-scoped: kept
     out of the deltas (see :meth:`ArtifactCache.packed_polar`) and
     released before the next sub-batch is built.
 
     Metrics are bit-identical to the per-instance path.  Elapsed time is
     each instance's own artifact and construction time plus an even share
-    of the fused remainder (packing, chunk kernels, facts), so the
+    of the fused remainder (tables, chunk kernels, facts), so the
     chunk's instances still sum to its wall time.
     """
     grid, mode = request.grid, request.mode
@@ -503,7 +503,7 @@ def _packed_rows(
     parts: list[tuple[_Task, list[OrientationMetrics], dict, dict]] = []
     for base in range(0, len(entries), per):
         sub = entries[base : base + per]
-        tables = cache.packed_polar(pack_instances([ps.coords for _, ps, _, _ in sub]))
+        tables = cache.packed_polar([ps.coords for _, ps, _, _ in sub])
         candidates = packed_candidates(tables, [tree.lmax for _, _, tree, _ in sub])
         cell_metrics: list[list[OrientationMetrics]] = [[] for _ in sub]
         measured: dict[tuple[str, int], int] = {}  # φ-free regime -> cell index
@@ -533,7 +533,7 @@ def _packed_rows(
                 "n": float(n),
                 "lmax": tree.lmax,
                 "mst_weight": tree.total_weight,
-                "diameter": float(tables.dist[j, :n, :n].max()) if n else 0.0,
+                "diameter": float(tables[j].dist.max()) if n else 0.0,
             }
             parts.append((task, cell_metrics[j], facts, delta))
         del tables, candidates  # chunk-scoped: free before the next sub-batch

@@ -42,7 +42,6 @@ from repro.engine._spec import (
     FRONTIER_METRICS,
     GridCell,
     RequestBase,
-    _clamp_phi,
     _scenario_from_dict,
     register_request_kind,
 )
@@ -223,11 +222,7 @@ class EnsembleRequest(RequestBase):
             )
             if self.p_target == 0.0:
                 raise InvalidParameterError("p_target must be > 0")
-        if self.target is not None:
-            target = float(self.target)
-            if not math.isfinite(target):
-                raise InvalidParameterError(f"target must be finite, got {target}")
-            object.__setattr__(self, "target", target)
+        self._init_target()
         if self.ks:
             if any(k < 1 for k in self.ks):
                 raise InvalidParameterError(f"every k must be >= 1, got {self.ks}")
@@ -237,16 +232,7 @@ class EnsembleRequest(RequestBase):
                     "(P(strongly connected) >= p) or target "
                     "(quantile_q(metric) <= target)"
                 )
-            object.__setattr__(self, "phi_lo", _clamp_phi(self.phi_lo, "phi_lo"))
-            object.__setattr__(self, "phi_hi", _clamp_phi(self.phi_hi, "phi_hi"))
-            if not self.phi_lo < self.phi_hi:
-                raise InvalidParameterError(
-                    f"need phi_lo < phi_hi, got [{self.phi_lo}, {self.phi_hi}]"
-                )
-            if not 0.0 < self.tol < self.phi_hi - self.phi_lo:
-                raise InvalidParameterError(
-                    f"tol must be in (0, phi_hi - phi_lo), got {self.tol}"
-                )
+            self._init_phi_interval()
         else:
             if self.p_target is not None or self.target is not None:
                 raise InvalidParameterError(
@@ -280,13 +266,6 @@ class EnsembleRequest(RequestBase):
         Bernoulli success rate against one probability bound.
         """
         return self.p_target if self.p_target is not None else self.quantile
-
-    @property
-    def wants_critical(self) -> bool:
-        """Do trials need the per-trial critical range?"""
-        if self.objective == "curve":
-            return self.compute_critical
-        return self.predicate == "quantile" and self.metric == "critical_range"
 
     @property
     def n_chunks(self) -> int:

@@ -27,7 +27,6 @@ __all__ = [
     "strong_connectivity_certificate",
     "directed_vertex_connectivity",
     "is_strongly_c_connected",
-    "min_vertex_cut_size",
 ]
 
 
@@ -125,11 +124,6 @@ def directed_vertex_connectivity(g: DiGraph) -> int:
     if not is_strongly_connected(g):
         return 0
     return _vertex_connectivity_impl(g)
-
-
-def min_vertex_cut_size(g: DiGraph) -> int:
-    """Alias of :func:`directed_vertex_connectivity` (readability)."""
-    return directed_vertex_connectivity(g)
 
 
 def is_strongly_c_connected(g: DiGraph, c: int, *, exhaustive_limit: int = 2000) -> bool:

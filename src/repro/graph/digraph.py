@@ -59,10 +59,6 @@ class DiGraph:
         COUNTERS.graph_builds += 1
 
     # -- construction helpers --------------------------------------------------
-    @classmethod
-    def from_edge_array(cls, n: int, edges: np.ndarray) -> "DiGraph":
-        return cls(n, np.asarray(edges, dtype=np.int64))
-
     def reversed(self) -> "DiGraph":
         """The graph with all edges flipped."""
         if self._edges.size == 0:

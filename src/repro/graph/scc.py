@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.kernels.connectivity import component_count_csr, scc_count_csr
+from repro.kernels.connectivity import component_count_csr
 
 __all__ = [
     "strongly_connected_components",
@@ -27,7 +27,7 @@ __all__ = [
 def scc_count(g: DiGraph) -> int:
     """Number of strongly connected components (no per-vertex labels),
     via ``scipy.sparse.csgraph`` on the graph's CSR arrays."""
-    return scc_count_csr(g.n, *g.csr())
+    return component_count_csr(g.n, *g.csr(), connection="strong")
 
 
 def undirected_component_count(g: DiGraph) -> int:

@@ -2,21 +2,24 @@
 
 The three kernels every experiment funnels through — sector coverage,
 connectivity, and the measured critical range — live here as pure array
-programs over shared per-instance geometry:
+programs over shared per-instance geometry.  Every measurement runs them
+over candidate pairs (:mod:`repro.kernels.sparse`), derived from the
+dense tables or from a kd-tree:
 
 * :mod:`repro.kernels.geometry` — :class:`PolarTables`, the ``(n, n)``
   per-source angle/distance tables computed once per point set (cacheable
   via :class:`repro.engine.cache.ArtifactCache`);
 * :mod:`repro.kernels.coverage` — :func:`batched_coverage`, all ``k·n``
-  sectors evaluated against the tables in one pass;
+  sectors evaluated against the tables in one pass, for the ``(n, n)``
+  coverage matrix (validation, interference);
 * :mod:`repro.kernels.connectivity` — CSR strong and symmetric
   connectivity (``scipy.sparse.csgraph``) on raw arrays, no graph
   objects;
-* :mod:`repro.kernels.critical` — :func:`critical_range_search`, the
-  rebuild-free bottleneck-radius bisection over a once-sorted edge list;
-* :mod:`repro.kernels.batch` — a whole chunk of instances
-  (:class:`BatchedInstances` + packed polar tables) as one block-diagonal
-  stack of candidate pairs, measured per Python-level launch;
+* :mod:`repro.kernels.critical` — the rebuild-free bottleneck-radius
+  bisection over a once-sorted edge list;
+* :mod:`repro.kernels.batch` — a whole chunk of instances (each with its
+  own polar tables) as one block-diagonal stack of candidate pairs,
+  measured per Python-level launch;
 * :mod:`repro.kernels.sparse` — :class:`SparsePolarTables`, the CSR
   radius-bounded candidate geometry, and the trial kernels every
   measurement runs on it (the certified loop around them is
@@ -47,19 +50,12 @@ from repro.kernels.backend import (
     resolve_backend,
     use_backend,
 )
-from repro.kernels.batch import (
-    BatchedInstances,
-    PackedPolarTables,
-    pack_instances,
-    packed_polar_tables,
-)
+from repro.kernels.batch import packed_polar_tables
 from repro.kernels.connectivity import (
-    scc_count_csr,
     strongly_connected_csr,
     strongly_connected_edges,
 )
 from repro.kernels.coverage import batched_coverage
-from repro.kernels.critical import critical_range_search
 from repro.kernels.geometry import PolarTables, polar_tables
 from repro.kernels.instrument import (
     KernelCounters,
@@ -79,20 +75,16 @@ from repro.kernels.sparse import (
 __all__ = [
     "KNOWN_BACKENDS",
     "BackendUnavailable",
-    "BatchedInstances",
     "KernelBackend",
     "KernelCounters",
-    "PackedPolarTables",
     "PolarTables",
     "SparsePolarTables",
     "active_backend",
     "batched_coverage",
     "bbox_diameter_bound",
     "complete_cutoff",
-    "critical_range_search",
     "default_instance_cutoff",
     "kernel_counters",
-    "pack_instances",
     "packed_polar_tables",
     "polar_tables",
     "recording",
@@ -102,6 +94,5 @@ __all__ = [
     "sparse_polar_tables",
     "strongly_connected_csr",
     "strongly_connected_edges",
-    "scc_count_csr",
     "use_backend",
 ]

@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from typing import Iterator, Protocol
 
 from repro.errors import ReproError
-# The packed table build is looked up here at call time
+# A sweep chunk's table build is looked up here at call time
 # (``ArtifactCache.packed_polar``), where perfbench/tracing.py wraps it.
 from repro.kernels.batch import packed_polar_tables  # noqa: F401
 

@@ -2,10 +2,9 @@
 
 Sweeps evaluate *ensembles* — hundreds of modest instances per ``(k, φ)``
 grid cell — and at that scale the per-call overhead of one kernel launch
-per instance dominates the actual array work.  This module packs a ragged
-chunk of instances (:class:`BatchedInstances`: padded coords + counts),
-builds one packed ``(M, n_max, n_max)`` polar table for the whole chunk
-(:class:`PackedPolarTables`), and from it the chunk's candidate pairs
+per instance dominates the actual array work.  A chunk's geometry is the
+list of its instances' own :class:`~repro.kernels.geometry.PolarTables`
+(:func:`packed_polar_tables`); from them come the chunk's candidate pairs
 (:class:`PackedCandidates`): each instance's off-diagonal pairs within its
 own cutoff, stacked block-diagonally over the union of the chunk's
 ``Σn`` vertices as one :class:`~repro.kernels.sparse.SparsePolarTables`.
@@ -18,9 +17,6 @@ certified loop around them is
 
 Bit-exactness contract (vs. the per-instance kernels):
 
-* packed polar tables run the same ``hypot`` / ``angle_of`` expressions on
-  the same per-instance offsets — padding only adds rows/columns that are
-  never read back;
 * instance ``m``'s block of the stacked pairs is
   :func:`~repro.kernels.sparse.dense_candidate_tables` of its own tables
   at its cutoff, offset by its first union vertex;
@@ -40,20 +36,13 @@ while per-instance work counters (``sector_evals``, ``connectivity_probes``,
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.geometry.angles import angle_of
 from repro.kernels.connectivity import union_connected
 from repro.kernels.critical import _critical_search_impl
-from repro.errors import InvalidParameterError
-from repro.kernels.geometry import (
-    DENSE_LIMIT_ENV_VAR,
-    _ROW_BLOCK_ELEMS,
-    PolarTables,
-    dense_element_limit,
-)
+from repro.kernels.geometry import PolarTables, polar_tables
 from repro.kernels.instrument import COUNTERS
 from repro.kernels.sparse import (
     SparsePolarTables,
@@ -63,10 +52,7 @@ from repro.kernels.sparse import (
 )
 
 __all__ = [
-    "BatchedInstances",
-    "PackedPolarTables",
     "PackedCandidates",
-    "pack_instances",
     "packed_polar_tables",
     "packed_candidates",
     "stacked_connected",
@@ -74,117 +60,21 @@ __all__ = [
 ]
 
 
-class BatchedInstances:
-    """A chunk of ``M`` ragged point sets packed into padded arrays.
+def packed_polar_tables(coords_list) -> list[PolarTables]:
+    """Each instance's own polar tables, built for a whole chunk.
 
-    Attributes
-    ----------
-    coords:
-        ``(M, n_max, 2)`` float coords, zero-padded past each instance's
-        ``counts[m]`` points.  Pad entries are never read back — every
-        consumer masks on ``counts``.
-    counts:
-        ``(M,)`` int64 point counts per instance.
+    Counts one ``packed_polar_builds`` launch per chunk and one
+    ``batched_instances`` per instance, besides each instance's own
+    ``polar_builds`` and ``trig_evals``.  The chunk-level name stays because
+    ``perfbench/tracing.py`` wraps it (as :mod:`repro.kernels.backend`'s
+    attribute) as the chunk's table build; the per-instance builds call
+    :func:`~repro.kernels.geometry.polar_tables` directly, so the tracer
+    counts one table build per chunk, not one per instance.
     """
-
-    __slots__ = ("coords", "counts")
-
-    def __init__(self, coords: np.ndarray, counts: np.ndarray):
-        self.coords = coords
-        self.counts = counts
-
-    @property
-    def m(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def n_max(self) -> int:
-        return int(self.coords.shape[1])
-
-    def __repr__(self) -> str:
-        return f"BatchedInstances(m={self.m}, n_max={self.n_max})"
-
-
-def pack_instances(coords_list) -> BatchedInstances:
-    """Pack a non-empty list of ``(n_i, 2)`` coord arrays into one batch."""
-    if not coords_list:
-        raise ValueError("pack_instances needs at least one instance")
-    arrays = []
-    for c in coords_list:
-        a = np.ascontiguousarray(np.asarray(c, dtype=float))
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise ValueError(f"expected (n, 2) coordinates, got shape {a.shape}")
-        arrays.append(a)
-    counts = np.array([a.shape[0] for a in arrays], dtype=np.int64)
-    n_max = int(counts.max())
-    packed = np.zeros((len(arrays), max(n_max, 1), 2), dtype=float)
-    for m, a in enumerate(arrays):
-        packed[m, : a.shape[0]] = a
-    return BatchedInstances(packed, counts)
-
-
-class PackedPolarTables:
-    """Per-instance polar geometry for a packed chunk.
-
-    ``dist[m, u, v]`` / ``ang[m, u, v]`` match instance ``m``'s own
-    :class:`~repro.kernels.geometry.PolarTables` bit-for-bit on the valid
-    ``[:counts[m], :counts[m]]`` block; pad entries are arbitrary and
-    must never be read.
-    """
-
-    __slots__ = ("dist", "ang", "counts")
-
-    def __init__(self, dist: np.ndarray, ang: np.ndarray, counts: np.ndarray):
-        self.dist = dist
-        self.ang = ang
-        self.counts = counts
-
-    @property
-    def m(self) -> int:
-        return int(self.counts.shape[0])
-
-    @property
-    def n_max(self) -> int:
-        return int(self.dist.shape[1])
-
-    def __repr__(self) -> str:
-        return f"PackedPolarTables(m={self.m}, n_max={self.n_max})"
-
-
-def packed_polar_tables(batch: BatchedInstances) -> PackedPolarTables:
-    """One launch building every instance's angle/distance tables.
-
-    Counted as one ``packed_polar_builds`` launch (NOT ``polar_builds`` —
-    the per-instance counter keeps meaning "per-instance table built").
-    ``trig_evals`` counts the padded work actually done.
-    """
-    c = batch.coords
-    m, n_max = c.shape[0], c.shape[1]
-    limit = dense_element_limit()
-    if n_max * n_max > limit:
-        raise InvalidParameterError(
-            f"packed polar tables for n_max={n_max:,} need n² = "
-            f"{n_max * n_max:,} elements per instance table, over the "
-            f"{limit:,}-element budget ({DENSE_LIMIT_ENV_VAR}); use the "
-            "radius-bounded sparse backend for large instances "
-            "(REPRO_BACKEND=sparse / --backend sparse, or the auto rule)"
-        )
-    dist = np.empty((m, n_max, n_max), dtype=float)
-    ang = np.empty((m, n_max, n_max), dtype=float)
-    # Same element budget as the per-instance builder, now over instances.
-    block = max(1, _ROW_BLOCK_ELEMS // max(n_max * n_max, 1))
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        cs = c[lo:hi]
-        off = cs[:, None, :, :] - cs[:, :, None, :]
-        dist[lo:hi] = np.hypot(off[..., 0], off[..., 1])
-        ang[lo:hi] = angle_of(off)
+    tables = [polar_tables(c) for c in coords_list]
     COUNTERS.packed_polar_builds += 1
-    COUNTERS.batched_instances += m
-    COUNTERS.trig_evals += m * n_max * n_max
-    dist.setflags(write=False)
-    ang.setflags(write=False)
-    return PackedPolarTables(dist, ang, batch.counts)
+    COUNTERS.batched_instances += len(tables)
+    return tables
 
 
 class PackedCandidates(NamedTuple):
@@ -203,23 +93,21 @@ class PackedCandidates(NamedTuple):
     r_cut: np.ndarray
 
 
-def packed_candidates(tables: PackedPolarTables, lmax) -> PackedCandidates:
+def packed_candidates(tables: Sequence[PolarTables], lmax) -> PackedCandidates:
     """Every instance's off-diagonal pairs within its own default cutoff.
 
     Instance ``m``'s cutoff is
     :func:`~repro.kernels.sparse.default_instance_cutoff` of ``lmax[m]``,
-    where the per-instance loop starts too, and its block is its own
-    :func:`~repro.kernels.sparse.dense_candidate_tables` at that cutoff,
-    on a view of its packed tables, offset by ``base[m]``.  Blocks follow
-    instance order, so the stacked pairs keep the ``(src, dst)`` order
-    over the union ids.  No kd-tree, no trig.
+    where the per-instance loop starts too, and its block is
+    :func:`~repro.kernels.sparse.dense_candidate_tables` of ``tables[m]``
+    at that cutoff, offset by ``base[m]``.  Blocks follow instance order,
+    so the stacked pairs keep the ``(src, dst)`` order over the union ids.
+    No kd-tree, no trig.
     """
     r_cut = np.array([default_instance_cutoff(x) for x in lmax], dtype=float)
-    base = np.concatenate([np.zeros(1, np.int64), np.cumsum(tables.counts)])
-    blocks = []
-    for m, n in enumerate(tables.counts):
-        view = PolarTables(tables.dist[m, :n, :n], tables.ang[m, :n, :n])
-        blocks.append(dense_candidate_tables(view, r_cut[m]))
+    counts = np.array([t.n for t in tables], dtype=np.int64)
+    base = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
+    blocks = [dense_candidate_tables(t, r) for t, r in zip(tables, r_cut)]
     total = int(base[-1])
     # Union ids fit int32 at any practical size: half the id memory.
     itype = np.int32 if total < 2**31 else np.int64

@@ -25,11 +25,8 @@ __all__ = [
     "strongly_connected_csr",
     "strongly_connected_edges",
     "symmetric_connected_csr",
-    "symmetric_connected_edges",
     "mutual_mask",
-    "mutual_edges",
     "union_connected",
-    "scc_count_csr",
     "component_count_csr",
 ]
 
@@ -108,22 +105,12 @@ def mutual_mask(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return skey[pos] == rkey
 
 
-def mutual_edges(
-    n: int, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Restrict directed edge arrays to the mutual pairs (see :func:`mutual_mask`)."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    mask = mutual_mask(n, src, dst)
-    return src[mask], dst[mask]
-
-
 def symmetric_connected_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
     """Is the *mutual* CSR graph ``(indptr, indices)`` connected (undirected)?
 
     The input must be a symmetric edge set (both directions of every pair
-    present — e.g. the CSR of ``cover & cover.T`` or the output of
-    :func:`mutual_edges`); connectivity is then undirected-component
+    present — e.g. the CSR of ``cover & cover.T`` or of the edges
+    :func:`mutual_mask` keeps); connectivity is then undirected-component
     connectivity, answered by the same ``csgraph`` call as the strong
     kernel with ``connection="weak"``.
     """
@@ -135,23 +122,6 @@ def symmetric_connected_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> 
     if np.any(np.diff(indptr) == 0):  # an isolated vertex (mutual set)
         return False
     return component_count_csr(n, indptr, indices, connection="weak") == 1
-
-
-def symmetric_connected_edges(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
-    """Symmetric connectivity straight from (directed) parallel edge arrays.
-
-    Symmetrizes the list via :func:`mutual_edges` first, then groups into
-    the same CSR scaffold as :func:`strongly_connected_edges`.
-    """
-    if n <= 1:
-        return True
-    src, dst = mutual_edges(n, src, dst)
-    if src.shape[0] < 2 * (n - 1):
-        COUNTERS.connectivity_probes += 1
-        return False
-    order = np.argsort(src, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-    return symmetric_connected_csr(n, indptr, dst[order])
 
 
 def union_connected(
@@ -194,16 +164,6 @@ def union_connected(
     hi = np.maximum.reduceat(labels, starts)
     out[nonempty] |= lo == hi
     return out
-
-
-def scc_count_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> int:
-    """Number of SCCs via scipy.
-
-    Callers that also need per-vertex labels (in Tarjan's reverse
-    topological id order) should use
-    :func:`repro.graph.scc.strongly_connected_components` instead.
-    """
-    return component_count_csr(n, indptr, indices, connection="strong")
 
 
 def component_count_csr(

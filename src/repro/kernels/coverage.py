@@ -55,7 +55,6 @@ def batched_coverage(
     radius: np.ndarray,
     *,
     eps: float = 1e-9,
-    ignore_radius: bool = False,
 ) -> np.ndarray:
     """Boolean ``(n, n)`` coverage matrix of a flattened antenna set.
 
@@ -65,8 +64,8 @@ def batched_coverage(
         Shared polar geometry of the point set.
     sensor_idx, start, spread, radius:
         Flat per-antenna arrays (``AntennaAssignment.flattened()`` order).
-    ignore_radius:
-        Test angular containment only (candidate-edge enumeration).
+        An infinite radius covers its whole wedge, so all-``inf`` radii
+        give the angular containment mask.
     """
     n = tables.n
     cover = np.zeros((n, n), dtype=bool)
@@ -94,7 +93,6 @@ def batched_coverage(
             spread[lo:hi],
             radius[lo:hi],
             eps,
-            ignore_radius,
             hit[lo:hi],
         )
 
@@ -111,12 +109,11 @@ def _coverage_block(
     spread: np.ndarray,
     radius: np.ndarray,
     eps: float,
-    ignore_radius: bool,
     out: np.ndarray,
 ) -> None:
     """Fill ``out[i, v]`` = antenna ``i`` covers point ``v``, for one block."""
     _fill_block(tables.ang[idx], tables.dist[idx], start, spread, radius,
-                eps, ignore_radius, out)
+                eps, out)
 
 
 def _fill_block(
@@ -126,7 +123,6 @@ def _fill_block(
     spread: np.ndarray,
     radius: np.ndarray,
     eps: float,
-    ignore_radius: bool,
     out: np.ndarray,
 ) -> None:
     """The block body on pre-gathered ``(b, n)`` angle/distance rows.
@@ -148,9 +144,6 @@ def _fill_block(
         rel = _ccw_from_start(ang[nf], start[nf, None])
         ang_ok[nf] = (rel <= spread[nf, None] + eps) | (rel >= TWO_PI - eps)
 
-    if ignore_radius:
-        np.logical_and(ang_ok, dist > 0.0, out=out)
-        return
     rad_ok = np.ones((b, n), dtype=bool)
     fin = np.isfinite(radius)
     if fin.any():

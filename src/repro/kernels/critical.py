@@ -1,18 +1,22 @@
-"""Rebuild-free critical-range search.
+"""The critical-range search body, over a once-sorted edge list.
 
 The measured critical range is the smallest uniform radius whose distance-
 truncated transmission graph is connected: strongly, or, in symmetric mode,
-through its mutual edges.  The old implementation
-rebuilt a fresh :class:`~repro.graph.digraph.DiGraph` (sort + dedup + CSR)
-for every binary-search probe.  This kernel sorts the covered pairs by
-distance exactly once; each probe is then a prefix of the sorted edge list,
-regrouped into CSR form by pure array ops (bincount + boolean mask against
-precomputed per-edge distance ranks) and handed to the CSR connectivity
-kernel.  Zero graph objects, O(log m) probes, one sort.
+through its mutual edges.  The search sorts the angularly covered pairs by
+distance exactly once; each bisection probe is then a prefix of the sorted
+edge list, regrouped into CSR form by pure array ops (bincount + boolean
+mask against precomputed per-edge distance ranks) and handed to the CSR
+connectivity kernel.  Zero graph objects, O(log m) probes, one sort.
 
-Bit-identical to the rebuild search: a probe at radius ``r`` keeps exactly
-the edges with ``dist <= r + radius_tolerance(r, eps)`` (the prefix), and
-the bisection over the same ``np.unique`` candidate array takes the same
+Every critical range is measured through it: per trial
+(:func:`repro.kernels.sparse.trial_critical`, which
+:func:`repro.antenna.coverage.critical_range` and every deterministic
+measurement run as one unperturbed trial) and per instance of a stacked
+sweep chunk (:func:`repro.kernels.batch.stacked_critical`).  Bit-identical
+to the per-probe ``DiGraph`` rebuild kept as the oracle in
+``tests/kernels_reference.py``: a probe at radius ``r`` keeps exactly the
+edges with ``dist <= r + radius_tolerance(r, eps)`` (the prefix), and the
+bisection over the same ``np.unique`` candidate array takes the same
 branches, so the returned float is the same.
 """
 
@@ -26,40 +30,6 @@ from repro.kernels.connectivity import (
     strongly_connected_csr,
     symmetric_connected_csr,
 )
-from repro.kernels.instrument import COUNTERS
-
-__all__ = ["critical_range_search"]
-
-
-def critical_range_search(
-    n: int,
-    pairs: np.ndarray,
-    dists: np.ndarray,
-    *,
-    eps: float = 1e-9,
-    mode: str = "strong",
-) -> float:
-    """Bottleneck radius over candidate edges ``pairs`` with lengths ``dists``.
-
-    ``mode="symmetric"`` runs the same search on the *symmetrized*
-    candidate list: an angularly covered pair survives only when both
-    directions are present (:func:`mutual_mask`).  Distances are
-    direction-symmetric bit-exactly (``hypot(-dx, -dy) == hypot(dx, dy)``),
-    so a radius prefix of the mutual list contains whole pairs and the
-    probe checks undirected connectivity of exactly the mutual graph at
-    that radius.
-
-    Returns ``inf`` when even the full candidate set is not connected
-    (the orientations themselves are deficient), ``0.0`` for ``n <= 1``.
-    """
-    if n <= 1:
-        return 0.0
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    dists = np.asarray(dists, dtype=float)
-    if pairs.shape[0] == 0:
-        return float("inf")
-    COUNTERS.critical_searches += 1
-    return _critical_search_impl(n, pairs[:, 0], pairs[:, 1], dists, eps, mode)
 
 
 def _critical_search_impl(
@@ -72,14 +42,16 @@ def _critical_search_impl(
 ) -> float:
     """The search body, free of launch accounting (``critical_searches``).
 
-    Shared by the per-instance entry point above, the stacked
-    multi-instance kernel (:func:`repro.kernels.batch.stacked_critical`)
-    and the trial kernel (:func:`repro.kernels.sparse.trial_critical`),
-    which count one launch for a whole chunk.  Symmetric mode keeps the
-    mutual edges and probes with :func:`symmetric_connected_csr`, strong
-    mode probes with :func:`strongly_connected_csr`; connectivity probes
-    are counted inside the probe.  Requires ``n >= 2`` and at least one
-    edge.
+    Shared by the stacked multi-instance kernel
+    (:func:`repro.kernels.batch.stacked_critical`) and the trial kernel
+    (:func:`repro.kernels.sparse.trial_critical`), which count one launch
+    for a whole chunk.  Returns ``inf`` when even the whole edge set is not
+    connected (the orientations themselves are deficient).  Symmetric mode
+    keeps the mutual edges (a direction-symmetric distance prefix of them
+    holds whole pairs) and probes with :func:`symmetric_connected_csr`,
+    strong mode probes with :func:`strongly_connected_csr`; connectivity
+    probes are counted inside the probe.  Requires ``n >= 2`` and at least
+    one edge.
     """
     probe = strongly_connected_csr
     if mode == "symmetric":

@@ -44,7 +44,8 @@ class KernelCounters:
         ``arctan2`` element evaluations (each is one entry of a polar-angle
         table) — repeated trig on identical source geometry shows up here.
     polar_builds:
-        ``(n, n)`` polar table constructions (:func:`polar_tables`).
+        ``(n, n)`` polar table constructions (:func:`polar_tables`),
+        including each instance's tables in a sweep chunk's build.
     coverage_calls:
         Batched coverage-kernel invocations (one per coverage matrix).
     sector_evals:
@@ -52,15 +53,16 @@ class KernelCounters:
         (``antennae x points``; the same work the old per-antenna Python
         loop did one row at a time).
     critical_searches:
-        Rebuild-free critical-range searches performed.  A packed search
-        over a whole chunk of instances counts as *one* launch.
+        Rebuild-free critical-range searches performed.  A search over a
+        whole chunk of instances or trials counts as *one* launch.
     packed_polar_builds:
-        Packed ``(M, n_max, n_max)`` polar-table constructions
+        Sweep-chunk table builds
         (:func:`repro.kernels.batch.packed_polar_tables`) — one per chunk
-        of instances, regardless of the chunk size.
+        of instances, regardless of the chunk size; each instance's own
+        tables also count in ``polar_builds``.
     batched_instances:
-        Instances folded into packed polar builds (the ``M`` summed over
-        every ``packed_polar_builds`` launch).
+        Instances whose tables a chunk build made (summed over every
+        ``packed_polar_builds`` launch).
     sparse_polar_builds:
         Radius-bounded :class:`repro.kernels.sparse.SparsePolarTables`
         constructions.  Each build also adds its directed candidate-pair

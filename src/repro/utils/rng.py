@@ -23,7 +23,6 @@ __all__ = [
     "stable_seed",
     "counter_rng",
     "indexed_uniforms",
-    "indexed_normals",
 ]
 
 
@@ -126,15 +125,3 @@ def indexed_uniforms(seed: int, index) -> np.ndarray:
         z = _splitmix64(idx ^ base)
     return (z >> _U64(11)).astype(np.float64) * _INV_2_53
 
-
-def indexed_normals(seed: int, index) -> np.ndarray:
-    """Standard-normal draws addressed by index (Box–Muller on
-    :func:`indexed_uniforms` at counters ``2·index`` and ``2·index + 1``).
-
-    Same random-access determinism contract as :func:`indexed_uniforms`.
-    """
-    idx = np.asarray(index, dtype=np.uint64)
-    u1 = indexed_uniforms(seed, idx * _U64(2))
-    u2 = indexed_uniforms(seed, idx * _U64(2) + _U64(1))
-    # 1 - u1 lies in (0, 1]: log never sees zero.
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)

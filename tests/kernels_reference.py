@@ -13,7 +13,8 @@ sweep path: every instance measured on its own through
 
 :func:`packed_coverage`, :func:`packed_connected` and :func:`packed_critical`
 are the padded ``(M, n_max, n_max)`` multi-instance kernels the sweep
-measured chunks with before it measured them over stacked candidate pairs;
+measured chunks with before it measured them over stacked candidate pairs,
+with their padded table container :class:`PackedPolarTables`;
 ``tests/ensemble_reference.py``, the replaced dense ensemble path, runs on
 them.
 
@@ -32,7 +33,6 @@ from repro.geometry.angles import TWO_PI, angle_of, ccw_angle
 from repro.geometry.points import PointSet
 from repro.graph.digraph import DiGraph
 from repro.kernels.backend import use_backend
-from repro.kernels.batch import PackedPolarTables
 from repro.kernels.connectivity import union_connected
 from repro.kernels.coverage import _fill_block
 from repro.kernels.critical import _critical_search_impl
@@ -45,6 +45,7 @@ __all__ = [
     "bfs_strongly_connected",
     "symmetric_connected_loop",
     "per_instance_sweep",
+    "PackedPolarTables",
     "packed_coverage",
     "packed_connected",
     "packed_critical",
@@ -249,6 +250,18 @@ def per_instance_sweep(request, backend=None):
 _BLOCK_ELEMS = 262_144
 
 
+class PackedPolarTables:
+    """Per-instance polar tables padded into ``(M, n_max, n_max)`` arrays.
+
+    ``dist[m]`` / ``ang[m]`` hold instance ``m``'s tables on the valid
+    ``[:counts[m], :counts[m]]`` block; pad entries are never read back.
+    """
+
+    def __init__(self, dist: np.ndarray, ang: np.ndarray, counts: np.ndarray):
+        self.dist, self.ang, self.counts = dist, ang, counts
+        self.m, self.n_max = int(counts.shape[0]), int(dist.shape[1])
+
+
 def packed_coverage(
     tables: PackedPolarTables,
     inst_idx: np.ndarray,
@@ -266,7 +279,8 @@ def packed_coverage(
     per-antenna arrays are the usual ``flattened()`` columns.  One
     ``coverage_calls`` launch for the whole chunk.  ``cover[m]`` restricted
     to the valid block is bit-identical to the per-instance kernel; pad
-    rows/columns and the diagonal are always False.
+    rows/columns and the diagonal are always False.  ``ignore_radius``
+    tests angular containment only, as infinite radii do.
     """
     m, n_max = tables.m, tables.n_max
     cover = np.zeros((m, n_max, n_max), dtype=bool)
@@ -286,6 +300,8 @@ def packed_coverage(
         inst_idx, sensor_idx = inst_idx[order], sensor_idx[order]
         start, spread, radius = start[order], spread[order], radius[order]
 
+    if ignore_radius:
+        radius = np.full(a, np.inf)
     ang = tables.ang[inst_idx, sensor_idx]  # (a, n_max) gathers
     dist = tables.dist[inst_idx, sensor_idx]
     valid = np.arange(n_max, dtype=np.int64)[None, :] < tables.counts[inst_idx][:, None]
@@ -295,7 +311,7 @@ def packed_coverage(
     for lo in range(0, a, block):
         hi = min(lo + block, a)
         _fill_block(ang[lo:hi], dist[lo:hi], start[lo:hi], spread[lo:hi],
-                    radius[lo:hi], eps, ignore_radius, hit[lo:hi])
+                    radius[lo:hi], eps, hit[lo:hi])
     # Pad columns carry garbage polar entries (offsets against zero-padded
     # coords) — ``dist > 0`` does NOT exclude them, so mask explicitly.
     hit &= valid
@@ -345,9 +361,9 @@ def packed_critical(
 
     ``cover_ang`` is the ``ignore_radius=True`` packed coverage.  One
     ``critical_searches`` launch for the whole chunk; each instance runs
-    the identical search body as :func:`critical_range_search` on the same
-    edge arrays, so results are bit-identical (``0.0`` for ``n <= 1``,
-    ``inf`` when deficient).
+    the identical search body as the per-instance search on the same edge
+    arrays, so results are bit-identical (``0.0`` for ``n <= 1``, ``inf``
+    when deficient).
     """
     counts = tables.counts
     m = int(counts.shape[0])

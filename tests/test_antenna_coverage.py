@@ -5,7 +5,6 @@ import pytest
 
 from repro.antenna.coverage import (
     coverage_matrix,
-    covered_pairs,
     critical_range,
     transmission_graph,
 )
@@ -47,7 +46,7 @@ class TestCoverageMatrix:
         ps = square_points()
         a = AntennaAssignment(4)
         a.add(0, sector_toward(ps[0], ps[2], radius=0.5))
-        cover = coverage_matrix(ps, a, ignore_radius=True)
+        cover = coverage_matrix(ps, a.with_uniform_radius(np.inf))
         assert cover[0, 2]
 
     def test_omni_covers_all(self):
@@ -77,19 +76,6 @@ class TestTransmissionGraph:
         assert g.m == 0
 
 
-class TestCoveredPairs:
-    def test_pairs_and_distances(self):
-        ps = square_points()
-        pairs, dists = covered_pairs(ps, ring_assignment(ps))
-        assert pairs.shape == (4, 2)
-        assert np.allclose(dists, 1.0)
-
-    def test_empty(self):
-        ps = square_points()
-        pairs, dists = covered_pairs(ps, AntennaAssignment(4))
-        assert pairs.size == 0
-
-
 class TestCriticalRange:
     def test_cycle_critical_is_edge_length(self):
         ps = square_points()
@@ -115,6 +101,6 @@ class TestCriticalRange:
         from repro.core.planner import orient_antennae
 
         res = orient_antennae(uniform50, 2, np.pi)
-        crit = res.measured_critical_range()
+        crit = critical_range(res.points, res.assignment)
         assert crit <= res.realized_range() + 1e-9
         assert crit <= res.range_bound_absolute * (1 + 1e-7)

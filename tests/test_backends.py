@@ -34,7 +34,6 @@ from repro.kernels import (
     KNOWN_BACKENDS,
     BackendUnavailable,
     active_backend,
-    pack_instances,
     polar_tables,
     resolve_backend,
     use_backend,
@@ -173,7 +172,8 @@ class TestBackendParity:
                 )
                 assert np.array_equal(
                     coverage_matrix(
-                        coords, assignment, tables=tables, ignore_radius=True
+                        coords, assignment.with_uniform_radius(np.inf),
+                        tables=tables,
                     ),
                     cover_ang,
                 )
@@ -197,8 +197,7 @@ class TestBackendParity:
         with use_backend(backend_name) as backend:
             dense = [i for i, c in enumerate(coords_list)
                      if not backend.use_sparse(c.shape[0])]
-            batch = pack_instances([coords_list[i] for i in dense])
-            tables = ArtifactCache().packed_polar(batch)
+            tables = ArtifactCache().packed_polar([coords_list[i] for i in dense])
             metrics = batched_orientation_metrics(
                 [sector_result(coords_list[i], assignments[i], lmaxes[i])
                  for i in dense],
@@ -211,15 +210,14 @@ class TestBackendParity:
         assert bool(sparse) == (backend_name != "numpy")  # only numpy stays dense
 
         for i, coords in enumerate(coords_list):
-            n = coords.shape[0]
             ref_cover, _, ref_sc, ref_cr = oracle_outputs(coords, assignments[i])
             if i in sparse:
                 edges, sc, cr = sparse[i]
             else:
                 j = dense.index(i)
                 ref_tables = polar_tables(coords)
-                assert np.array_equal(tables.dist[j, :n, :n], ref_tables.dist)
-                assert np.array_equal(tables.ang[j, :n, :n], ref_tables.ang)
+                assert np.array_equal(tables[j].dist, ref_tables.dist)
+                assert np.array_equal(tables[j].ang, ref_tables.ang)
                 edges, sc = metrics[j].edges, metrics[j].strongly_connected
                 # Metrics report lmax units: compare with the oracle's range
                 # divided the same way.
@@ -339,34 +337,35 @@ class TestBatchedExecution:
         assert rows and all(row.backend == "numpy" for row in rows.values())
 
     def test_chunk_tables_are_released_when_their_chunk_ends(self, monkeypatch):
-        """No sub-batch's packed tables or stacked pairs are alive when the
-        next one is built, nor after the sweep, though its cache is."""
+        """No sub-batch's tables or stacked pairs are alive when the next
+        one is built, nor after the sweep, though its cache is."""
         import repro.engine.executor as executor_module
         import repro.kernels.backend as backend_module
 
         alive = []  # weak references to every chunk artifact built so far
 
-        def tracked(build, array_of, *, first):
+        def tracked(build, arrays_of, *, first):
             def wrapper(*args):
                 if first:  # a new sub-batch: the earlier ones are gone
                     gc.collect()
                     assert all(ref() is None for ref in alive)
                 out = build(*args)
-                alive.append(weakref.ref(array_of(out)))
+                alive.extend(weakref.ref(a) for a in arrays_of(out))
                 return out
             return wrapper
 
         monkeypatch.setattr(backend_module, "packed_polar_tables", tracked(
-            backend_module.packed_polar_tables, lambda tables: tables.dist,
-            first=True))
+            backend_module.packed_polar_tables,
+            lambda tables: [t.dist for t in tables], first=True))
         monkeypatch.setattr(executor_module, "packed_candidates", tracked(
-            executor_module.packed_candidates, lambda cand: cand.pairs.dist,
+            executor_module.packed_candidates, lambda cand: [cand.pairs.dist],
             first=False))
         # Two n = 10 instances per sub-batch: several sub-batches per chunk.
         monkeypatch.setattr(executor_module, "_BATCH_MAX_ELEMS", 200)
         cache = ArtifactCache()
         execute_plan(many_instance_request(seeds=12), cache=cache)
-        assert len(alive) == 2 * 8  # tables and pairs of 8 sub-batches (4 chunks)
+        # 12 instances' tables and the pairs of 8 sub-batches (4 chunks).
+        assert len(alive) == 12 + 8
         gc.collect()
         assert all(ref() is None for ref in alive)
 
@@ -424,7 +423,7 @@ def test_mixed_chunk_matches_per_instance(monkeypatch, mode, compute_critical):
     ]
     points = [cache.pointset(c) for c in coords_list]
     trees = [cache.tree(ps) for ps in points]
-    tables = ArtifactCache().packed_polar(pack_instances(coords_list))
+    tables = ArtifactCache().packed_polar(coords_list)
     candidates = packed_candidates(tables, [tree.lmax for tree in trees])
 
     fallbacks = []  # the points of each instance measured again on its own

@@ -152,15 +152,17 @@ class TestArtifactCache:
         assert t1 is t2
         assert cache.stats.tree_builds == 1
         assert cache.stats.hits == 1
-        d1 = cache.distances(pts)
-        d2 = cache.distances(pts)
-        assert d1 is d2
-        assert cache.stats.distance_builds == 1
+        p1 = cache.polar(pts)
+        p2 = cache.polar(pts)
+        assert p1 is p2
+        assert cache.stats.polar_builds == 1
+        assert cache.stats.distance_builds == 0  # no dense distance matrix
 
     def test_distances_match_pointset(self):
+        """The cached distances are the polar tables' ``dist``."""
         cache = ArtifactCache()
         pts = uniform_points(8, seed=5)
-        assert np.allclose(cache.distances(pts), PointSet(pts).distance_matrix())
+        assert np.allclose(cache.polar(pts).dist, PointSet(pts).distance_matrix())
 
     def test_lru_eviction(self):
         cache = ArtifactCache(maxsize=2)

@@ -11,8 +11,8 @@ Three concerns:
   distance, exact distance ties at the bottleneck.
 * **Perf regression by counters** — wall-clock is meaningless on the
   single-core CI container, so we assert work counts: ``critical_range``
-  performs exactly one covered-pairs computation and O(log m) connectivity
-  probes with zero per-probe ``DiGraph`` constructions.
+  performs exactly one angular-mask pass and O(log m) connectivity probes
+  with zero per-probe ``DiGraph`` constructions.
 """
 
 import math
@@ -20,11 +20,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.antenna.coverage import (
-    coverage_matrix,
-    covered_pairs,
-    critical_range,
-)
+from repro.antenna.coverage import coverage_matrix, critical_range
 from repro.antenna.model import AntennaAssignment
 from repro.geometry.points import PointSet
 from repro.geometry.sectors import Sector, radius_tolerance, sector_toward
@@ -41,6 +37,7 @@ from tests.kernels_reference import (
     bfs_strongly_connected,
     coverage_matrix_loop,
     critical_range_rebuild,
+    critical_range_rebuild_symmetric,
 )
 
 
@@ -58,6 +55,27 @@ def random_instance(seed: int, n: int | None = None):
     return ps, a
 
 
+def wide_instance(seed: int):
+    """A random point set in which every sensor holds 1–2 antennae of
+    spread at least π/2 (some full circles), and some sensors also a ray
+    aimed exactly at another sensor.  Most critical ranges are finite,
+    unlike :func:`random_instance`'s, whose sensors without antennae make
+    most of them ``inf``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 36))
+    ps = PointSet(rng.random((n, 2)) * 10.0)
+    a = AntennaAssignment(n)
+    for i in range(n):
+        for _ in range(int(rng.integers(1, 3))):
+            spread = float(rng.choice([np.pi * (0.5 + 1.5 * rng.random()), 2 * np.pi]))
+            radius = float(rng.choice([np.inf, rng.random() * 8.0]))
+            a.add(i, Sector(float(rng.random() * 2 * np.pi), spread, radius))
+        if rng.random() < 0.3:
+            j = int(rng.integers(0, n - 1))
+            a.add(i, sector_toward(ps[i], ps[j + (j >= i)]))
+    return ps, a
+
+
 def square_ring(radius: float = 100.0):
     """Unit square, each sensor aiming a zero-spread ray at the next."""
     ps = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -72,7 +90,8 @@ class TestCoverageEquivalence:
     @pytest.mark.parametrize("ignore_radius", [False, True])
     def test_bit_identical_to_loop(self, seed, ignore_radius):
         ps, a = random_instance(seed)
-        new = coverage_matrix(ps, a, ignore_radius=ignore_radius)
+        # Infinite radii are the kernel's angular-only mask.
+        new = coverage_matrix(ps, a.with_uniform_radius(np.inf) if ignore_radius else a)
         old = coverage_matrix_loop(ps, a, ignore_radius=ignore_radius)
         assert np.array_equal(new, old)
 
@@ -94,21 +113,50 @@ class TestCoverageEquivalence:
         cover = coverage_matrix(ps, AntennaAssignment(len(ps)))
         assert cover.shape == (len(ps), len(ps)) and not cover.any()
 
-    def test_covered_pairs_distances_from_tables(self):
-        ps, a = random_instance(5)
-        pairs, dists = covered_pairs(ps, a)
-        if pairs.size:
-            diff = ps.coords[pairs[:, 0]] - ps.coords[pairs[:, 1]]
-            assert np.array_equal(dists, np.hypot(diff[:, 0], diff[:, 1]))
+
+def same_range(new: float, old: float) -> bool:
+    return new == old or (math.isinf(new) and math.isinf(old))
 
 
 class TestCriticalEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_bit_identical_to_rebuild(self, seed):
         ps, a = random_instance(seed)
-        new = critical_range(ps, a)
-        old = critical_range_rebuild(ps, a)
-        assert new == old or (math.isinf(new) and math.isinf(old))
+        with recording() as rec:
+            new = critical_range(ps, a)
+        assert rec.graph_builds == 0
+        assert same_range(new, critical_range_rebuild(ps, a))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_symmetric_bit_identical_to_rebuild(self, seed):
+        for ps, a in (random_instance(seed), wide_instance(seed)):
+            with recording() as rec:
+                new = critical_range(ps, a, mode="symmetric")
+            assert rec.graph_builds == 0
+            assert same_range(new, critical_range_rebuild_symmetric(ps, a))
+
+    def test_one_way_ring_is_strong_but_not_symmetric(self):
+        ps, a = square_ring()
+        assert critical_range(ps, a) == 1.0
+        assert critical_range(ps, a, mode="symmetric") == np.inf
+
+    @pytest.mark.parametrize("mode", ["strong", "symmetric"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_short_finite_radii_widen_to_the_rebuild_value(self, mode, seed):
+        """Every radius 0.5: the stored radii start the candidate cutoff
+        below the critical range, so the measurement widens it and must
+        still return the oracle's float (the oracle ignores the radii)."""
+        rebuild = {
+            "strong": critical_range_rebuild,
+            "symmetric": critical_range_rebuild_symmetric,
+        }[mode]
+        ps, a = wide_instance(seed)
+        with recording() as rec:
+            new = critical_range(ps, a.with_uniform_radius(0.5), mode=mode)
+        assert rec.graph_builds == 0
+        assert same_range(new, rebuild(ps, a))
+        if np.isfinite(new):  # every finite range here lies past 0.5
+            assert rec.rcut_widenings > 0
 
     def test_deficient_orientation_is_inf(self):
         # One antenna total: nobody can reach sensor 0, at any radius.
@@ -151,19 +199,20 @@ class TestCriticalEquivalence:
 
 
 class TestCriticalCounters:
-    """The acceptance criterion: 1 covered-pairs pass, O(log m) probes, 0 builds."""
+    """The acceptance criterion: 1 angular-mask pass, O(log m) probes, 0 builds."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rebuild_free_search(self, seed):
         ps, a = random_instance(seed, n=30)
-        pairs, dists = covered_pairs(ps, a)
-        if pairs.shape[0] == 0:
+        src, dst = np.nonzero(coverage_matrix_loop(ps, a, ignore_radius=True))
+        if src.shape[0] == 0:
             pytest.skip("degenerate draw: no covered pairs")
-        ncand = np.unique(dists).size
+        diff = ps.coords[src] - ps.coords[dst]
+        ncand = np.unique(np.hypot(diff[:, 0], diff[:, 1])).size
         with recording() as rec:
             critical_range(ps, a)
         assert rec.graph_builds == 0  # zero per-probe DiGraph constructions
-        assert rec.coverage_calls == 1  # exactly one covered-pairs computation
+        assert rec.coverage_calls == 1  # exactly one angular-mask pass
         assert rec.polar_builds == 1
         assert rec.critical_searches == 1
         # 1 feasibility probe + ceil(log2(ncand)) bisection probes at most.

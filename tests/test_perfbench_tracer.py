@@ -2,11 +2,15 @@
 
 ``perfbench/tracing.py`` wraps names the library's modules import from one
 another.  A rename under ``src/`` would make ``perfbench/run.py --trace 1``
-crash at :meth:`Tracer.install`; this test fails first.
+crash at :meth:`Tracer.install`; this test fails first.  A name that stays
+but no longer carries the work its span is named after would silently
+misreport the layer split; the traced sweep below guards the sweep chunk's.
 """
 
 import importlib.util
+import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -38,3 +42,35 @@ def test_install_wraps_and_uninstall_restores_every_patch_point(monkeypatch):
         originals.setdefault((id(owner), attr), (owner, attr, original))
     for owner, attr, original in originals.values():
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_traced_dense_sweep_records_the_chunk_table_build_and_measurement(
+    monkeypatch,
+):
+    """A dense sweep's chunks build their tables inside
+    ``ArtifactCache.packed_polar`` (span ``engine.cache.tables``) through
+    ``repro.kernels.backend.packed_polar_tables`` (its child span
+    ``kernels.packed_polar_tables``, one table build each), and are
+    measured inside ``analysis.measure``."""
+    from repro import api
+    from repro.api import GridCell, PlanRequest, Scenario
+
+    tracer = load_tracing(monkeypatch).Tracer()
+    request = PlanRequest(
+        (Scenario("uniform", 10, seeds=3, tag="tracer-chunks"),),
+        (GridCell(1, math.pi), GridCell(2, math.pi)),
+        backend="numpy",
+    )
+    try:
+        tracer.install()
+        api.submit(request)
+    finally:
+        tracer.uninstall()
+    names = Counter(span.name for span in tracer.spans)
+    for name in ("engine.cache.tables", "kernels.packed_polar_tables",
+                 "analysis.measure"):
+        assert names[name] >= 1, names
+    by_id = {span.id: span for span in tracer.spans}
+    builds = [s for s in tracer.spans if s.name == "kernels.packed_polar_tables"]
+    assert all(by_id[s.parent].name == "engine.cache.tables" for s in builds)
+    assert tracer.counts["engine.cache.table_builds"] == len(builds)

@@ -23,7 +23,7 @@ from repro.geometry.points import PointSet, max_pairwise_distance
 from repro.kernels.backend import use_backend
 from repro.kernels.connectivity import strongly_connected_csr
 from repro.kernels.coverage import batched_coverage
-from repro.kernels.critical import critical_range_search
+from repro.kernels.critical import _critical_search_impl
 from repro.kernels.geometry import (
     DENSE_LIMIT_ENV_VAR,
     polar_tables,
@@ -48,6 +48,15 @@ TWO_PI = 2.0 * np.pi
 GRID = [(1, TWO_PI), (1, np.pi), (2, np.pi), (3, 4 * np.pi / 5), (5, 2 * np.pi / 5)]
 
 
+def dense_search(n, src, dst, dist, eps=1e-9):
+    """The critical range over every angularly covered pair ``src → dst``."""
+    if n <= 1:
+        return 0.0
+    if src.shape[0] == 0:
+        return float("inf")
+    return _critical_search_impl(n, src, dst, dist, eps)
+
+
 def dense_reference(coords, idx, start, spread, radius, eps=1e-9):
     """The dense pipeline's (edges, connected, critical) for raw sectors."""
     tables = polar_tables(coords)
@@ -58,13 +67,12 @@ def dense_reference(coords, idx, start, spread, radius, eps=1e-9):
         [[0], np.cumsum(np.bincount(src, minlength=n))]
     ).astype(np.int64)
     connected = strongly_connected_csr(n, indptr, dst.astype(np.int64))
+    # Infinite radii: the angular-only mask.
     cover_ang = batched_coverage(
-        tables, idx, start, spread, radius, eps=eps, ignore_radius=True
+        tables, idx, start, spread, np.full_like(radius, np.inf), eps=eps
     )
     asrc, adst = np.nonzero(cover_ang)
-    critical = critical_range_search(
-        n, np.stack([asrc, adst], axis=1), tables.dist[asrc, adst], eps=eps
-    )
+    critical = dense_search(n, asrc, adst, tables.dist[asrc, adst], eps=eps)
     return int(cover.sum()), bool(connected), float(critical)
 
 
@@ -312,16 +320,17 @@ def test_dense_limit_guard_ignores_malformed_env(monkeypatch):
 
 
 def test_packed_path_honors_dense_limit(monkeypatch):
-    """The batched executor path must fail fast too, not allocate (m, n, n)."""
-    from repro.kernels.batch import pack_instances, packed_polar_tables
+    """A sweep chunk's table build must fail fast too, before any table of
+    an instance over the budget is allocated."""
+    from repro.kernels.batch import packed_polar_tables
 
     coords = make_workload("uniform", 11, seed=3)
-    batch = pack_instances([coords, coords[:7]])
+    chunk = [coords, coords[:7]]
     monkeypatch.setenv(DENSE_LIMIT_ENV_VAR, "100")
     with pytest.raises(InvalidParameterError, match="sparse"):
-        packed_polar_tables(batch)
+        packed_polar_tables(chunk)
     monkeypatch.setenv(DENSE_LIMIT_ENV_VAR, "121")
-    packed_polar_tables(batch)  # n_max² exactly at the budget: allowed
+    packed_polar_tables(chunk)  # the largest n² exactly at the budget: allowed
 
 
 # -- structural properties ----------------------------------------------------------
@@ -375,9 +384,7 @@ def test_angular_mask_feeds_trial_critical():
     crit = trial_critical(tables, cover_ang, np.array([n]))
     dense = polar_tables(coords)
     src, dst = np.nonzero(dense.dist > 0)
-    ref = critical_range_search(
-        n, np.stack([src, dst], axis=1), dense.dist[src, dst]
-    )
+    ref = dense_search(n, src, dst, dense.dist[src, dst])
     assert crit.tolist() == [ref]
     assert trial_connected(tables, cover, np.array([n])).tolist() == [True]
 

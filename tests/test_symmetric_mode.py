@@ -32,7 +32,7 @@ from repro.graph.scc import undirected_component_count
 from repro.kernels.connectivity import (
     CONNECTIVITY_MODES,
     mutual_mask,
-    symmetric_connected_edges,
+    symmetric_connected_csr,
     validate_mode,
 )
 from repro.store import RunStore, StoreError, merge_stores
@@ -164,14 +164,20 @@ class TestSymmetricKernels:
         assert kept == {(0, 1), (1, 0), (2, 3), (3, 2)}
 
     def test_symmetric_connected_ignores_one_way_links(self):
+        def connected(n, src, dst):
+            keep = mutual_mask(n, src, dst)
+            src, dst = src[keep], dst[keep]
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+            return symmetric_connected_csr(n, indptr, dst[np.argsort(src, kind="stable")])
+
         # 0<->1 mutual, 1->2 one-way: not symmetric-connected.
         src = np.array([0, 1, 1], dtype=np.int64)
         dst = np.array([1, 0, 2], dtype=np.int64)
-        assert not symmetric_connected_edges(3, src, dst)
+        assert not connected(3, src, dst)
         # Adding the reverse closes the mutual path.
         src = np.append(src, 2)
         dst = np.append(dst, 1)
-        assert symmetric_connected_edges(3, src, dst)
+        assert connected(3, src, dst)
 
     def test_undirected_component_count_matches_bfs_fallback(self):
         rng = np.random.default_rng(7)
