@@ -295,6 +295,139 @@ def test_sparse_large_n_axis(n, capsys):
         ))
 
 
+def _sort_once_case(n: int) -> dict:
+    """Time the sparse path's sorts at ``n`` against the test oracles, in
+    a fresh process: the kd-tree candidate build, the reverse-edge
+    permutation, and the critical search of the strong (k = 1, φ = π)
+    cell (best of 3 each).  Equal arrays and floats are asserted here."""
+    from scipy.spatial import cKDTree
+
+    from repro.kernels.sparse import (
+        SparsePolarTables,
+        _directed_candidates,
+        default_instance_cutoff,
+        reverse_edge_permutation,
+        sparse_polar_tables,
+        trial_coverage,
+        trial_critical,
+    )
+    from tests.kernels_reference import (
+        critical_search_reference,
+        directed_candidates_lexsort,
+    )
+
+    coords = Scenario("uniform", n, seeds=1, tag="bench-sparse").instance(0)
+    ps = PointSet(coords)
+    tree = euclidean_mst(ps)
+    r_cut = default_instance_cutoff(tree.lmax)
+
+    t_query, _ = measure(
+        lambda: cKDTree(coords).query_pairs(r_cut, output_type="ndarray"), repeat=3
+    )
+    t_keys, (src, dst) = measure(lambda: _directed_candidates(coords, r_cut), repeat=3)
+    t_lex, (src_ref, dst_ref) = measure(
+        lambda: directed_candidates_lexsort(coords, r_cut), repeat=3
+    )
+    assert np.array_equal(src, src_ref) and np.array_equal(dst, dst_ref)
+
+    tables = sparse_polar_tables(coords, r_cut)
+    # A fresh tables object per call: the permutation is cached on it.
+    t_rev, rev = measure(
+        lambda: reverse_edge_permutation(SparsePolarTables(
+            tables.indptr, tables.indices, tables.src, tables.dist, tables.ang,
+            tables.r_cut,
+        )),
+        repeat=3,
+    )
+    t_rev_ref, rev_ref = measure(
+        lambda: np.argsort(tables.indices, kind="stable"), repeat=3
+    )
+    assert np.array_equal(rev, rev_ref)
+
+    result = orient_antennae(ps, 1, np.pi, tree=tree)
+    _, cover_ang = trial_coverage(
+        tables, *result.assignment.flattened(), radius_mask=False, angular_mask=True,
+    )
+    counts = np.array([n])
+    with recording() as rec:
+        t_crit, crit = measure(lambda: trial_critical(tables, cover_ang, counts), repeat=3)
+    e = np.flatnonzero(cover_ang[0])
+    with recording() as rec_ref:
+        t_crit_ref, crit_ref = measure(lambda: critical_search_reference(
+            n, tables.src[e], tables.indices[e], tables.dist[e], 1e-9,
+        ), repeat=3)
+    assert float(crit[0]) == crit_ref and np.isfinite(crit_ref)
+    assert rec.connectivity_probes == rec_ref.connectivity_probes
+    return {
+        "n": n,
+        "r_cut": r_cut,
+        "pairs": int(tables.m),
+        "candidates": {
+            "query_pairs_s": round(t_query, 6),
+            "key_sort_s": round(t_keys, 6),
+            "lexsort_s": round(t_lex, 6),
+        },
+        "reverse_permutation": {
+            "key_argsort_s": round(t_rev, 6),
+            "stable_argsort_s": round(t_rev_ref, 6),
+        },
+        "critical_k1_pi": {
+            "covered_edges": int(e.shape[0]),
+            "critical_range_abs": float(crit[0]),
+            "connectivity_probes": rec.connectivity_probes // 3,
+            "one_sort_s": round(t_crit, 6),
+            "two_stable_sorts_s": round(t_crit_ref, 6),
+        },
+    }
+
+
+@pytest.mark.parametrize("n", (20_000,))
+def test_sparse_large_n_sort_once(n, capsys):
+    """The sparse path's sorts at the ``sweep-sparse-20k`` size.
+
+    Runs :func:`_sort_once_case` in a fresh child process (its arrays are
+    this case's alone) and merges a ``sparse_sort_once`` section into
+    BENCH_kernels.json.  Asserted: each new array and float equals its
+    oracle's, with the same probe count; the times are the record.
+    """
+    import json
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        case = pool.submit(_sort_once_case, n).result()
+
+    out = "BENCH_kernels.json"
+    report = {}
+    if os.path.exists(out):
+        with open(out, encoding="utf8") as fh:
+            try:
+                report = json.load(fh)
+            except ValueError:
+                report = {}
+    report.setdefault("sparse_sort_once", {})[str(n)] = case
+    with open(out, "w", encoding="utf8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+
+    cand, rev, crit = case["candidates"], case["reverse_permutation"], case["critical_k1_pi"]
+    with capsys.disabled():
+        print()
+        print(format_ascii_table(
+            ["stage", "new (s)", "oracle (s)"],
+            [
+                ["candidate build (kd-tree query included)",
+                 cand["key_sort_s"], cand["lexsort_s"]],
+                ["  of which query_pairs", cand["query_pairs_s"], cand["query_pairs_s"]],
+                ["reverse permutation", rev["key_argsort_s"], rev["stable_argsort_s"]],
+                [f"critical search, k=1 phi=pi ({crit['covered_edges']} edges)",
+                 crit["one_sort_s"], crit["two_stable_sorts_s"]],
+            ],
+            title=f"[K1] sparse sorts, n={n}, {case['pairs']} pairs -> {out}",
+        ))
+
+
 @pytest.mark.parametrize("n", (200, 1000))
 def test_symmetric_mode_axis(n, capsys):
     """The symmetric connectivity objective vs strong, counter-for-counter.

@@ -164,9 +164,13 @@ def stacked_critical(
     the instance's candidate pairs at the same cutoff, so the values are
     the same floats (``0.0`` for at most one vertex, ``inf`` when
     deficient).  Whether a value is exact depends on the cutoff; that is
-    for the caller to certify.
+    for the caller to certify.  Symmetric mode searches the mutual edges,
+    masked in a new array: ``cover_ang`` stays the plain angular mask the
+    ``inf`` certificate reads.
     """
     pairs, base = candidates.pairs, candidates.base
+    if mode == "symmetric":
+        cover_ang = cover_ang & cover_ang[reverse_edge_permutation(pairs)]
     ends = pairs.indptr[base]
     out = np.empty(base.shape[0] - 1, dtype=float)
     COUNTERS.critical_searches += 1

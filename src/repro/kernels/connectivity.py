@@ -25,7 +25,6 @@ __all__ = [
     "strongly_connected_csr",
     "strongly_connected_edges",
     "symmetric_connected_csr",
-    "mutual_mask",
     "union_connected",
     "component_count_csr",
 ]
@@ -83,36 +82,15 @@ def strongly_connected_edges(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
     return strongly_connected_csr(n, indptr, dst[order])
 
 
-def mutual_mask(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Boolean mask of the edges whose reverse is also present.
-
-    An edge ``(u, v)`` survives iff ``(v, u)`` is also in the list — the
-    symmetric-connectivity edge set.  Membership is one sort plus one
-    ``searchsorted`` on the packed key ``src·n + dst``; both directions of
-    every surviving pair are kept, so the masked list is itself a valid
-    (mutual) directed edge list.  Duplicate edges must not be present
-    (coverage-derived lists never are).
-    """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if src.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    key = src * np.int64(n) + dst
-    rkey = dst * np.int64(n) + src
-    skey = np.sort(key)
-    pos = np.searchsorted(skey, rkey)
-    pos[pos == skey.shape[0]] = 0  # any in-range slot; equality check decides
-    return skey[pos] == rkey
-
-
 def symmetric_connected_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> bool:
     """Is the *mutual* CSR graph ``(indptr, indices)`` connected (undirected)?
 
     The input must be a symmetric edge set (both directions of every pair
-    present — e.g. the CSR of ``cover & cover.T`` or of the edges
-    :func:`mutual_mask` keeps); connectivity is then undirected-component
-    connectivity, answered by the same ``csgraph`` call as the strong
-    kernel with ``connection="weak"``.
+    present — e.g. the CSR of ``cover & cover.T``, or of a candidate-pair
+    mask ANDed with itself under
+    :func:`~repro.kernels.sparse.reverse_edge_permutation`); connectivity
+    is then undirected-component connectivity, answered by the same
+    ``csgraph`` call as the strong kernel with ``connection="weak"``.
     """
     COUNTERS.connectivity_probes += 1
     if n <= 1:

@@ -2,10 +2,11 @@
 
 The measured critical range is the smallest uniform radius whose distance-
 truncated transmission graph is connected: strongly, or, in symmetric mode,
-through its mutual edges.  The search sorts the angularly covered pairs by
-distance exactly once; each bisection probe is then a prefix of the sorted
-edge list, regrouped into CSR form by pure array ops (bincount + boolean
-mask against precomputed per-edge distance ranks) and handed to the CSR
+through its mutual edges.  The search takes the angularly covered pairs
+grouped by source, which is the CSR scaffold of every probe, and sorts
+them by distance exactly once; each bisection probe keeps a prefix of the
+sorted edges, picked out of the scaffold by pure array ops (bincount +
+boolean mask against each edge's distance rank) and handed to the CSR
 connectivity kernel.  Zero graph objects, O(log m) probes, one sort.
 
 Every critical range is measured through it: per trial
@@ -15,9 +16,10 @@ measurement run as one unperturbed trial) and per instance of a stacked
 sweep chunk (:func:`repro.kernels.batch.stacked_critical`).  Bit-identical
 to the per-probe ``DiGraph`` rebuild kept as the oracle in
 ``tests/kernels_reference.py``: a probe at radius ``r`` keeps exactly the
-edges with ``dist <= r + radius_tolerance(r, eps)`` (the prefix), and the
-bisection over the same ``np.unique`` candidate array takes the same
-branches, so the returned float is the same.
+edges with ``dist <= r + radius_tolerance(r, eps)`` (the prefix, ties
+included whatever their sorted order), and the bisection over the same
+candidate array (the distinct distances, ascending, as ``np.unique``
+returns them) takes the same branches, so the returned float is the same.
 """
 
 from __future__ import annotations
@@ -25,11 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.sectors import radius_tolerance
-from repro.kernels.connectivity import (
-    mutual_mask,
-    strongly_connected_csr,
-    symmetric_connected_csr,
-)
+from repro.kernels.connectivity import strongly_connected_csr, symmetric_connected_csr
 
 
 def _critical_search_impl(
@@ -46,22 +44,15 @@ def _critical_search_impl(
     (:func:`repro.kernels.batch.stacked_critical`) and the trial kernel
     (:func:`repro.kernels.sparse.trial_critical`), which count one launch
     for a whole chunk.  Returns ``inf`` when even the whole edge set is not
-    connected (the orientations themselves are deficient).  Symmetric mode
-    keeps the mutual edges (a direction-symmetric distance prefix of them
-    holds whole pairs) and probes with :func:`symmetric_connected_csr`,
-    strong mode probes with :func:`strongly_connected_csr`; connectivity
-    probes are counted inside the probe.  Requires ``n >= 2`` and at least
-    one edge.
+    connected (the orientations themselves are deficient).  In symmetric
+    mode the caller passes the mutual edges (both directions of every
+    pair, at one distance), which are probed with
+    :func:`symmetric_connected_csr`; strong mode probes with
+    :func:`strongly_connected_csr`.  Connectivity probes are counted
+    inside the probe.  Requires ``n >= 2`` and at least one edge; edges
+    grouped by source (the callers' order) are never regrouped.
     """
-    probe = strongly_connected_csr
-    if mode == "symmetric":
-        mask = mutual_mask(n, src_all, dst_all)
-        if not mask.any():
-            return float("inf")
-        src_all = np.asarray(src_all, dtype=np.int64)[mask]
-        dst_all = np.asarray(dst_all, dtype=np.int64)[mask]
-        dists = dists[mask]
-        probe = symmetric_connected_csr
+    probe = symmetric_connected_csr if mode == "symmetric" else strongly_connected_csr
     m = src_all.shape[0]
     zero = np.zeros(1, dtype=np.int64)
 
@@ -70,33 +61,31 @@ def _critical_search_impl(
     # answered with no sort at all.
     if np.any(src_all[1:] < src_all[:-1]):
         order = np.argsort(src_all, kind="stable")
-        full_src, full_dst = src_all[order], dst_all[order]
-    else:
-        full_src, full_dst = src_all, dst_all
-    indptr = np.concatenate([zero, np.cumsum(np.bincount(full_src, minlength=n))])
-    if not probe(n, indptr, full_dst):
+        src_all, dst_all, dists = src_all[order], dst_all[order], dists[order]
+    indptr = np.concatenate([zero, np.cumsum(np.bincount(src_all, minlength=n))])
+    if not probe(n, indptr, dst_all):
         return float("inf")
 
-    # One sort by distance; every probe is a prefix of these arrays.
-    by_dist = np.argsort(dists, kind="stable")
+    # One sort by distance; every probe keeps a prefix of it, ties whole.
+    by_dist = np.argsort(dists)
     src = src_all[by_dist]
     sorted_dists = dists[by_dist]
-
-    # One regrouping into the CSR scaffold: edges grouped by source, and
-    # *within* each source row ordered by distance rank (stable sort keeps
-    # the distance order).  ``ranks[i]`` is the distance rank of scaffold
-    # edge i, so the probe mask ``ranks < cnt`` selects per-row prefixes.
-    by_src = np.argsort(src, kind="stable")
-    indices_all = dst_all[by_dist][by_src]
-    ranks = np.arange(m, dtype=np.int64)[by_src]
+    # ``ranks[i]`` is the distance rank of edge i, so the probe mask
+    # ``ranks < cnt`` keeps the prefix in the source-grouped scaffold.
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[by_dist] = np.arange(m, dtype=np.int64)
 
     def connected_at(r: float) -> bool:
         cnt = int(np.searchsorted(sorted_dists, r + radius_tolerance(r, eps), side="right"))
         row_counts = np.bincount(src[:cnt], minlength=n)
         indptr = np.concatenate([zero, np.cumsum(row_counts)])
-        return probe(n, indptr, indices_all[ranks < cnt])
+        return probe(n, indptr, dst_all[ranks < cnt])
 
-    candidates = np.unique(dists)
+    # The distinct distances, ascending: ``np.unique`` would sort again.
+    distinct = np.empty(m, dtype=bool)
+    distinct[0] = True
+    np.not_equal(sorted_dists[1:], sorted_dists[:-1], out=distinct[1:])
+    candidates = sorted_dists[distinct]
     lo, hi = 0, candidates.size - 1  # invariant: connected_at(candidates[hi])
     while lo < hi:
         mid = (lo + hi) // 2

@@ -107,9 +107,12 @@ class SparsePolarTables:
         dense ``PolarTables`` entries for the same ordered pair.
     r_cut:
         The candidate cutoff the tables were built at.
+
+    Each edge's reverse edge (:func:`reverse_edge_permutation`) is
+    computed on first use and kept with the tables.
     """
 
-    __slots__ = ("indptr", "indices", "src", "dist", "ang", "r_cut")
+    __slots__ = ("indptr", "indices", "src", "dist", "ang", "r_cut", "_rev")
 
     def __init__(self, indptr, indices, src, dist, ang, r_cut):
         self.indptr = indptr
@@ -118,6 +121,7 @@ class SparsePolarTables:
         self.dist = dist
         self.ang = ang
         self.r_cut = float(r_cut)
+        self._rev = None
 
     @property
     def n(self) -> int:
@@ -132,26 +136,27 @@ class SparsePolarTables:
 
 
 def _directed_candidates(c: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Directed ``(src, dst)`` pairs within distance ``r``, lexsorted.
+    """Directed ``(src, dst)`` pairs within distance ``r``, in ``(src, dst)`` order.
 
-    Membership at the exact boundary may differ from ``np.hypot`` by a
-    last-ulp (the kd-tree computes its own distances); the certification
-    pads absorb this, and extra pairs are always harmless.
+    ``query_pairs`` lists each pair once, so the keys ``src·n + dst`` of
+    both directions are unique and one plain sort of them is the
+    lexicographic order.  Membership at the exact boundary may differ from
+    ``np.hypot`` by a last-ulp (the kd-tree computes its own distances);
+    the certification pads absorb this, and extra pairs are always
+    harmless.
     """
     from scipy.spatial import cKDTree  # lazy: +7 MB RSS, sparse routing only
 
     empty = np.empty(0, dtype=np.int64)
-    if c.shape[0] <= 1:
+    n = c.shape[0]
+    if n <= 1:
         return empty, empty
     pairs = cKDTree(c).query_pairs(r, output_type="ndarray")
     if pairs.shape[0] == 0:
         return empty, empty
     u = pairs[:, 0].astype(np.int64)
     v = pairs[:, 1].astype(np.int64)
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    return src[order], dst[order]
+    return np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n)
 
 
 def sparse_polar_tables(coords, r_cut: float) -> SparsePolarTables:
@@ -416,17 +421,18 @@ def trial_critical(
     runs the dense kernels' search body on the same edge arrays, so a
     value equals the dense one whenever the candidate set holds every
     pair the search can use (``0.0`` for at most one vertex, ``inf`` when
-    deficient).  One ``critical_searches`` launch for the whole stack.
+    deficient).  Symmetric mode searches each row's mutual edges, in new
+    arrays: ``cover_ang`` stays the plain angular mask the ``inf``
+    certificate reads.  One ``critical_searches`` launch for the whole
+    stack.
     """
-    rev = (
-        reverse_edge_permutation(tables)
-        if mode == "symmetric" and fade is not None else None
-    )
+    rev = reverse_edge_permutation(tables) if mode == "symmetric" else None
     out = np.empty(cover_ang.shape[0], dtype=float)
     COUNTERS.critical_searches += 1
     for t in range(cover_ang.shape[0]):
         n = int(counts[t])
-        e = np.flatnonzero(cover_ang[t])
+        row = cover_ang[t]
+        e = np.flatnonzero(row if rev is None else row & row[rev])
         if n <= 1 or e.shape[0] == 0:
             out[t] = 0.0 if n <= 1 else np.inf
             continue
@@ -442,14 +448,22 @@ def trial_critical(
 
 
 def reverse_edge_permutation(tables: SparsePolarTables) -> np.ndarray:
-    """Index of each candidate edge's reverse edge.
+    """Index of each candidate edge's reverse edge, computed once per tables.
 
     The candidate set is direction-symmetric (both directions of every
-    within-cutoff pair are present) and ``(src, dst)`` lexsorted, so the
-    edges into ``v`` come in ``src`` order, the order of ``v``'s own row:
-    a stable sort by ``dst`` lists each edge's reverse in edge order.
+    within-cutoff pair are present) and in ``(src, dst)`` order, so
+    sorting the edges by ``(dst, src)`` lists each edge's reverse in edge
+    order.  The keys ``dst·n + src`` are unique, so one plain argsort of
+    them does it.  The result is kept on ``tables``, read-only like their
+    arrays.
     """
-    return np.argsort(tables.indices, kind="stable")
+    rev = tables._rev
+    if rev is None:
+        # Stacked union ids are int32: widen before the multiply.
+        rev = np.argsort(tables.indices.astype(np.int64) * tables.n + tables.src)
+        rev.setflags(write=False)
+        tables._rev = rev
+    return rev
 
 
 # -- cutoff policy ------------------------------------------------------------------

@@ -16,7 +16,10 @@ are the padded ``(M, n_max, n_max)`` multi-instance kernels the sweep
 measured chunks with before it measured them over stacked candidate pairs,
 with their padded table container :class:`PackedPolarTables`;
 ``tests/ensemble_reference.py``, the replaced dense ensemble path, runs on
-them.
+them.  :func:`packed_critical` runs :func:`critical_search_reference`, the
+search body as it was before it sorted each edge list once: it masks
+symmetric edges itself (:func:`mutual_mask`) and regroups every sorted
+edge list with a second stable sort.
 
 Not imported by the library itself (tests/benchmarks only), so the import
 direction kernels → graph here does not create a cycle with
@@ -31,11 +34,15 @@ from repro.antenna.model import AntennaAssignment
 from repro.engine import ArtifactCache, RunRecord, run_instance_grid
 from repro.geometry.angles import TWO_PI, angle_of, ccw_angle
 from repro.geometry.points import PointSet
+from repro.geometry.sectors import radius_tolerance
 from repro.graph.digraph import DiGraph
 from repro.kernels.backend import use_backend
-from repro.kernels.connectivity import union_connected
+from repro.kernels.connectivity import (
+    strongly_connected_csr,
+    symmetric_connected_csr,
+    union_connected,
+)
 from repro.kernels.coverage import _fill_block
-from repro.kernels.critical import _critical_search_impl
 from repro.kernels.instrument import COUNTERS
 
 __all__ = [
@@ -49,6 +56,9 @@ __all__ = [
     "packed_coverage",
     "packed_connected",
     "packed_critical",
+    "critical_search_reference",
+    "mutual_mask",
+    "directed_candidates_lexsort",
 ]
 
 
@@ -112,7 +122,7 @@ def symmetric_connected_loop(n: int, pairs) -> bool:
     An undirected edge exists only where both directions appear in
     ``pairs``; connectivity is a plain Python BFS over that mutual
     adjacency.  Deliberately naive (hash set + list-of-lists) so it shares
-    no code with the vectorized ``mutual_mask`` / CSR kernels it checks.
+    no code with the vectorized mutual masks / CSR kernels it checks.
     """
     COUNTERS.connectivity_probes += 1
     if n <= 1:
@@ -379,5 +389,121 @@ def packed_critical(
             out[i] = np.inf
             continue
         dists = tables.dist[i][src, dst]
-        out[i] = _critical_search_impl(n, src, dst, dists, eps, mode)
+        out[i] = critical_search_reference(n, src, dst, dists, eps, mode)
     return out
+
+
+def directed_candidates_lexsort(coords, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The directed kd-tree pairs within ``r``, in ``np.lexsort`` order.
+
+    How :func:`repro.kernels.sparse.sparse_polar_tables` ordered its
+    candidate pairs before it sorted integer keys: both directions of
+    every ``query_pairs`` pair, lexsorted by ``(src, dst)``.
+    """
+    from scipy.spatial import cKDTree
+
+    empty = np.empty(0, dtype=np.int64)
+    if coords.shape[0] <= 1:
+        return empty, empty
+    pairs = cKDTree(coords).query_pairs(r, output_type="ndarray")
+    u = pairs[:, 0].astype(np.int64)
+    v = pairs[:, 1].astype(np.int64)
+    src = np.concatenate([u, v])
+    dst = np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    return src[order], dst[order]
+
+
+def mutual_mask(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Boolean mask of the edges whose reverse is also present.
+
+    An edge ``(u, v)`` survives iff ``(v, u)`` is also in the list — the
+    symmetric-connectivity edge set.  Membership is one sort plus one
+    ``searchsorted`` on the packed key ``src·n + dst``; both directions of
+    every surviving pair are kept, so the masked list is itself a valid
+    (mutual) directed edge list.  Duplicate edges must not be present
+    (coverage-derived lists never are).
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
+    key = src * np.int64(n) + dst
+    rkey = dst * np.int64(n) + src
+    skey = np.sort(key)
+    pos = np.searchsorted(skey, rkey)
+    pos[pos == skey.shape[0]] = 0  # any in-range slot; equality check decides
+    return skey[pos] == rkey
+
+
+def critical_search_reference(
+    n: int,
+    src_all: np.ndarray,
+    dst_all: np.ndarray,
+    dists: np.ndarray,
+    eps: float,
+    mode: str = "strong",
+) -> float:
+    """The critical-range search body with two stable sorts, unchanged.
+
+    The body :func:`repro.kernels.critical._critical_search_impl` replaced:
+    a stable sort by distance, a second stable sort regrouping the sorted
+    edges by source, and ``np.unique`` for the candidates.  Returns ``inf``
+    when even the whole edge set is not connected.  Symmetric mode takes
+    the raw covered edges and keeps the mutual ones itself
+    (:func:`mutual_mask`), then probes with :func:`symmetric_connected_csr`;
+    strong mode probes with :func:`strongly_connected_csr`.  Requires
+    ``n >= 2`` and at least one edge.
+    """
+    probe = strongly_connected_csr
+    if mode == "symmetric":
+        mask = mutual_mask(n, src_all, dst_all)
+        if not mask.any():
+            return float("inf")
+        src_all = np.asarray(src_all, dtype=np.int64)[mask]
+        dst_all = np.asarray(dst_all, dtype=np.int64)[mask]
+        dists = dists[mask]
+        probe = symmetric_connected_csr
+    m = src_all.shape[0]
+    zero = np.zeros(1, dtype=np.int64)
+
+    # The first probe is the whole candidate set.  Run it before sorting:
+    # a deficient set (a common outcome of random perturbations) is then
+    # answered with no sort at all.
+    if np.any(src_all[1:] < src_all[:-1]):
+        order = np.argsort(src_all, kind="stable")
+        full_src, full_dst = src_all[order], dst_all[order]
+    else:
+        full_src, full_dst = src_all, dst_all
+    indptr = np.concatenate([zero, np.cumsum(np.bincount(full_src, minlength=n))])
+    if not probe(n, indptr, full_dst):
+        return float("inf")
+
+    # One sort by distance; every probe is a prefix of these arrays.
+    by_dist = np.argsort(dists, kind="stable")
+    src = src_all[by_dist]
+    sorted_dists = dists[by_dist]
+
+    # One regrouping into the CSR scaffold: edges grouped by source, and
+    # *within* each source row ordered by distance rank (stable sort keeps
+    # the distance order).  ``ranks[i]`` is the distance rank of scaffold
+    # edge i, so the probe mask ``ranks < cnt`` selects per-row prefixes.
+    by_src = np.argsort(src, kind="stable")
+    indices_all = dst_all[by_dist][by_src]
+    ranks = np.arange(m, dtype=np.int64)[by_src]
+
+    def connected_at(r: float) -> bool:
+        cnt = int(np.searchsorted(sorted_dists, r + radius_tolerance(r, eps), side="right"))
+        row_counts = np.bincount(src[:cnt], minlength=n)
+        indptr = np.concatenate([zero, np.cumsum(row_counts)])
+        return probe(n, indptr, indices_all[ranks < cnt])
+
+    candidates = np.unique(dists)
+    lo, hi = 0, candidates.size - 1  # invariant: connected_at(candidates[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if connected_at(float(candidates[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[hi])

@@ -33,11 +33,14 @@ from repro.kernels import (
     strongly_connected_csr,
     strongly_connected_edges,
 )
+from repro.kernels.critical import _critical_search_impl
 from tests.kernels_reference import (
     bfs_strongly_connected,
     coverage_matrix_loop,
     critical_range_rebuild,
     critical_range_rebuild_symmetric,
+    critical_search_reference,
+    mutual_mask,
 )
 
 
@@ -237,6 +240,79 @@ class TestCriticalCounters:
         with recording() as rec:
             critical_range(ps, a)
         assert rec.graph_builds == 0
+
+
+def lattice_edges(rng, mode: str):
+    """Random directed edges on integer-lattice points: many equal distances.
+
+    Each edge's length is divided by a factor in {0.5, 1, 2} of its source,
+    as fading does; in symmetric mode a pair takes its worse direction.
+    Returns ``(n, src, dst, dist)`` with the edges grouped by source.
+    """
+    side = int(rng.integers(2, 9))
+    xs, ys = np.meshgrid(np.arange(side), np.arange(side))
+    grid = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(float)
+    n = int(rng.integers(2, min(40, side * side) + 1))
+    coords = grid[rng.choice(side * side, size=n, replace=False)]
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    keep = rng.random(src.shape[0]) < rng.uniform(0.2, 1.0)
+    src, dst = src[keep], dst[keep]
+    off = coords[dst] - coords[src]
+    length = np.hypot(off[:, 0], off[:, 1])
+    factor = rng.choice([0.5, 1.0, 2.0], size=n)
+    dist = length / factor[src]
+    if mode == "symmetric":
+        dist = np.maximum(dist, length / factor[dst])
+    return n, src, dst, dist
+
+
+class TestSearchTieOrder:
+    """The single-sort search body against the two-stable-sort body it
+    replaced (``tests/kernels_reference.py``), bit for bit, where ties are
+    the rule: whatever order an unstable sort leaves equal distances in,
+    every probe keeps the same edges.  ``eps = 0`` puts tied edges exactly
+    on each probe's radius."""
+
+    @pytest.mark.parametrize("mode", ["strong", "symmetric"])
+    def test_matches_reference_on_lattices(self, mode):
+        rng = np.random.default_rng(2609 if mode == "strong" else 2610)
+        finite = 0
+        for case in range(300):
+            n, src, dst, dist = lattice_edges(rng, mode)
+            if src.shape[0] == 0:
+                continue
+            eps = (0.0, 1e-9)[case % 2]
+            with recording() as old:
+                want = critical_search_reference(n, src, dst, dist, eps, mode)
+            # Symmetric callers pass the mutual edges; the reference masks
+            # the raw ones itself.
+            keep = mutual_mask(n, src, dst) if mode == "symmetric" else slice(None)
+            with recording() as new:
+                got = (
+                    _critical_search_impl(n, src[keep], dst[keep], dist[keep], eps, mode)
+                    if src[keep].shape[0] else math.inf
+                )
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (case, got, want)
+            assert new.connectivity_probes == old.connectivity_probes, case
+            finite += math.isfinite(want)
+        assert finite >= 100  # the bisection ran, not just the first probe
+
+    @pytest.mark.parametrize("mode", ["strong", "symmetric"])
+    def test_ungrouped_edges_are_regrouped_with_their_distances(self, mode):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n, src, dst, dist = lattice_edges(rng, mode)
+            if mode == "symmetric":
+                keep = mutual_mask(n, src, dst)
+                src, dst, dist = src[keep], dst[keep], dist[keep]
+            if src.shape[0] < 2:
+                continue
+            shuffle = rng.permutation(src.shape[0])
+            want = _critical_search_impl(n, src, dst, dist, 1e-9, mode)
+            got = _critical_search_impl(
+                n, src[shuffle], dst[shuffle], dist[shuffle], 1e-9, mode
+            )
+            assert got == want
 
 
 class TestConnectivityKernels:

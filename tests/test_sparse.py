@@ -21,6 +21,7 @@ from repro.errors import InvalidParameterError
 from repro.experiments.workloads import make_workload, perturbed_star
 from repro.geometry.points import PointSet, max_pairwise_distance
 from repro.kernels.backend import use_backend
+from repro.kernels.batch import packed_candidates
 from repro.kernels.connectivity import strongly_connected_csr
 from repro.kernels.coverage import batched_coverage
 from repro.kernels.critical import _critical_search_impl
@@ -42,6 +43,7 @@ from repro.kernels.sparse import (
     trial_coverage,
     trial_critical,
 )
+from tests.kernels_reference import directed_candidates_lexsort
 
 TWO_PI = 2.0 * np.pi
 
@@ -355,20 +357,68 @@ def test_tables_are_csr_sorted_readonly_and_bit_compatible():
 
 def test_reverse_edge_permutation_pairs_each_edge_with_its_reverse():
     xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))  # distance ties
-    for coords in (
+    layouts = (
         make_workload("uniform", 90, seed=3),
         make_workload("clustered", 90, seed=3),
         np.stack([xs.ravel(), ys.ravel()], axis=1),
-    ):
+    )
+    dense = [polar_tables(c) for c in layouts]
+    stacked = packed_candidates(dense, [0.2 * bbox_diameter_bound(c) for c in layouts]).pairs
+    assert stacked.src.dtype == stacked.indices.dtype == np.int32
+    cases = [stacked]
+    for coords, tables in zip(layouts, dense):
         r = 0.3 * bbox_diameter_bound(coords)
-        for tables in (
-            sparse_polar_tables(coords, r),
-            dense_candidate_tables(polar_tables(coords), r),
-        ):
-            rev = reverse_edge_permutation(tables)
-            assert tables.m > 0
-            assert np.array_equal(tables.src[rev], tables.indices)
-            assert np.array_equal(tables.indices[rev], tables.src)
+        cases += [sparse_polar_tables(coords, r), dense_candidate_tables(tables, r)]
+    for tables in cases:
+        rev = reverse_edge_permutation(tables)
+        assert tables.m > 0
+        assert np.array_equal(tables.src[rev], tables.indices)
+        assert np.array_equal(tables.indices[rev], tables.src)
+        # The stable sort by destination, computed once per tables.
+        assert np.array_equal(rev, np.argsort(tables.indices, kind="stable"))
+        assert not rev.flags.writeable
+        assert reverse_edge_permutation(tables) is rev
+
+
+def candidate_layouts():
+    xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))
+    t = np.arange(60.0)
+    return {
+        "uniform": make_workload("uniform", 120, seed=5),
+        "clustered": make_workload("clustered", 120, seed=5),
+        "lattice": np.stack([xs.ravel(), ys.ravel()], axis=1),
+        "collinear": np.stack([t, 0.5 * t + 3.0], axis=1),
+        "one point": np.array([[0.25, 0.75]]),
+        "no points": np.empty((0, 2)),
+    }
+
+
+@pytest.mark.parametrize("layout", list(candidate_layouts()))
+def test_key_sorted_candidates_equal_the_lexsort_order(layout):
+    coords = candidate_layouts()[layout]
+    diameter = bbox_diameter_bound(coords)
+    # 0.0: distinct points, no pair at all; 1.1: every pair.
+    for frac in (0.0, 0.05, 0.3, 1.1):
+        r = frac * diameter
+        tables = sparse_polar_tables(coords, r)
+        src, dst = directed_candidates_lexsort(coords, r)
+        assert np.array_equal(tables.src, src) and tables.src.dtype == src.dtype
+        assert np.array_equal(tables.indices, dst) and tables.indices.dtype == dst.dtype
+
+
+def test_reverse_edge_permutation_widens_int32_ids():
+    n = 100_000  # dst·n + src overflows int32
+    u = np.array([0, 5, 70_000, 99_998])
+    v = np.array([99_999, 70_000, 99_999, 99_999])
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    src, dst = src[order].astype(np.int32), dst[order].astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    m = src.shape[0]
+    tables = SparsePolarTables(indptr, dst, src, np.ones(m), np.zeros(m), 1.0)
+    rev = reverse_edge_permutation(tables)
+    assert np.array_equal(rev, np.argsort(dst, kind="stable"))
+    assert np.array_equal(src[rev], dst)
 
 
 def test_angular_mask_feeds_trial_critical():

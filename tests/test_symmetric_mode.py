@@ -31,12 +31,11 @@ from repro.graph.digraph import DiGraph
 from repro.graph.scc import undirected_component_count
 from repro.kernels.connectivity import (
     CONNECTIVITY_MODES,
-    mutual_mask,
     symmetric_connected_csr,
     validate_mode,
 )
 from repro.store import RunStore, StoreError, merge_stores
-from tests.kernels_reference import per_instance_sweep
+from tests.kernels_reference import mutual_mask, per_instance_sweep
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
